@@ -38,7 +38,6 @@ from .equilibria import (
 )
 from .atlas import (
     CurveDomainError,
-    CurveSet,
     DZCertificate,
     HopfCertificate,
     OrderingReport,
@@ -56,7 +55,6 @@ from .atlas import (
     p_sn,
     p_t,
     region_fan,
-    sample_curves,
 )
 from .integrate import (
     EquilibriumTarget,
@@ -84,7 +82,6 @@ from .connections import (
     find_het_p,
     find_periodic_orbit,
     fit_reference_curve,
-    het_curve_from_fit,
     power_fit,
     splitting,
 )
@@ -104,11 +101,11 @@ __all__ = [
     "delta2_scale", "disease_free", "eigenvalues_2x2", "endemic", "jacobian",
     "residual_at",
     # atlas
-    "CurveDomainError", "CurveSet", "DZCertificate", "HopfCertificate",
+    "CurveDomainError", "DZCertificate", "HopfCertificate",
     "OrderingReport", "RegionFlagError", "RegionLabel", "classify_region",
     "curve_ordering_check", "curve_values_at", "dz_point", "e2_trace",
     "hopf_certificate",
-    "p_bt1", "p_bt2", "p_h", "p_sn", "p_t", "region_fan", "sample_curves",
+    "p_bt1", "p_bt2", "p_h", "p_sn", "p_t", "region_fan",
     # integrate
     "EquilibriumTarget", "OmegaLimitResult", "SectionEvent", "TerminalEvent",
     "Trajectory", "integrate", "manifold_shoot", "omega_limit_estimate",
@@ -118,5 +115,5 @@ __all__ = [
     "NoCrossingError", "NotInRegionEError", "SameSignBracketError",
     "PeriodicOrbit", "PowerFit",
     "SplitFunction", "build_het_table", "find_het_p", "find_periodic_orbit",
-    "fit_reference_curve", "het_curve_from_fit", "power_fit", "splitting",
+    "fit_reference_curve", "power_fit", "splitting",
 ]

@@ -40,7 +40,6 @@ __all__ = [
     "OrderingViolation",
     "RegionFlagError",
     "RegionLabel",
-    "CurveSet",
     "OrderingReport",
     "DZCertificate",
     "HopfCertificate",
@@ -55,7 +54,6 @@ __all__ = [
     "hopf_certificate",
     "classify_region",
     "curve_values_at",
-    "sample_curves",
     "region_fan",
     "belyakov_r0_zero_p",
 ]
@@ -134,37 +132,6 @@ def e2_trace(r0: float, p: float, base: BaseParams) -> float:
     in p, so E2 is spectrally stable below the Hopf curve and unstable above.
     """
     return p * base.m * r0 / base.A - base.A / r0
-
-
-@dataclass(frozen=True)
-class CurveSet:
-    """Bundle of the curve evaluators for one base (plus an optional
-    heteroclinic interpolant from the ``connections`` module)."""
-    base: BaseParams
-    het: object | None = None          # callable r0 -> p, defined for r0 > 2
-
-    @property
-    def dz(self):
-        return (2.0, self.base.A * self.base.A / (4.0 * self.base.m))
-
-    def sn(self, r0: float) -> float:
-        return p_sn(r0, self.base)
-
-    def t(self, r0: float) -> float:
-        return p_t(r0, self.base)
-
-    def h(self, r0: float, *, allow_left: bool = False) -> float:
-        return p_h(r0, self.base, allow_left=allow_left)
-
-    def bt2(self, r0: float) -> float:
-        return p_bt2(r0, self.base)
-
-    def het_p(self, r0: float) -> float:
-        if self.het is None:
-            raise CurveDomainError("no heteroclinic curve attached to this CurveSet")
-        if r0 <= 2.0:
-            raise CurveDomainError(f"heteroclinic curve needs r0 > 2, got {r0}")
-        return float(self.het(r0))
 
 
 # ----------------------------------------------------------------------
@@ -391,40 +358,7 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
 
 
 # ----------------------------------------------------------------------
-# sampling helpers (CLI / portraits)
-
-
-def sample_curves(base: BaseParams, r0_min: float, r0_max: float, n: int,
-                  het=None) -> dict:
-    """Sample each curve on its domain intersected with [r0_min, r0_max].
-
-    Returns {name: [(r0, p), ...]}; Belyakov branches are included only
-    where real, the heteroclinic only where the callable is defined (r0 > 2).
-    """
-    if n < 2:
-        raise ValueError("need at least 2 sample points")
-    if not r0_min < r0_max:
-        raise ValueError("need r0_min < r0_max")
-    grid = [r0_min + (r0_max - r0_min) * i / (n - 1) for i in range(n)]
-    out = {"sn": [], "t": [], "h": [], "bt1": [], "bt2": []}
-    if het is not None:
-        out["het"] = []
-    for r0 in grid:
-        out["sn"].append((r0, p_sn(r0, base)))
-        if r0 > 1.0:
-            out["t"].append((r0, p_t(r0, base)))
-        if r0 >= 2.0:
-            out["h"].append((r0, p_h(r0, base)))
-        try:
-            lo, hi = belyakov_roots(r0, base)
-        except BelyakovDomainError:
-            pass
-        else:
-            out["bt1"].append((r0, lo))
-            out["bt2"].append((r0, hi))
-        if het is not None and r0 > 2.0:
-            out["het"].append((r0, float(het(r0))))
-    return out
+# initial-condition fans (portraits)
 
 
 def region_fan(params: ModelParams, *, n_boundary: int = 12, n_ring: int = 8,

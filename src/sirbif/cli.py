@@ -112,12 +112,29 @@ def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_svg(path: Path, canvas: Canvas) -> None:
-    path.write_text(canvas.render())
+def _emit(ns, config: RunConfig, artifacts) -> None:
+    """Write the artifacts whose format was selected, in the given order.
 
-
-def _announce(path: Path) -> None:
-    print(f"wrote {path}")
+    ``artifacts`` holds ``(file name, producer)`` pairs and the file suffix
+    picks the writer: a ``.csv`` producer returns ``(columns, rows)``, a
+    ``.json`` producer the payload and an ``.svg`` producer a Canvas.  The
+    producer of a file that is not written never runs.
+    """
+    fmts = _formats(ns)
+    outdir = Path(ns.out) if ns.out else Path(".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, produce in artifacts:
+        kind = name.rsplit(".", 1)[-1]
+        if kind not in fmts:
+            continue
+        path = outdir / name
+        if kind == "csv":
+            _write_csv(path, config, *produce())
+        elif kind == "json":
+            _write_json(path, config, produce())
+        else:
+            path.write_text(produce().render())
+        print(f"wrote {path}")
 
 
 # ----------------------------------------------------------------------
@@ -143,15 +160,6 @@ def _base_of(params: ModelParams) -> BaseParams:
                       g=params.g)
 
 
-def _base_dict(base: BaseParams) -> dict:
-    return {"A": base.A, "m": base.m, "mu": base.mu, "d": base.d, "g": base.g}
-
-
-def _params_dict(params: ModelParams) -> dict:
-    return {"A": params.A, "beta": params.beta, "m": params.m, "mu": params.mu,
-            "d": params.d, "g": params.g, "p": params.p}
-
-
 def _formats(ns) -> tuple:
     chosen = ns.format or list(_FORMATS)
     return tuple(f for f in _FORMATS if f in chosen)
@@ -166,12 +174,6 @@ def _config_for(ns, command: str, extra: dict, tol: float) -> RunConfig:
                 "formats": list(_formats(ns))}
     settings.update(extra)
     return RunConfig(command, settings)
-
-
-def _out_dir(ns) -> Path:
-    out = Path(ns.out) if ns.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +195,7 @@ def cmd_equilibria(ns) -> int:
     params = _resolve_params(ns)
     base = _base_of(params)
     tol = _effective_tol(ns, 1e-8)
-    config = _config_for(ns, "equilibria", {"params": _params_dict(params)}, tol)
+    config = _config_for(ns, "equilibria", {"params": params.to_dict()}, tol)
 
     dfe = disease_free(params)
     e2 = endemic(params)
@@ -217,21 +219,14 @@ def cmd_equilibria(ns) -> int:
                   f"eigenvalues {_eig_text(eq)}")
 
     if ns.out is not None:
-        outdir = _out_dir(ns)
-        fmts = _formats(ns)
-        if "csv" in fmts:
-            path = outdir / "equilibria.csv"
-            _write_csv(path, config,
-                       ("id", "S", "I", "eig1_re", "eig1_im", "eig2_re",
-                        "eig2_im", "class"), rows)
-            _announce(path)
-        if "json" in fmts:
-            path = outdir / "equilibria.json"
-            _write_json(path, config, {
+        _emit(ns, config, [
+            ("equilibria.csv", lambda: (("id", "S", "I", "eig1_re", "eig1_im",
+                                         "eig2_re", "eig2_im", "class"), rows)),
+            ("equilibria.json", lambda: {
                 "r0": r0_of(params),
                 "equilibria": [eq.to_json_dict() for eq in [*dfe, e2]],
-            })
-            _announce(path)
+            }),
+        ])
     return 0
 
 
@@ -241,7 +236,7 @@ def cmd_equilibria(ns) -> int:
 
 def cmd_dz(ns) -> int:
     base = _resolve_base(ns)
-    config = _config_for(ns, "dz", {"base": _base_dict(base)},
+    config = _config_for(ns, "dz", {"base": base.to_dict()},
                          _effective_tol(ns, 1e-8))
     cert = dz_point(base)
     r0s, ps = cert.point
@@ -262,10 +257,8 @@ def cmd_dz(ns) -> int:
           f"|p_SN-p_T|={conc['dev_t']!r} |p_SN-p_H|={conc['dev_h']!r} "
           f"|p_SN-p_Bt2|={conc['dev_bt2']!r}")
     print(f"certificate ok: {cert.ok}")
-    if ns.out is not None and "json" in _formats(ns):
-        outdir = _out_dir(ns)
-        path = outdir / "dz.json"
-        _write_json(path, config, {
+    if ns.out is not None:
+        _emit(ns, config, [("dz.json", lambda: {
             "point": {"r0": r0s, "p": ps},
             "location": {"S": cert.location[0], "I": cert.location[1]},
             "jacobian": jac,
@@ -274,8 +267,7 @@ def cmd_dz(ns) -> int:
             "endemic_location_error": cert.endemic_location_error,
             "concurrence": conc,
             "ok": cert.ok,
-        })
-        _announce(path)
+        })])
     return 0 if cert.ok else 3
 
 
@@ -357,52 +349,40 @@ def cmd_atlas(ns) -> int:
     het = fit_reference_curve()
     tol = _effective_tol(ns, 1e-8)
     config = _config_for(ns, "atlas", {
-        "base": _base_dict(base),
+        "base": base.to_dict(),
         "window": [ns.r0_min, ns.r0_max, ns.p_min, ns.p_max],
         "samples": ns.samples, "grid": ns.grid,
     }, tol)
 
     rows = _atlas_rows(base, het, ns.r0_min, ns.r0_max, ns.samples)
-    grid_rows = []
-    for i in range(ns.grid):
-        r0 = ns.r0_min + (ns.r0_max - ns.r0_min) * i / (ns.grid - 1)
-        for j in range(ns.grid):
-            p = ns.p_min + (ns.p_max - ns.p_min) * j / (ns.grid - 1)
-            try:
-                label = classify_region(r0, p, base, het=het).value
-            except (RegionFlagError, CurveDomainError, BelyakovDomainError):
-                # corner cases sitting exactly on a degenerate locus
-                label = "boundary"
-            grid_rows.append((r0, p, label))
 
-    outdir = _out_dir(ns)
-    fmts = _formats(ns)
-    if "csv" in fmts:
-        path = outdir / "atlas_curves.csv"
-        _write_csv(path, config,
-                   ("r0", "p_sn", "p_t", "p_h", "p_bt1", "p_bt2", "p_het"),
-                   rows)
-        _announce(path)
-        path = outdir / "atlas_regions.csv"
-        _write_csv(path, config, ("r0", "p", "label"), grid_rows)
-        _announce(path)
-    if "json" in fmts:
-        curves = {}
-        for idx, key in enumerate(_CURVE_COLUMNS):
-            curves[key] = [[row[0], row[1 + idx]] for row in rows
-                           if row[1 + idx] is not None]
-        path = outdir / "atlas.json"
-        _write_json(path, config, {
-            "dz": {"r0": 2.0, "p": p_sn(2.0, base)},
-            "curves": curves,
-        })
-        _announce(path)
-    if "svg" in fmts:
-        canvas = _atlas_svg(base, rows, het, config,
-                            (ns.r0_min, ns.r0_max, ns.p_min, ns.p_max))
-        path = outdir / "atlas.svg"
-        _write_svg(path, canvas)
-        _announce(path)
+    def regions():
+        grid_rows = []
+        for i in range(ns.grid):
+            r0 = ns.r0_min + (ns.r0_max - ns.r0_min) * i / (ns.grid - 1)
+            for j in range(ns.grid):
+                p = ns.p_min + (ns.p_max - ns.p_min) * j / (ns.grid - 1)
+                try:
+                    label = classify_region(r0, p, base, het=het).value
+                except (RegionFlagError, CurveDomainError, BelyakovDomainError):
+                    # corner cases sitting exactly on a degenerate locus
+                    label = "boundary"
+                grid_rows.append((r0, p, label))
+        return ("r0", "p", "label"), grid_rows
+
+    curves = {key: [[row[0], row[1 + idx]] for row in rows
+                    if row[1 + idx] is not None]
+              for idx, key in enumerate(_CURVE_COLUMNS)}
+    _emit(ns, config, [
+        ("atlas_curves.csv", lambda: (("r0", "p_sn", "p_t", "p_h", "p_bt1",
+                                       "p_bt2", "p_het"), rows)),
+        ("atlas_regions.csv", regions),
+        ("atlas.json", lambda: {"dz": {"r0": 2.0, "p": p_sn(2.0, base)},
+                                "curves": curves}),
+        ("atlas.svg", lambda: _atlas_svg(
+            base, rows, het, config,
+            (ns.r0_min, ns.r0_max, ns.p_min, ns.p_max))),
+    ])
     return 0
 
 
@@ -463,13 +443,42 @@ def _downsample(n: int, limit: int) -> list:
     return idx
 
 
-def _run_portrait(pack: PortraitPack, ns, outdir: Path, fmts, tol: float) -> dict:
+def _phase_figure(params: ModelParams, title: str, config: RunConfig, paths,
+                  *, start=None, labels: bool = True) -> Canvas:
+    """(S, I) phase plane: the dashed invariant wedge, every path of
+    ``paths`` as ``(path, sample cap, colour, width, opacity)``, an optional
+    open start marker, the equilibrium markers (named when ``labels``) and
+    the axes."""
+    A, bound = params.A, invariant_region_bound(params)
+    canvas = Canvas(560, 520, (-0.02 * A, 1.04 * A),
+                    (-0.02 * bound, 1.02 * bound), title=title,
+                    desc=config.compact())
+    canvas.polyline([(0.0, 0.0), (A, 0.0), (A, bound - A), (0.0, bound),
+                     (0.0, 0.0)], PALETTE["boundary"], width=1.0, dash="4,3")
+    for path, cap, color, width, opacity in paths:
+        idx = _downsample(len(path.t), cap)
+        canvas.polyline([(path.states[i, 0], path.states[i, 1]) for i in idx],
+                        color, width=width, opacity=opacity)
+    if start is not None:
+        canvas.marker(*start, "open", PALETTE["axis"], size=3.5)
+    for eq in [*disease_free(params), endemic(params)]:
+        if eq.stability is StabilityClass.NONEXISTENT:
+            continue
+        canvas.marker(eq.S, eq.I, _marker_kind(eq), PALETTE["axis"])
+        if labels:
+            canvas.text(eq.S, eq.I, eq.ident, dy=-8.0, size=10)
+    sx = [t for t in (0.0, 0.25, 0.5, 0.75, 1.0) if t <= 1.04 * A]
+    sy = [round(bound * f, 2) for f in (0.0, 0.5, 1.0)]
+    canvas.axes("S", "I", sx, sy)
+    return canvas
+
+
+def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
     params = pack.params
     base = _base_of(params)
     r0 = r0_of(params)
-    bound = invariant_region_bound(params)
     config = _config_for(ns, "portraits", {
-        "region": pack.region, "params": _params_dict(params),
+        "region": pack.region, "params": params.to_dict(),
         "horizon": ns.horizon, "max_samples": ns.max_samples,
         "note": pack.note,
     }, tol)
@@ -505,84 +514,57 @@ def _run_portrait(pack: PortraitPack, ns, outdir: Path, fmts, tol: float) -> dic
     for res in results:
         counts[res.outcome] = counts.get(res.outcome, 0) + 1
 
-    stem = f"portrait_{pack.region}"
-    if "csv" in fmts:
+    def samples():
         rows = []
         for k, res in enumerate(results):
             traj = res.trajectory
             for i in _downsample(len(traj.t), ns.max_samples):
                 rows.append((k, traj.t[i], traj.states[i, 0], traj.states[i, 1]))
-        path = outdir / f"{stem}.csv"
-        _write_csv(path, config, ("traj", "t", "S", "I"), rows)
-        _announce(path)
-        path = outdir / f"{stem}_outcomes.csv"
-        _write_csv(path, config,
-                   ("traj", "S0", "I0", "outcome", "detail", "t_end",
-                    "S_end", "I_end"), outcome_rows)
-        _announce(path)
-    if "json" in fmts:
-        payload = {
-            "region": pack.region, "note": pack.note, "r0": r0,
-            "p": params.p, "outcome_counts": counts,
-            "fan": [{"start": [row[1], row[2]], "outcome": row[3],
-                     "detail": row[4]} for row in outcome_rows],
-        }
-        if pack.region == "E":
-            payload["cycle"] = (None if cycle is None else {
-                "period": cycle.period, "floquet": cycle.floquet,
-                "section_S": cycle.section_S, "section_I": cycle.section_I,
-                "return_residual": cycle.return_residual,
-            })
-            if cycle_error:
-                payload["cycle_error"] = cycle_error
-        path = outdir / f"{stem}.json"
-        _write_json(path, config, payload)
-        _announce(path)
-    if "svg" in fmts:
-        A = params.A
-        canvas = Canvas(560, 520, (-0.02 * A, 1.04 * A),
-                        (-0.02 * bound, 1.02 * bound),
-                        title=f"region {pack.region}: R0={r0:.4g}, p={params.p:.4g}",
-                        desc=config.compact())
-        canvas.polyline([(0.0, 0.0), (A, 0.0), (A, bound - A), (0.0, bound),
-                         (0.0, 0.0)], PALETTE["boundary"], width=1.0,
-                        dash="4,3")
-        for res in results:
-            traj = res.trajectory
-            idx = _downsample(len(traj.t), 600)
-            canvas.polyline([(traj.states[i, 0], traj.states[i, 1])
-                             for i in idx], PALETTE["traj"], width=0.9,
-                            opacity=0.75)
-        for leg in legs:
-            idx = _downsample(len(leg.t), 600)
-            canvas.polyline([(leg.states[i, 0], leg.states[i, 1])
-                             for i in idx], PALETTE["manifold"], width=1.8)
-        if cycle is not None:
-            idx = _downsample(len(cycle.t), 800)
-            canvas.polyline([(cycle.states[i, 0], cycle.states[i, 1])
-                             for i in idx], PALETTE["cycle"], width=2.0)
-        for eq in [*disease_free(params), endemic(params)]:
-            if eq.stability is StabilityClass.NONEXISTENT:
-                continue
-            canvas.marker(eq.S, eq.I, _marker_kind(eq), PALETTE["axis"])
-            canvas.text(eq.S, eq.I, eq.ident, dy=-8.0, size=10)
-        sx = [t for t in (0.0, 0.25, 0.5, 0.75, 1.0) if t <= 1.04 * A]
-        sy = [round(bound * f, 2) for f in (0.0, 0.5, 1.0)]
-        canvas.axes("S", "I", sx, sy)
-        path = outdir / f"{stem}.svg"
-        _write_svg(path, canvas)
-        _announce(path)
+        return ("traj", "t", "S", "I"), rows
 
-    summary = {"region": pack.region, "counts": counts}
+    payload = {
+        "region": pack.region, "note": pack.note, "r0": r0,
+        "p": params.p, "outcome_counts": counts,
+        "fan": [{"start": [row[1], row[2]], "outcome": row[3],
+                 "detail": row[4]} for row in outcome_rows],
+    }
     if pack.region == "E":
-        summary["cycle"] = None if cycle is None else cycle.floquet
-    return summary
+        payload["cycle"] = (None if cycle is None else {
+            "period": cycle.period, "floquet": cycle.floquet,
+            "section_S": cycle.section_S, "section_I": cycle.section_I,
+            "return_residual": cycle.return_residual,
+        })
+        if cycle_error:
+            payload["cycle_error"] = cycle_error
+
+    paths = [(res.trajectory, 600, PALETTE["traj"], 0.9, 0.75)
+             for res in results]
+    paths += [(leg, 600, PALETTE["manifold"], 1.8, 1.0) for leg in legs]
+    if cycle is not None:
+        paths.append((cycle, 800, PALETTE["cycle"], 2.0, 1.0))
+    stem = f"portrait_{pack.region}"
+    _emit(ns, config, [
+        (f"{stem}.csv", samples),
+        (f"{stem}_outcomes.csv", lambda: (
+            ("traj", "S0", "I0", "outcome", "detail", "t_end", "S_end",
+             "I_end"), outcome_rows)),
+        (f"{stem}.json", lambda: payload),
+        (f"{stem}.svg", lambda: _phase_figure(
+            params, f"region {pack.region}: R0={r0:.4g}, p={params.p:.4g}",
+            config, paths)),
+    ])
+
+    line = f"region {pack.region}: " + ", ".join(
+        f"{k}: {v}" for k, v in sorted(counts.items()))
+    if cycle is not None:
+        line += f" (cycle Floquet {cycle.floquet:.4f})"
+    print(line)
 
 
 def cmd_portraits(ns) -> int:
     tol = _effective_tol(ns, 1e-8)
-    fmts = _formats(ns)
-    outdir = _out_dir(ns)
+    if ns.max_samples < 1:
+        raise ValueError("--max-samples must be at least 1")
 
     if getattr(ns, "beta", None) is not None or getattr(ns, "r0", None) is not None:
         params = _resolve_params(ns)
@@ -600,23 +582,14 @@ def cmd_portraits(ns) -> int:
         wanted = ns.region or ["all"]
         if "all" in wanted:
             wanted = list(_REGION_NAMES)
-        seen = []
         for name in wanted:
             if name not in builtin:
                 raise ValueError(f"unknown region {name!r}; choose from "
                                  f"{', '.join(_REGION_NAMES)} or 'all'")
-            if name not in seen:
-                seen.append(name)
-        packs = [builtin[name] for name in seen]
+        packs = [builtin[name] for name in dict.fromkeys(wanted)]
 
     for pack in packs:
-        summary = _run_portrait(pack, ns, outdir, fmts, tol)
-        counts = ", ".join(f"{k}: {v}" for k, v in
-                           sorted(summary["counts"].items()))
-        line = f"region {summary['region']}: {counts}"
-        if "cycle" in summary and summary["cycle"] is not None:
-            line += f" (cycle Floquet {summary['cycle']:.4f})"
-        print(line)
+        _run_portrait(pack, ns, tol)
     return 0
 
 
@@ -630,7 +603,7 @@ def cmd_simulate(ns) -> int:
         raise ValueError("--t-end must be positive")
     tol = _effective_tol(ns, 1e-8)
     config = _config_for(ns, "simulate", {
-        "params": _params_dict(params), "x0": [ns.S0, ns.I0],
+        "params": params.to_dict(), "x0": [ns.S0, ns.I0],
         "r_init": ns.r_init, "t_end": ns.t_end,
     }, tol)
 
@@ -640,42 +613,17 @@ def cmd_simulate(ns) -> int:
     print(f"integrated to t = {float(traj.t[-1])!r} ({len(traj.t)} samples); "
           f"terminal: {term.kind}" + (f" [{term.detail}]" if term.detail else ""))
 
-    outdir = _out_dir(ns)
-    fmts = _formats(ns)
-    if "csv" in fmts:
-        rows = [(traj.t[i], traj.states[i, 0], traj.states[i, 1],
-                 float(recovered[i])) for i in range(len(traj.t))]
-        path = outdir / "trajectory.csv"
-        _write_csv(path, config, ("t", "S", "I", "R"), rows)
-        _announce(path)
-    if "json" in fmts:
-        path = outdir / "trajectory.json"
-        doc = traj.to_json_dict()
-        doc["R"] = [float(v) for v in recovered]
-        _write_json(path, config, doc)
-        _announce(path)
-    if "svg" in fmts:
-        A, bound = params.A, invariant_region_bound(params)
-        canvas = Canvas(560, 520, (-0.02 * A, 1.04 * A),
-                        (-0.02 * bound, 1.02 * bound),
-                        title=f"trajectory from ({ns.S0:g}, {ns.I0:g})",
-                        desc=config.compact())
-        canvas.polyline([(0.0, 0.0), (A, 0.0), (A, bound - A), (0.0, bound),
-                         (0.0, 0.0)], PALETTE["boundary"], width=1.0, dash="4,3")
-        idx = _downsample(len(traj.t), 1200)
-        canvas.polyline([(traj.states[i, 0], traj.states[i, 1]) for i in idx],
-                        PALETTE["traj"], width=1.4)
-        canvas.marker(ns.S0, ns.I0, "open", PALETTE["axis"], size=3.5)
-        for eq in [*disease_free(params), endemic(params)]:
-            if eq.stability is StabilityClass.NONEXISTENT:
-                continue
-            canvas.marker(eq.S, eq.I, _marker_kind(eq), PALETTE["axis"])
-        sx = [t for t in (0.0, 0.25, 0.5, 0.75, 1.0) if t <= 1.04 * A]
-        sy = [round(bound * f, 2) for f in (0.0, 0.5, 1.0)]
-        canvas.axes("S", "I", sx, sy)
-        path = outdir / "trajectory.svg"
-        _write_svg(path, canvas)
-        _announce(path)
+    _emit(ns, config, [
+        ("trajectory.csv", lambda: (("t", "S", "I", "R"), [
+            (traj.t[i], traj.states[i, 0], traj.states[i, 1],
+             float(recovered[i])) for i in range(len(traj.t))])),
+        ("trajectory.json", lambda: {**traj.to_json_dict(),
+                                     "R": [float(v) for v in recovered]}),
+        ("trajectory.svg", lambda: _phase_figure(
+            params, f"trajectory from ({ns.S0:g}, {ns.I0:g})", config,
+            [(traj, 1200, PALETTE["traj"], 1.4, 1.0)],
+            start=(ns.S0, ns.I0), labels=False)),
+    ])
     return 0
 
 
@@ -702,7 +650,7 @@ def cmd_het_table(ns) -> int:
     abscissae = (_parse_r0_list(ns.r0_list) if ns.r0_list
                  else [r0 for r0, _ in REFERENCE_HET_POINTS])
     config = _config_for(ns, "het-table", {
-        "base": _base_dict(base), "shoot": bool(ns.shoot),
+        "base": base.to_dict(), "shoot": bool(ns.shoot),
         "r0_list": abscissae,
     }, tol)
 
@@ -725,20 +673,13 @@ def cmd_het_table(ns) -> int:
         rows = [(r0, p, None, None, "") for r0, p in REFERENCE_HET_POINTS]
         print(f"embedded connection table: {len(rows)} rows")
 
-    outdir = _out_dir(ns)
-    fmts = _formats(ns)
-    if "csv" in fmts:
-        path = outdir / "het_table.csv"
-        _write_csv(path, config,
-                   ("r0", "p_het", "splitting_residual", "delta_vs_reference",
-                    "error"), rows)
-        _announce(path)
-    if "json" in fmts:
-        path = outdir / "het_table.json"
-        _write_json(path, config, {"rows": [
-            {"r0": r[0], "p_het": r[1], "splitting_residual": r[2],
-             "delta_vs_reference": r[3], "error": r[4]} for r in rows]})
-        _announce(path)
+    columns = ("r0", "p_het", "splitting_residual", "delta_vs_reference",
+               "error")
+    _emit(ns, config, [
+        ("het_table.csv", lambda: (columns, rows)),
+        ("het_table.json", lambda: {
+            "rows": [dict(zip(columns, row)) for row in rows]}),
+    ])
     failed = sum(1 for r in rows if r[4])
     return 3 if failed == len(rows) else 0
 
@@ -785,30 +726,20 @@ def cmd_het_fit(ns) -> int:
 
     fit = power_fit(points)
     config = _config_for(ns, "het-fit", {
-        "base": _base_dict(base), "source": source, "n_points": len(points),
+        "base": base.to_dict(), "source": source, "n_points": len(points),
     }, tol)
     print(f"p_het(r0) ~ a*r0^b + c with a = {fit.a!r}, b = {fit.b!r}, "
           f"c = {fit.c!r}")
     print(f"rss = {fit.rss!r}, corr = {fit.corr!r}, "
           f"iterations = {fit.iterations}")
 
-    outdir = _out_dir(ns)
-    fmts = _formats(ns)
     payload = {"a": fit.a, "b": fit.b, "c": fit.c, "rss": fit.rss,
                "corr": fit.corr, "iterations": fit.iterations,
                "grad_norm": fit.grad_norm, "n_points": len(points)}
-    if "json" in fmts:
-        path = outdir / "het_fit.json"
-        _write_json(path, config, {"fit": payload})
-        _announce(path)
-    if "csv" in fmts:
-        path = outdir / "het_fit.csv"
-        _write_csv(path, config,
-                   ("a", "b", "c", "rss", "corr", "iterations", "grad_norm",
-                    "n_points"),
-                   [(fit.a, fit.b, fit.c, fit.rss, fit.corr, fit.iterations,
-                     fit.grad_norm, len(points))])
-        _announce(path)
+    _emit(ns, config, [
+        ("het_fit.json", lambda: {"fit": payload}),
+        ("het_fit.csv", lambda: (tuple(payload), [tuple(payload.values())])),
+    ])
     return 0
 
 
@@ -823,7 +754,7 @@ def cmd_cycle(ns) -> int:
     if het_p is None:
         het_p = float(fit_reference_curve()(ns.r0))
     config = _config_for(ns, "cycle", {
-        "base": _base_dict(base), "r0": ns.r0, "p": ns.p, "het_p": het_p,
+        "base": base.to_dict(), "r0": ns.r0, "p": ns.p, "het_p": het_p,
     }, tol)
 
     orbit = find_periodic_orbit(ns.r0, ns.p, base, het_p=het_p, tol=tol)
@@ -832,39 +763,18 @@ def cmd_cycle(ns) -> int:
     print(f"section point: S = {orbit.section_S!r}, I = {orbit.section_I!r} "
           f"(return residual {orbit.return_residual!r})")
 
-    outdir = _out_dir(ns)
-    fmts = _formats(ns)
-    if "csv" in fmts:
-        path = outdir / "cycle.csv"
-        _write_csv(path, config, ("t", "S", "I"), orbit.to_csv_rows())
-        _announce(path)
-    if "json" in fmts:
-        path = outdir / "cycle.json"
-        _write_json(path, config, orbit.to_json_dict())
-        _announce(path)
-    if "svg" in fmts:
+    def table():
+        rows = orbit.to_csv_rows()          # its first row is the header
+        return next(rows), rows
+
+    def figure():
         params = reduced_to_params(ReducedPoint(ns.r0, ns.p, base))
-        A, bound = params.A, invariant_region_bound(params)
-        canvas = Canvas(560, 520, (-0.02 * A, 1.04 * A),
-                        (-0.02 * bound, 1.02 * bound),
-                        title=f"unstable cycle: R0={ns.r0:g}, p={ns.p:g}",
-                        desc=config.compact())
-        canvas.polyline([(0.0, 0.0), (A, 0.0), (A, bound - A), (0.0, bound),
-                         (0.0, 0.0)], PALETTE["boundary"], width=1.0, dash="4,3")
-        idx = _downsample(len(orbit.t), 1200)
-        canvas.polyline([(orbit.states[i, 0], orbit.states[i, 1])
-                         for i in idx], PALETTE["cycle"], width=2.0)
-        for eq in [*disease_free(params), endemic(params)]:
-            if eq.stability is StabilityClass.NONEXISTENT:
-                continue
-            canvas.marker(eq.S, eq.I, _marker_kind(eq), PALETTE["axis"])
-            canvas.text(eq.S, eq.I, eq.ident, dy=-8.0, size=10)
-        sx = [t for t in (0.0, 0.25, 0.5, 0.75, 1.0) if t <= 1.04 * A]
-        sy = [round(bound * f, 2) for f in (0.0, 0.5, 1.0)]
-        canvas.axes("S", "I", sx, sy)
-        path = outdir / "cycle.svg"
-        _write_svg(path, canvas)
-        _announce(path)
+        return _phase_figure(params, f"unstable cycle: R0={ns.r0:g}, p={ns.p:g}",
+                             config, [(orbit, 1200, PALETTE["cycle"], 2.0, 1.0)])
+
+    _emit(ns, config, [("cycle.csv", table),
+                       ("cycle.json", orbit.to_json_dict),
+                       ("cycle.svg", figure)])
     return 0
 
 
@@ -1065,18 +975,34 @@ def build_parser():
 # config-file preloading and entry point
 
 
-def _peek_config(argv) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a file argument")
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+def _config_value(action, key: str, value):
+    """The value ``--key value`` gives on the command line, so that a config
+    file and the flags agree on what they accept and on the bytes they
+    echo.  A list stands for a repeated flag, true/false for a switch."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"config key {key!r} must be true or false")
+    repeated = isinstance(action, argparse._AppendAction)
+    values = []
+    for item in (value if repeated and isinstance(value, list) else [value]):
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise ValueError(f"config key {key!r}: {item!r} is not a flag value")
+        try:
+            item = (action.type or str)(str(item))
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid value {item!r}") from None
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"config key {key!r}: {item!r} is not one of "
+                             f"{', '.join(action.choices)}")
+        values.append(item)
+    return values if repeated else values[0]
 
 
-def _load_config_defaults(path: str, subparser) -> None:
+def _load_config_defaults(path: str, subparser, flags) -> None:
+    """Make the file's values the subcommand's defaults.  ``flags`` is the
+    command line parsed without the file: a repeated flag given there
+    replaces the file's list instead of adding to it."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -1085,13 +1011,15 @@ def _load_config_defaults(path: str, subparser) -> None:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    dests = {action.dest for action in subparser._actions}
+    actions = {action.dest: action for action in subparser._actions}
     clean = {}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in dests:
+        if dest not in actions:
             raise ValueError(f"unknown config key {key!r} for this command")
-        clean[dest] = value
+        value = _config_value(actions[dest], key, value)
+        if not (isinstance(value, list) and getattr(flags, dest) is not None):
+            clean[dest] = value
     subparser.set_defaults(**clean)
 
 
@@ -1099,12 +1027,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     top, parsers = build_parser()
     try:
-        cfg = _peek_config(argv)
-        if cfg is not None:
-            if not argv or argv[0] not in parsers:
-                raise ValueError("--config requires a leading subcommand")
-            _load_config_defaults(cfg, parsers[argv[0]])
         ns = top.parse_args(argv)
+        if ns.config is not None:
+            # file values become defaults, so explicit flags still win
+            _load_config_defaults(ns.config, parsers[ns.command], ns)
+            ns = top.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:

@@ -50,7 +50,6 @@ __all__ = [
     "find_het_p",
     "build_het_table",
     "power_fit",
-    "het_curve_from_fit",
     "fit_reference_curve",
     "find_periodic_orbit",
 ]
@@ -415,11 +414,6 @@ def power_fit(points, *, max_iter: int = 500) -> PowerFit:
     ss_tot = float(((y - y.mean()) ** 2).sum())
     corr = 1.0 - rss / ss_tot if ss_tot > 0.0 else 1.0
     return PowerFit(float(a), float(b), float(c), rss, corr, iterations, grad)
-
-
-def het_curve_from_fit(fit: PowerFit):
-    """The fitted heteroclinic curve as a plain callable r0 -> p."""
-    return lambda r0: fit(r0)
 
 
 def fit_reference_curve() -> PowerFit:

@@ -231,14 +231,6 @@ def _hermite(theta, h, x0, f0, x1, f1):
     return h00 * x0 + h10 * h * f0 + h01 * x1 + h11 * h * f1
 
 
-def _hermite_component(theta, h, x0, f0, x1, f1):
-    t2 = theta * theta
-    return ((1.0 + 2.0 * theta) * (1.0 - theta) * (1.0 - theta) * x0
-            + theta * (1.0 - theta) * (1.0 - theta) * h * f0
-            + t2 * (3.0 - 2.0 * theta) * x1
-            + t2 * (theta - 1.0) * h * f1)
-
-
 def _initial_step(f, x0, f0, t_span, atol, rtol):
     w0 = (atol + rtol * abs(x0[0]), atol + rtol * abs(x0[1]))
     d0 = math.sqrt(((x0[0] / w0[0]) ** 2 + (x0[1] / w0[1]) ** 2) / 2.0)
@@ -505,7 +497,7 @@ def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, *, coord, value,
     f0c, f1c = fx[coord], f_new[coord]
 
     def g(theta):
-        return _hermite_component(theta, h, x0c, f0c, x1c, f1c) - value
+        return _hermite(theta, h, x0c, f0c, x1c, f1c) - value
 
     thetas = [i / nsub for i in range(nsub + 1)]
     vals = [g(th) for th in thetas]
@@ -537,7 +529,7 @@ def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, *, coord, value,
         other = 1 - coord
         o0, o1 = x[other], x_new[other]
         fo0, fo1 = fx[other], f_new[other]
-        other_val = _hermite_component(theta_hit, h, o0, fo0, o1, fo1)
+        other_val = _hermite(theta_hit, h, o0, fo0, o1, fo1)
         coord_val = g(theta_hit) + value
         state = (coord_val, other_val) if coord == 0 else (other_val, coord_val)
         out.append((t + theta_hit * h, state, cross_dir, tag))
@@ -719,7 +711,7 @@ def recover_recovered(traj: Trajectory, R0_initial: float,
         fI1 = float(traj.derivs[j, 1])
 
         def I_of(tau):           # tau in [0, h_full]
-            return _hermite_component(tau / h_full, h_full, I0, fI0, I1, fI1)
+            return _hermite(tau / h_full, h_full, I0, fI0, I1, fI1)
 
         nsub = max(1, math.ceil(h_full / 0.25))
         hs = h_full / nsub

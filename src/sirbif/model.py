@@ -114,31 +114,6 @@ class ModelParams:
             raise ValueError("parameter JSON must be an object")
         return cls.from_dict(data)
 
-    def to_config(self) -> str:
-        """Flat key-value text, one ``key = value`` line per parameter."""
-        return "".join(f"{k} = {getattr(self, k)!r}\n" for k in _PARAM_KEYS)
-
-    @classmethod
-    def from_config(cls, text: str) -> "ModelParams":
-        data: dict = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _PARAM_KEYS:
-                raise ValueError(f"config line {lineno}: unknown parameter key {key!r}")
-            if key in data:
-                raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-            try:
-                data[key] = float(value.strip())
-            except ValueError:
-                raise ValueError(f"config line {lineno}: bad number {value.strip()!r}") from None
-        return cls.from_dict(data)
-
 
 @dataclass(frozen=True)
 class BaseParams:

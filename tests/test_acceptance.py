@@ -26,7 +26,6 @@ from sirbif import (
     find_periodic_orbit,
     fit_reference_curve,
     gronwall_envelope,
-    het_curve_from_fit,
     hopf_certificate,
     integrate,
     invariant_region_bound,
@@ -169,7 +168,7 @@ def _fan_outcomes(params, *, n_boundary, n_ring):
 
 def test_criterion_08_region_behaviour_pack(base):
     t0 = time.perf_counter()
-    het = het_curve_from_fit(fit_reference_curve())
+    het = fit_reference_curve()
 
     def at(r0, p):
         return reduced_to_params(ReducedPoint(r0, p, base))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sirbif import (
     REFERENCE_BASE,
     CurveDomainError,
-    CurveSet,
     ModelParams,
     RegionFlagError,
     RegionLabel,
@@ -21,7 +20,6 @@ from sirbif import (
     endemic,
     e2_trace,
     fit_reference_curve,
-    het_curve_from_fit,
     hopf_certificate,
     in_invariant_region,
     jacobian,
@@ -32,7 +30,6 @@ from sirbif import (
     p_t,
     reduced_to_params,
     region_fan,
-    sample_curves,
 )
 
 from conftest import assert_close
@@ -43,7 +40,7 @@ ps = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 @pytest.fixture(scope="module")
 def het():
-    return het_curve_from_fit(fit_reference_curve())
+    return fit_reference_curve()
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +209,18 @@ def test_fitted_curve_approaches_organising_centre(base, het):
 
 
 def test_curve_set_and_values(base, het):
-    cs = CurveSet(base, het)
-    assert cs.dz == (2.0, pytest.approx(p_sn(2.0, base)))
     vals = curve_values_at(1.1, base)
     assert set(vals) == {"sn", "t"}
     vals = curve_values_at(1.5, base)
     assert set(vals) == {"sn", "t", "bt1", "bt2"}
+    # Hopf starts at r0 = 2 itself, the connection curve only beyond it
+    vals = curve_values_at(2.0, base, het=het)
+    assert "h" in vals and "het" not in vals
     vals = curve_values_at(2.6, base, het=het)
     assert set(vals) == {"sn", "t", "h", "bt1", "bt2", "het"}
     assert vals["h"] < vals["t"] < vals["sn"]
     assert vals["het"] == pytest.approx(het(2.6))
     assert vals["bt1"] == pytest.approx(p_bt1(2.6, base))
-
-
-def test_sample_curves_window(base, het):
-    out = sample_curves(base, 1.2, 3.5, 40, het=het)
-    assert {"sn", "t", "h", "bt1", "bt2", "het"} <= set(out)
-    for name, pts in out.items():
-        r0_list = [r for r, _ in pts]
-        assert r0_list == sorted(r0_list)
-        assert all(1.2 - 1e-12 <= r <= 3.5 + 1e-12 for r in r0_list)
-        if name == "h":
-            assert all(r >= 2.0 for r in r0_list)
-        if name == "het":
-            assert all(r > 2.0 for r in r0_list)
 
 
 def test_region_fan_layouts(base):

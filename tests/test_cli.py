@@ -5,13 +5,17 @@ import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 import sirbif.cli as cli
-from sirbif import __version__
+from sirbif import (REFERENCE_BASE, __version__, find_periodic_orbit,
+                    fit_reference_curve)
 from sirbif.cli import main
+
+FORMAT_DOC = Path(__file__).resolve().parents[1] / "FORMAT.md"
 
 
 def run(argv):
@@ -69,6 +73,12 @@ def test_validation_errors_exit_two(tmp_path, capsys):
                 "--I0", "0.1", "--tol", "1e-2",
                 "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+    # a per-trajectory sample cap below one
+    for cap in ("0", "-3"):
+        assert run(["portraits", "--region", "A", "--max-samples", cap,
+                    "--out", str(tmp_path)]) == 2
+        assert "--max-samples must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
@@ -300,6 +310,18 @@ def test_cycle_artifact(tmp_path, capsys):
     assert payload["return_residual"] <= 1e-8
 
 
+def test_cycle_csv_has_one_header(tmp_path, capsys):
+    assert run(["cycle", "--out", str(tmp_path), "--format", "csv"]) == 0
+    capsys.readouterr()
+    _, header, rows = read_csv(tmp_path / "cycle.csv")
+    assert header == ["t", "S", "I"]
+    orbit = find_periodic_orbit(2.6, 0.48, REFERENCE_BASE,
+                                het_p=float(fit_reference_curve()(2.6)),
+                                tol=1e-10)
+    assert len(rows) == len(orbit.t)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 def test_cycle_outside_band_is_validation_error(capsys):
     assert run(["cycle", "--p", "0.70"]) == 2
     assert "cycle band" in capsys.readouterr().err
@@ -331,6 +353,52 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"het-p": 0.45}))
     assert run(["atlas", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_value_of_wrong_type_names_key(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"grid": 2.5}))
+    assert run(["atlas", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'grid'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_value_echoes_like_the_flag(tmp_path, capsys):
+    args = ["--samples", "20", "--grid", "12"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"A": 1, "p-max": 1}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["atlas", *args, "--config", str(cfg), "--out", str(a)]) == 0
+    assert run(["atlas", *args, "--A", "1", "--p-max", "1",
+                "--out", str(b)]) == 0
+    capsys.readouterr()
+    names = sorted(q.name for q in a.iterdir())
+    assert names == sorted(q.name for q in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    settings = read_json(a / "atlas.json")["config"]["settings"]
+    assert settings["base"]["A"] == 1.0
+    assert settings["window"][3] == 1.0
+    assert isinstance(settings["window"][3], float)
+
+
+def test_config_string_for_repeatable_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"region": "het"}))
+    out = tmp_path / "out"
+    assert run(["portraits", "--config", str(cfg), "--out", str(out),
+                "--format", "json"]) == 0
+    assert "region het:" in capsys.readouterr().out
+    assert [q.name for q in out.iterdir()] == ["portrait_het.json"]
+    # the flag given on the command line replaces the file's list
+    cfg.write_text(json.dumps({"format": ["csv"]}))
+    out = tmp_path / "eq"
+    assert run(["equilibria", "--r0", "2.6", "--p", "0.3", "--config",
+                str(cfg), "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [q.name for q in out.iterdir()] == ["equilibria.json"]
 
 
 def test_config_file_must_be_json_object(tmp_path, capsys):
@@ -371,3 +439,51 @@ def test_run_control_flags_accepted(tmp_path, capsys):
     capsys.readouterr()
     payload = read_json(tmp_path / "het_table.json")
     assert payload["config"]["settings"]["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# schemas against FORMAT.md
+
+
+def _documented(name):
+    """The FORMAT.md entry of one artifact: the CSV header, or the set of
+    top-level JSON keys named as `key` or `key {...}`."""
+    doc = FORMAT_DOC.read_text()
+    name = re.sub(r"^portrait_[^_.]+", "portrait_R", name)
+    match = re.search(rf"^`{re.escape(name)}` — (.*?)(?:\n\n|\Z)", doc,
+                      re.M | re.S)
+    assert match, f"{name} is not documented in FORMAT.md"
+    spans = re.findall(r"`([^`]+)`", match.group(1))
+    if name.endswith(".csv"):
+        return spans[0].split(",")
+    keys = set()
+    for span in spans:
+        key = re.fullmatch(r"(\w+)(?::? \{.*\})?", span, re.S)
+        if key:
+            keys.add(key.group(1))
+    return keys
+
+
+def test_schema_sweep_matches_format_doc(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    for argv in (["atlas", "--grid", "12", "--samples", "20"],
+                 ["portraits", "--region", "E"],
+                 ["het-table", "--shoot", "--r0-list", "2.6"],
+                 ["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.9",
+                  "--I0", "0.05", "--t-end", "50"],
+                 ["cycle"], ["het-fit"], ["dz"],
+                 ["equilibria", "--r0", "2.6", "--p", "0.3"]):
+        assert run(argv + out) == 0, argv
+    capsys.readouterr()
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 21
+    for path in files:
+        if path.suffix == ".csv":
+            _, header, rows = read_csv(path)
+            assert header == _documented(path.name), path.name
+            assert header not in rows, f"{path.name}: repeated header"
+        elif path.suffix == ".json":
+            keys = set(read_json(path)) - {"config"}
+            assert keys == _documented(path.name), path.name
+        else:
+            assert path.read_text().startswith("<svg"), path.name

@@ -19,7 +19,6 @@ from sirbif import (
     find_het_p,
     find_periodic_orbit,
     fit_reference_curve,
-    het_curve_from_fit,
     in_invariant_region,
     invariant_region_bound,
     omega_limit_estimate,
@@ -166,10 +165,9 @@ def test_reference_fit_values(reference_fit):
     assert fit.corr >= 0.99999
     assert fit.iterations < 500
     assert fit.grad_norm <= 1e-8 * (1.0 + fit.rss)
-    # the callable and the curve wrapper agree
-    curve = het_curve_from_fit(fit)
-    assert curve(2.6) == pytest.approx(fit.a * 2.6 ** fit.b + fit.c, rel=1e-12)
-    assert curve(2.6) == pytest.approx(0.453869, abs=1e-6)
+    # the fit is itself the curve r0 -> a*r0^b + c
+    assert fit(2.6) == pytest.approx(fit.a * 2.6 ** fit.b + fit.c, rel=1e-12)
+    assert fit(2.6) == pytest.approx(0.453869, abs=1e-6)
 
 
 def test_power_fit_singular_inputs():

@@ -16,7 +16,6 @@ from sirbif import (
     endemic,
     find_periodic_orbit,
     fit_reference_curve,
-    het_curve_from_fit,
     integrate,
     invariant_region_bound,
     manifold_shoot,
@@ -217,7 +216,7 @@ def test_omega_limit_core_outcomes(base):
 def test_omega_limit_detects_cycle(base):
     # start exactly on the tightly polished unstable orbit: for dozens of
     # loops the trajectory revisits the section with consistent period
-    het = het_curve_from_fit(fit_reference_curve())
+    het = fit_reference_curve()
     orbit = find_periodic_orbit(2.6, 0.48, base, het_p=float(het(2.6)),
                                 tol=1e-12, return_tol=1e-12)
     params = reduced_to_params(ReducedPoint(2.6, 0.48, base))

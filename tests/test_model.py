@@ -85,11 +85,6 @@ def test_json_round_trip(params):
     assert ModelParams.from_json(params.to_json()) == params
 
 
-@given(params_strategy())
-def test_config_round_trip(params):
-    assert ModelParams.from_config(params.to_config()) == params
-
-
 def test_from_dict_rejects_unknown_and_missing_keys():
     good = ModelParams(A=1.1, beta=1.3, m=0.35, mu=0.175, d=0.175, g=0.35,
                        p=0.2).to_dict()
@@ -104,20 +99,6 @@ def test_from_dict_rejects_unknown_and_missing_keys():
 def test_from_json_requires_object():
     with pytest.raises(ValueError, match="must be an object"):
         ModelParams.from_json("[1, 2, 3]")
-
-
-def test_from_config_error_reporting():
-    text = "A = 1.1\nbeta = 1.3\nm = 0.35\nmu = 0.175\nd = 0.175\ng = 0.35\np = 0.0\n"
-    parsed = ModelParams.from_config("# comment\n\n" + text)
-    assert parsed.A == 1.1 and parsed.p == 0.0
-    with pytest.raises(ValueError, match="line 8: duplicate key 'p'"):
-        ModelParams.from_config(text + "p = 0.1\n")
-    with pytest.raises(ValueError, match="line 1: bad number"):
-        ModelParams.from_config("A = not-a-number\n" + text)
-    with pytest.raises(ValueError, match="unknown parameter key 'q'"):
-        ModelParams.from_config(text + "q = 1.0\n")
-    with pytest.raises(ValueError, match="expected 'key = value'"):
-        ModelParams.from_config("A 1.1\n")
 
 
 def test_base_params_round_trip(base):
