@@ -25,11 +25,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .model import BaseParams, ModelParams, ReducedPoint, invariant_region_bound, reduced_to_params
+from .model import (BaseParams, ModelParams, ReducedPoint, _check_positive,
+                    invariant_region_bound, reduced_to_params)
 from . import equilibria as eq
 from .equilibria import (
     BelyakovDomainError,
     StabilityClass,
+    _disease_free_S,
+    _endemic_location,
+    _jacobian_entries,
     belyakov_r0_zero_p,
     belyakov_roots,
     delta2_eval,
@@ -292,6 +296,11 @@ _STABLE = (StabilityClass.SINK_NODE, StabilityClass.SINK_FOCUS)
 _SOURCE = (StabilityClass.SOURCE_NODE, StabilityClass.SOURCE_FOCUS)
 
 
+def _stability(S: float, I: float, A: float, b: float, u: float) -> StabilityClass:
+    """Stability class of the equilibrium at (S, I), b = beta, u = sigma + g."""
+    return eq.classify(eq.eigenvalues_2x2(_jacobian_entries(S, I, A, b, u)))
+
+
 def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
                     boundary_tol: float = BOUNDARY_TOL) -> RegionLabel:
     """Label the open region containing (r0, p), or BOUNDARY near a curve.
@@ -309,6 +318,13 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
     G       E2 interior, unstable node
     ======  =====================================================
 
+    The flags come in closed form from plain floats, with the same
+    operations and tolerances as ``disease_free``/``endemic``: the
+    disease-free discriminant (with its coincidence window), the sign of
+    E2's I2, and the class of each needed equilibrium from the quadratic
+    formula on its analytic Jacobian. E0/E1 are classified only when E2 is
+    not interior; no ``ModelParams`` or ``Equilibrium`` is built.
+
     The cycle band is the open p-interval between the Hopf value and the
     heteroclinic value at this r0, taken orientation-neutrally (the unstable
     periodic orbit lives between those two curves whichever is lower). For
@@ -321,25 +337,31 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
         if abs(p - value) <= boundary_tol:
             return RegionLabel.BOUNDARY
 
-    params = reduced_to_params(ReducedPoint(r0, p, base))
-    dfe = eq.disease_free(params)
-    if not dfe:
+    ReducedPoint(r0, p, base)    # rejects non-finite r0 and p outside [0, 1]
+    A, m, u = base.A, base.m, base.removal
+    b = r0 * u / A               # beta, exactly as reduced_to_params
+    _check_positive("beta", b)
+    axis = _disease_free_S(A, p, m)
+    if not axis:
         return RegionLabel.A
 
-    e2 = eq.endemic(params)
-    if e2.stability is StabilityClass.NONEXISTENT or e2.I <= 0.0:
-        e0, e1 = dfe
-        if e1.stability in _STABLE:
+    S2, I2 = _endemic_location(A, p, m, b, u)
+    if not I2 > 0.0:
+        S0, S1 = axis
+        e1 = _stability(S1, 0.0, A, b, u)
+        if e1 in _STABLE:
             return RegionLabel.B
-        if e0.stability in _SOURCE:
+        e0 = _stability(S0, 0.0, A, b, u)
+        if e0 in _SOURCE:
             return RegionLabel.H
         raise RegionFlagError(
-            f"disease-free pair with classes ({e0.stability.value}, "
-            f"{e1.stability.value}) matches neither B nor H at (r0, p) = ({r0}, {p})")
+            f"disease-free pair with classes ({e0.value}, "
+            f"{e1.value}) matches neither B nor H at (r0, p) = ({r0}, {p})")
 
-    if e2.stability is StabilityClass.SINK_NODE:
+    e2 = _stability(S2, I2, A, b, u)
+    if e2 is StabilityClass.SINK_NODE:
         return RegionLabel.C
-    if e2.stability is StabilityClass.SINK_FOCUS:
+    if e2 is StabilityClass.SINK_FOCUS:
         if r0 <= 2.0:
             return RegionLabel.D
         if het is None:
@@ -348,12 +370,12 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
                 f"r0 > 2 (got r0 = {r0}); pass het=...")
         lo, hi = sorted((p_h(r0, base), float(het(r0))))
         return RegionLabel.E if lo < p < hi else RegionLabel.D
-    if e2.stability is StabilityClass.SOURCE_FOCUS:
+    if e2 is StabilityClass.SOURCE_FOCUS:
         return RegionLabel.F
-    if e2.stability is StabilityClass.SOURCE_NODE:
+    if e2 is StabilityClass.SOURCE_NODE:
         return RegionLabel.G
     raise RegionFlagError(
-        f"interior equilibrium is {e2.stability.value} away from every "
+        f"interior equilibrium is {e2.value} away from every "
         f"declared curve at (r0, p) = ({r0}, {p})")
 
 

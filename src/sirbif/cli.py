@@ -94,7 +94,7 @@ def _cell(value) -> str:
 
 
 def _quote(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
+    if "," in cell or '"' in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 

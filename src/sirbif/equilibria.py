@@ -85,15 +85,18 @@ class BelyakovDomainError(ValueError):
     """beta < 2 - r0: the node/focus transition has no real root in p."""
 
 
+def _jacobian_entries(S: float, I: float, A: float, b: float, u: float) -> tuple:
+    """Jacobian of the interior field at (S, I) as ((a, b), (c, d)) floats,
+    with b = beta and u = sigma + g."""
+    return ((-b * I + A - 2.0 * S, -b * S),
+            (b * I, b * S - u))
+
+
 def jacobian(x, params: ModelParams) -> np.ndarray:
     """Jacobian of the interior field at x = (S, I)."""
     S, I = x
-    b = params.beta
-    u = params.sigma + params.g
-    return np.array([
-        [-b * I + params.A - 2.0 * S, -b * S],
-        [b * I, b * S - u],
-    ])
+    return np.array(_jacobian_entries(S, I, params.A, params.beta,
+                                      params.sigma + params.g))
 
 
 def eigenvalues_2x2(matrix) -> tuple:
@@ -139,10 +142,28 @@ def classify(eigenvalues) -> StabilityClass:
     return StabilityClass.SOURCE_NODE if real else StabilityClass.SOURCE_FOCUS
 
 
-def _make(ident: str, S: float, I: float, params: ModelParams,
-          stability: StabilityClass | None = None) -> Equilibrium:
-    eigs = eigenvalues_2x2(jacobian((S, I), params))
-    return Equilibrium(ident, S, I, eigs, stability or classify(eigs))
+def _make(ident: str, S: float, I: float, params: ModelParams) -> Equilibrium:
+    eigs = eigenvalues_2x2(_jacobian_entries(S, I, params.A, params.beta,
+                                             params.sigma + params.g))
+    return Equilibrium(ident, S, I, eigs, classify(eigs))
+
+
+def _disease_free_S(A: float, p: float, m: float) -> tuple:
+    """S of the disease-free pair (S0, S1), S0 <= S1, or () if none exist;
+    merged at A/2 inside the coincidence window."""
+    disc = A * A - 4.0 * p * m
+    tol = _COINCIDENCE_TOL * max(1.0, A * A)
+    if disc < -tol:
+        return ()
+    if disc <= tol:
+        return (A / 2.0, A / 2.0)
+    root = math.sqrt(disc)
+    return ((A - root) / 2.0, (A + root) / 2.0)
+
+
+def _endemic_location(A: float, p: float, m: float, b: float, u: float) -> tuple:
+    """(S2, I2) of E2 with b = beta and u = sigma + g; I2 may be <= 0."""
+    return u / b, (-p * m * b * b + A * u * b - u * u) / (b * b * u)
 
 
 def disease_free(params: ModelParams) -> list:
@@ -152,21 +173,8 @@ def disease_free(params: ModelParams) -> list:
     returned merged at (A/2, 0); the axis eigenvalue A - 2*(A/2) is then an
     exact floating-point zero, so both copies classify as non-hyperbolic.
     """
-    A = params.A
-    disc = A * A - 4.0 * params.p * params.m
-    tol = _COINCIDENCE_TOL * max(1.0, A * A)
-    if disc < -tol:
-        return []
-    if disc <= tol:
-        S_star = A / 2.0
-        merged = _make("E0", S_star, 0.0, params)
-        return [merged, Equilibrium("E1", S_star, 0.0, merged.eigenvalues,
-                                    merged.stability)]
-    root = math.sqrt(disc)
-    return [
-        _make("E0", (A - root) / 2.0, 0.0, params),
-        _make("E1", (A + root) / 2.0, 0.0, params),
-    ]
+    return [_make(ident, S, 0.0, params) for ident, S
+            in zip(("E0", "E1"), _disease_free_S(params.A, params.p, params.m))]
 
 
 def endemic(params: ModelParams) -> Equilibrium:
@@ -177,11 +185,10 @@ def endemic(params: ModelParams) -> Equilibrium:
     """
     b = params.beta
     u = params.sigma + params.g
-    S2 = u / b
-    I2 = (-params.p * params.m * b * b + params.A * u * b - u * u) / (b * b * u)
+    S2, I2 = _endemic_location(params.A, params.p, params.m, b, u)
     if I2 > 0.0:
         return _make("E2", S2, I2, params)
-    eigs = eigenvalues_2x2(jacobian((S2, I2), params))
+    eigs = eigenvalues_2x2(_jacobian_entries(S2, I2, params.A, b, u))
     return Equilibrium("E2", S2, I2, eigs, StabilityClass.NONEXISTENT)
 
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sirbif import (
@@ -13,9 +13,11 @@ from sirbif import (
     RegionFlagError,
     RegionLabel,
     ReducedPoint,
+    StabilityClass,
     curve_ordering_check,
     curve_values_at,
     classify_region,
+    disease_free,
     dz_point,
     endemic,
     e2_trace,
@@ -31,6 +33,7 @@ from sirbif import (
     reduced_to_params,
     region_fan,
 )
+from sirbif.atlas import BOUNDARY_TOL
 
 from conftest import assert_close
 
@@ -180,12 +183,175 @@ def test_classify_region_boundary_and_errors(base, het):
         is RegionLabel.BOUNDARY
     assert classify_region(1.5, p_t(1.5, base) + 1e-9, base, het=het) \
         is RegionLabel.BOUNDARY
-    with pytest.raises(RegionFlagError, match="heteroclinic curve is required"):
+    with pytest.raises(RegionFlagError) as info:
         classify_region(2.6, 0.48, base)
+    assert str(info.value) == (
+        "a heteroclinic curve is required to separate D from E for "
+        "r0 > 2 (got r0 = 2.6); pass het=...")
     with pytest.raises(CurveDomainError):
         classify_region(0.0, 0.5, base)
     # left of the fold a stable focus needs no heteroclinic data
     assert classify_region(1.9, 0.2, base) is RegionLabel.D
+
+
+_STABLE = (StabilityClass.SINK_NODE, StabilityClass.SINK_FOCUS)
+_SOURCE = (StabilityClass.SOURCE_NODE, StabilityClass.SOURCE_FOCUS)
+
+
+def _label_from_flags(r0, p, base, het=None, boundary_tol=BOUNDARY_TOL):
+    """Reference classifier built from the public equilibrium objects: a
+    validated ModelParams, disease_free, endemic and the sorted Hopf/het
+    band. classify_region must agree with it label for label."""
+    if r0 <= 0.0:
+        raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
+    for value in curve_values_at(r0, base, het).values():
+        if abs(p - value) <= boundary_tol:
+            return RegionLabel.BOUNDARY
+    params = reduced_to_params(ReducedPoint(r0, p, base))
+    dfe = disease_free(params)
+    if not dfe:
+        return RegionLabel.A
+    e2 = endemic(params)
+    if e2.stability is StabilityClass.NONEXISTENT or e2.I <= 0.0:
+        e0, e1 = dfe
+        if e1.stability in _STABLE:
+            return RegionLabel.B
+        if e0.stability in _SOURCE:
+            return RegionLabel.H
+        raise RegionFlagError(
+            f"disease-free pair with classes ({e0.stability.value}, "
+            f"{e1.stability.value}) matches neither B nor H at (r0, p) = ({r0}, {p})")
+    if e2.stability is StabilityClass.SINK_NODE:
+        return RegionLabel.C
+    if e2.stability is StabilityClass.SINK_FOCUS:
+        if r0 <= 2.0:
+            return RegionLabel.D
+        if het is None:
+            raise RegionFlagError(
+                "a heteroclinic curve is required to separate D from E for "
+                f"r0 > 2 (got r0 = {r0}); pass het=...")
+        lo, hi = sorted((p_h(r0, base), float(het(r0))))
+        return RegionLabel.E if lo < p < hi else RegionLabel.D
+    if e2.stability is StabilityClass.SOURCE_FOCUS:
+        return RegionLabel.F
+    if e2.stability is StabilityClass.SOURCE_NODE:
+        return RegionLabel.G
+    raise RegionFlagError(
+        f"interior equilibrium is {e2.stability.value} away from every "
+        f"declared curve at (r0, p) = ({r0}, {p})")
+
+
+def _outcome(classifier, r0, p, base, het, boundary_tol):
+    """The label, or the type and message of the exception raised instead."""
+    try:
+        return classifier(r0, p, base, het=het, boundary_tol=boundary_tol)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_parity(r0, p, base, het, boundary_tol=BOUNDARY_TOL):
+    got = _outcome(classify_region, r0, p, base, het, boundary_tol)
+    want = _outcome(_label_from_flags, r0, p, base, het, boundary_tol)
+    assert got == want, f"(r0, p) = ({r0!r}, {p!r}), tol {boundary_tol}"
+
+
+@pytest.mark.parametrize("with_het", [True, False])
+def test_classify_region_matches_flag_oracle_on_grid(base, het, with_het):
+    # the default atlas window (r0 in [1, 4], p in [0, 1]), spaced as the CLI
+    curve = het if with_het else None
+    n = 61
+    seen = set()
+    for i in range(n):
+        r0 = 1.0 + 3.0 * i / (n - 1)
+        for j in range(n):
+            p = j / (n - 1)
+            _assert_parity(r0, p, base, curve)
+            seen.add(_outcome(classify_region, r0, p, base, curve, BOUNDARY_TOL))
+    if with_het:
+        assert set(RegionLabel) <= seen
+
+
+_CURVES = ("sn", "t", "h", "bt1", "bt2", "het")
+
+
+def _near_curve(base, het, r0, name, offset, ulps):
+    """p at ``offset`` from the named curve, then ``ulps`` floats further."""
+    values = curve_values_at(r0, base, het)
+    assume(name in values)
+    p = values[name] + offset
+    for _ in range(abs(ulps)):
+        p = math.nextafter(p, math.copysign(math.inf, ulps))
+    return p
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=1.02, max_value=4.5), st.sampled_from(_CURVES),
+       st.floats(min_value=0.5, max_value=2.0), st.sampled_from((-1.0, 1.0)))
+def test_classify_region_matches_flag_oracle_near_curves(base, het, r0, name,
+                                                        factor, sign):
+    p = _near_curve(base, het, r0, name, sign * factor * BOUNDARY_TOL, 0)
+    _assert_parity(r0, p, base, het)
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=1.02, max_value=4.5), st.sampled_from(_CURVES),
+       st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.sampled_from((-1.0, 1.0)),
+       st.integers(min_value=-3, max_value=3))
+def test_classify_region_matches_flag_oracle_on_curves(base, het, r0, name,
+                                                       factor, sign, ulps):
+    # without the boundary band the degenerate loci themselves are labelled:
+    # the coincident disease-free pair, non-hyperbolic E2, RegionFlagError
+    p = _near_curve(base, het, r0, name, sign * factor * BOUNDARY_TOL, ulps)
+    _assert_parity(r0, p, base, het, boundary_tol=0.0)
+
+
+@pytest.mark.parametrize("r0,curve", [(1.5, p_sn), (3.0, p_h), (2.6, p_h)])
+def test_classify_region_degenerate_loci_without_band(base, het, r0, curve):
+    # one float off the fold the pair is coincident and non-hyperbolic; one
+    # float off Hopf E2 is non-hyperbolic (exactly on a curve is BOUNDARY)
+    p = math.nextafter(curve(r0, base), 0.0)
+    with pytest.raises(RegionFlagError):
+        classify_region(r0, p, base, het=het, boundary_tol=0.0)
+    _assert_parity(r0, p, base, het, boundary_tol=0.0)
+
+
+def test_classify_region_e2_on_the_axis_is_not_interior(base, het):
+    # one float below p_t(1.25) E2's I2 rounds to exactly 0: E2 sits on E1
+    # and the disease-free pair decides (saddle, non-hyperbolic: no region)
+    r0 = 1.25
+    p = math.nextafter(p_t(r0, base), 0.0)
+    assert endemic(reduced_to_params(ReducedPoint(r0, p, base))).I == 0.0
+    with pytest.raises(RegionFlagError, match="disease-free pair"):
+        classify_region(r0, p, base, het=het, boundary_tol=0.0)
+    _assert_parity(r0, p, base, het, boundary_tol=0.0)
+
+
+@pytest.mark.parametrize("r0,p,exc,message", [
+    (0.0, 0.5, CurveDomainError, "classification needs r0 > 0, got 0.0"),
+    (-1.0, 0.5, CurveDomainError, "classification needs r0 > 0, got -1.0"),
+    (math.nan, 0.5, ValueError, "r0 must be positive and finite, got nan"),
+    (math.inf, 0.5, ValueError, "r0 must be positive and finite, got inf"),
+    (2.6, -0.1, ValueError, "p must lie in [0, 1], got -0.1"),
+    (2.6, 1.1, ValueError, "p must lie in [0, 1], got 1.1"),
+    (2.6, math.nan, ValueError, "p must lie in [0, 1], got nan"),
+])
+def test_classify_region_rejects_invalid_input(base, het, r0, p, exc, message):
+    for curve in (het, None):
+        with pytest.raises(ValueError) as info:
+            classify_region(r0, p, base, het=curve)
+        assert type(info.value) is exc and str(info.value) == message
+
+
+def test_classify_region_builds_no_per_point_objects(base, het, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify_region built equilibrium objects")
+
+    monkeypatch.setattr("sirbif.atlas.reduced_to_params", forbidden)
+    monkeypatch.setattr("sirbif.equilibria.disease_free", forbidden)
+    monkeypatch.setattr("sirbif.equilibria.endemic", forbidden)
+    monkeypatch.setattr("sirbif.equilibria.jacobian", forbidden)
+    for r0, p, want in SWEEP:
+        assert classify_region(r0, p, base, het=het) is want
 
 
 def test_region_persistence_flags(base, het):
