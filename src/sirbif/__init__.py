@@ -77,7 +77,6 @@ from .connections import (
     SameSignBracketError,
     PeriodicOrbit,
     PowerFit,
-    SplitFunction,
     build_het_table,
     find_het_p,
     find_periodic_orbit,
@@ -113,7 +112,6 @@ __all__ = [
     # connections
     "REFERENCE_HET_POINTS", "HetResult", "HetRow", "MislabeledRegionError",
     "NoCrossingError", "NotInRegionEError", "SameSignBracketError",
-    "PeriodicOrbit", "PowerFit",
-    "SplitFunction", "build_het_table", "find_het_p", "find_periodic_orbit",
-    "fit_reference_curve", "power_fit", "splitting",
+    "PeriodicOrbit", "PowerFit", "build_het_table", "find_het_p",
+    "find_periodic_orbit", "fit_reference_curve", "power_fit", "splitting",
 ]

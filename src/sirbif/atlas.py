@@ -64,6 +64,9 @@ __all__ = [
 
 #: classification within this distance (in p) of any curve returns BOUNDARY
 BOUNDARY_TOL = 1e-6
+_DZ_ENTRY_TOL = 1e-12      # dz Jacobian entries against the nilpotent form
+_DZ_EIG_TOL = 1e-10        # dz eigenvalue moduli
+_RING_RADIUS = 0.02        # radius of the portrait seed ring
 
 
 class CurveDomainError(ValueError):
@@ -193,15 +196,14 @@ class DZCertificate:
     ok: bool
 
 
-def dz_point(base: BaseParams, *, entry_tol: float = 1e-12,
-             eig_tol: float = 1e-10) -> DZCertificate:
+def dz_point(base: BaseParams) -> DZCertificate:
     """The organising centre (2, A^2/(4m)) with a numerical certificate.
 
     The Jacobian is evaluated at the exact collision location (A*0.5, 0):
     the diagonal cancels identically in floating point (A - 2*(A*0.5) == 0
     and beta*0 == 0), leaving a triangular matrix whose eigenvalue moduli are
-    required to be <= ``eig_tol`` and whose entries must match
-    [[0, -(sigma+g)], [0, 0]] to ``entry_tol``.
+    required to be <= 1e-10 and whose entries must match
+    [[0, -(sigma+g)], [0, 0]] to 1e-12.
     """
     A = base.A
     u = base.removal
@@ -219,7 +221,7 @@ def dz_point(base: BaseParams, *, entry_tol: float = 1e-12,
     if p_star <= 1.0:
         e2 = eq.endemic(reduced_to_params(ReducedPoint(2.0, p_star, base)))
         endemic_err = abs(e2.S - S_star)
-    ok = max_err <= entry_tol and max(moduli) <= eig_tol
+    ok = max_err <= _DZ_ENTRY_TOL and max(moduli) <= _DZ_EIG_TOL
     return DZCertificate(
         point=(2.0, p_star),
         location=(S_star, 0.0),
@@ -384,13 +386,13 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
 
 
 def region_fan(params: ModelParams, *, n_boundary: int = 12, n_ring: int = 8,
-               ring_center=None, ring_radius: float = 0.02) -> list:
+               ring_center=None) -> list:
     """Initial conditions probing one region's phase portrait.
 
     ``n_boundary`` seeds sit on the slanted top edge S + I = bound of the
     flow-invariant region (S from 0.05*A to 0.98*A), entering the region
     under the flow; ``n_ring`` seeds ring the interior equilibrium (or
-    ``ring_center``) at ``ring_radius``, probing its local basin. When E2 is
+    ``ring_center``) at radius 0.02, probing its local basin. When E2 is
     not interior and no centre is given, the ring is omitted.
     """
     bound = invariant_region_bound(params)
@@ -407,7 +409,7 @@ def region_fan(params: ModelParams, *, n_boundary: int = 12, n_ring: int = 8,
             center = e2.location
     if center is not None and n_ring > 0:
         cS, cI = center
-        radius = min(ring_radius, 0.5 * cI) if cI > 0 else ring_radius
+        radius = min(_RING_RADIUS, 0.5 * cI) if cI > 0 else _RING_RADIUS
         for k in range(n_ring):
             angle = 2.0 * math.pi * k / n_ring
             seeds.append((cS + radius * math.cos(angle),

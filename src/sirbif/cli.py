@@ -342,8 +342,10 @@ def _atlas_svg(base: BaseParams, rows, het, config: RunConfig,
 
 def cmd_atlas(ns) -> int:
     base = _resolve_base(ns)
-    if not (ns.r0_max > ns.r0_min and ns.p_max > ns.p_min):
-        raise ValueError("empty atlas window")
+    if not (0.0 < ns.r0_min < ns.r0_max < math.inf
+            and 0.0 <= ns.p_min < ns.p_max <= 1.0):
+        raise ValueError("atlas window must satisfy 0 < r0-min < r0-max "
+                         "(finite) and 0 <= p-min < p-max <= 1")
     if ns.samples < 2 or ns.grid < 2:
         raise ValueError("--samples and --grid must be at least 2")
     het = fit_reference_curve()
@@ -608,7 +610,7 @@ def cmd_simulate(ns) -> int:
     }, tol)
 
     traj = integrate((ns.S0, ns.I0), params, ns.t_end, tol=tol)
-    recovered = recover_recovered(traj, ns.r_init, params)
+    recovered = recover_recovered(traj, ns.r_init)
     term = traj.terminal
     print(f"integrated to t = {float(traj.t[-1])!r} ({len(traj.t)} samples); "
           f"terminal: {term.kind}" + (f" [{term.detail}]" if term.detail else ""))
@@ -700,8 +702,6 @@ def _read_points_csv(path: Path) -> list:
         if len(row) <= max(i_r0, i_p) or not row[i_p].strip():
             continue
         points.append((float(row[i_r0]), float(row[i_p])))
-    if len(points) < 3:
-        raise ValueError(f"{path}: need at least 3 usable (r0, p_het) rows")
     return points
 
 
@@ -718,13 +718,14 @@ def cmd_het_fit(ns) -> int:
         abscissae = [r0 for r0, _ in REFERENCE_HET_POINTS]
         table = build_het_table(abscissae, base, jobs=ns.jobs, tol=tol)
         points = [(row.r0, row.p_het) for row in table if not row.error]
-        if len(points) < 3:
-            raise ValueError("shooting produced fewer than 3 usable rows")
     else:
         source = "embedded"
         points = list(REFERENCE_HET_POINTS)
 
-    fit = power_fit(points)
+    try:
+        fit = power_fit(points)
+    except ValueError as exc:    # e.g. fewer rows than the fit needs
+        raise ValueError(f"{source}: {exc}") from None
     config = _config_for(ns, "het-fit", {
         "base": base.to_dict(), "source": source, "n_points": len(points),
     }, tol)

@@ -41,7 +41,6 @@ __all__ = [
     "MislabeledRegionError",
     "FitSingularError",
     "FitNonConvergence",
-    "SplitFunction",
     "HetResult",
     "HetRow",
     "PowerFit",
@@ -77,6 +76,9 @@ REFERENCE_HET_POINTS = (
 _SHOOT_OFFSET = 1e-6
 _SHOOT_TOL = 1e-10
 _SHOOT_HORIZON = 900.0
+_BISECT_TOL = 1e-6         # bisection stops once the bracket is this narrow
+_LOOP_HORIZON = 800.0      # time allowed for one traversal of the return map
+_FIT_ROUNDS = 500
 
 
 class NoCrossingError(RuntimeError):
@@ -107,26 +109,6 @@ class FitNonConvergence(RuntimeError):
 # splitting and bisection
 
 
-@dataclass(frozen=True)
-class SplitFunction:
-    """Signed manifold gap at fixed r0, as a function of p.
-
-    Calling it shoots W^u(E1) forward and W^s(E0) in reversed time to their
-    first crossings of S = S2 with original-field dS/dt < 0 and returns
-    I_u - I_s there: negative below the connection, positive above it, and
-    continuous across the bracket, which is the bisection premise.
-    """
-    r0: float
-    base: BaseParams
-    offset: float = _SHOOT_OFFSET
-    tol: float = _SHOOT_TOL
-    horizon: float = _SHOOT_HORIZON
-
-    def __call__(self, p: float) -> float:
-        return splitting(self.r0, p, self.base, offset=self.offset,
-                         tol=self.tol, horizon=self.horizon)
-
-
 def _saddle_pair(params: ModelParams):
     dfe = eqmod.disease_free(params)
     if len(dfe) != 2:
@@ -141,14 +123,16 @@ def _saddle_pair(params: ModelParams):
 
 
 def splitting(r0: float, p: float, base: BaseParams, *,
-              offset: float = _SHOOT_OFFSET, tol: float = _SHOOT_TOL,
-              horizon: float = _SHOOT_HORIZON) -> float:
+              offset: float = _SHOOT_OFFSET,
+              tol: float = _SHOOT_TOL) -> float:
     """Signed gap I_u - I_s between the manifolds on the section S = S2.
 
-    Requires r0 > 2 and 0 < p < p_t(r0) so that E0, E1 are interior-facing
-    saddles and E2 (hence the section) is interior. Positive splitting means
-    the unstable manifold of E1 passes above/outside the stable manifold of
-    E0 at the section; the heteroclinic connection is its zero in p.
+    Shoots W^u(E1) forward and W^s(E0) in reversed time to their first
+    crossings of S = S2 with original-field dS/dt < 0. Requires r0 > 2 and
+    0 < p < p_t(r0) so that E0, E1 are interior-facing saddles and E2
+    (hence the section) is interior. The gap is negative below the
+    connection, positive above it (W^u(E1) passes above/outside W^s(E0))
+    and continuous in p, which is the bisection premise.
     """
     if r0 <= 2.0:
         raise ValueError(f"splitting needs r0 > 2, got {r0}")
@@ -160,7 +144,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     s2 = eqmod.endemic(params).S
 
     unstable = manifold_shoot(
-        e1, "unstable", "+", offset, params, horizon, tol=tol,
+        e1, "unstable", "+", offset, params, _SHOOT_HORIZON, tol=tol,
         sections=(SectionEvent(0, s2, direction=-1, terminal_after=1,
                                name="split-u"),),
         record=False)
@@ -171,7 +155,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
 
     # stable shot runs in reversed time: original dS/dt < 0 is direction +1
     stable = manifold_shoot(
-        e0, "stable", "+", offset, params, horizon, tol=tol,
+        e0, "stable", "+", offset, params, _SHOOT_HORIZON, tol=tol,
         sections=(SectionEvent(0, s2, direction=+1, terminal_after=1,
                                name="split-s"),),
         record=False)
@@ -202,9 +186,8 @@ def _observed_ordering(r0: float, p: float, base: BaseParams) -> str:
 
 
 def find_het_p(r0: float, base: BaseParams, *, bracket=None,
-               tol_p: float = 1e-6, offset: float = _SHOOT_OFFSET,
-               tol: float = _SHOOT_TOL,
-               horizon: float = _SHOOT_HORIZON) -> HetResult:
+               offset: float = _SHOOT_OFFSET,
+               tol: float = _SHOOT_TOL) -> HetResult:
     """Locate the heteroclinic p at this r0 by bisection on the splitting.
 
     The default bracket is (0.05*p_sn, p_t*(1 - 1e-3)); if the splitting has
@@ -214,7 +197,6 @@ def find_het_p(r0: float, base: BaseParams, *, bracket=None,
     this base it lands below the Hopf value, not between Hopf and
     transcritical — callers should consult it rather than assume).
     """
-    split = SplitFunction(r0, base, offset=offset, tol=tol, horizon=horizon)
     if bracket is None:
         lo = 0.05 * atlas.p_sn(r0, base)
         hi = atlas.p_t(r0, base) * (1.0 - 1e-3)
@@ -226,7 +208,7 @@ def find_het_p(r0: float, base: BaseParams, *, bracket=None,
         s_hi = None
         for _ in range(8):
             try:
-                s_hi = split(hi)
+                s_hi = splitting(r0, hi, base, offset=offset, tol=tol)
                 break
             except NoCrossingError:
                 hi -= 0.04 * (hi - lo)
@@ -234,13 +216,13 @@ def find_het_p(r0: float, base: BaseParams, *, bracket=None,
             raise NoCrossingError(
                 f"splitting not computable anywhere near the top of the "
                 f"default bracket at r0 = {r0}")
-        s_lo = split(lo)
+        s_lo = splitting(r0, lo, base, offset=offset, tol=tol)
     else:
         lo, hi = bracket
         if not lo < hi:
             raise ValueError(f"empty bracket ({lo}, {hi})")
-        s_lo = split(lo)
-        s_hi = split(hi)
+        s_lo = splitting(r0, lo, base, offset=offset, tol=tol)
+        s_hi = splitting(r0, hi, base, offset=offset, tol=tol)
     if s_lo == 0.0:
         return HetResult(r0, lo, 0.0, 0, (lo, hi), _observed_ordering(r0, lo, base))
     if s_hi == 0.0:
@@ -251,7 +233,7 @@ def find_het_p(r0: float, base: BaseParams, *, bracket=None,
         narrowed = None
         for pk in grid:
             try:
-                sk = split(pk)
+                sk = splitting(r0, pk, base, offset=offset, tol=tol)
             except NoCrossingError:
                 continue
             if prev_s * sk <= 0.0:
@@ -266,9 +248,9 @@ def find_het_p(r0: float, base: BaseParams, *, bracket=None,
 
     used = (lo, hi)
     iterations = 0
-    while hi - lo > tol_p and iterations < 80:
+    while hi - lo > _BISECT_TOL and iterations < 80:
         mid = 0.5 * (lo + hi)
-        s_mid = split(mid)
+        s_mid = splitting(r0, mid, base, offset=offset, tol=tol)
         iterations += 1
         if s_mid == 0.0:
             lo = hi = mid
@@ -278,7 +260,7 @@ def find_het_p(r0: float, base: BaseParams, *, bracket=None,
         else:
             lo, s_lo = mid, s_mid
     p_het = 0.5 * (lo + hi)
-    residual = abs(split(p_het))
+    residual = abs(splitting(r0, p_het, base, offset=offset, tol=tol))
     return HetResult(r0, p_het, residual, iterations, used,
                      _observed_ordering(r0, p_het, base))
 
@@ -292,23 +274,20 @@ class HetRow:
 
 
 def _het_worker(args) -> HetRow:
-    r0, base, kwargs = args
+    r0, base, tol = args
     try:
-        res = find_het_p(r0, base, **kwargs)
+        res = find_het_p(r0, base, tol=tol)
         return HetRow(r0, res.p_het, res.splitting_residual)
-    except (NoCrossingError, SameSignBracketError, ValueError) as exc:
+    except (NoCrossingError, ValueError) as exc:
         return HetRow(r0, float("nan"), float("nan"), error=str(exc))
 
 
 def build_het_table(r0_list, base: BaseParams, *, jobs: int = 1,
-                    tol_p: float = 1e-6, offset: float = _SHOOT_OFFSET,
-                    tol: float = _SHOOT_TOL,
-                    horizon: float = _SHOOT_HORIZON) -> list:
+                    tol: float = _SHOOT_TOL) -> list:
     """Solve the heteroclinic location for each r0; failures become rows
     with NaN and an error message rather than aborting the sweep. With
     jobs > 1 rows are solved in separate processes."""
-    kwargs = dict(tol_p=tol_p, offset=offset, tol=tol, horizon=horizon)
-    tasks = [(float(r0), base, kwargs) for r0 in r0_list]
+    tasks = [(float(r0), base, tol) for r0 in r0_list]
     if not tasks:
         return []
     if jobs <= 1 or len(tasks) == 1:
@@ -335,7 +314,7 @@ class PowerFit:
         return self.a * x ** self.b + self.c
 
 
-def power_fit(points, *, max_iter: int = 500) -> PowerFit:
+def power_fit(points) -> PowerFit:
     """Least-squares fit of y = a*x^b + c by damped Gauss-Newton.
 
     Initialisation: c0 = min(y) - 0.01, then log-log regression of y - c0
@@ -379,7 +358,7 @@ def power_fit(points, *, max_iter: int = 500) -> PowerFit:
     rss = float(r @ r)
     lam = 1e-3
     iterations = 0
-    while iterations < max_iter:
+    while iterations < _FIT_ROUNDS:
         iterations += 1
         jac, grad = gradient_norm(a, b, c, r)
         if grad <= 1e-10:
@@ -410,7 +389,7 @@ def power_fit(points, *, max_iter: int = 500) -> PowerFit:
             break
     else:
         raise FitNonConvergence(
-            f"no convergence after {max_iter} rounds (rss={rss:.3e})")
+            f"no convergence after {_FIT_ROUNDS} rounds (rss={rss:.3e})")
 
     _, grad = gradient_norm(a, b, c, r)
     ss_tot = float(((y - y.mean()) ** 2).sum())
@@ -459,15 +438,14 @@ class PeriodicOrbit:
 
 
 def _return_map(I_value: float, params: ModelParams, s2: float, *,
-                reverse: bool, tol: float, horizon: float,
-                record: bool = False) -> Trajectory:
+                reverse: bool, tol: float, record: bool = False) -> Trajectory:
     """One traversal of the section-to-section map starting at (S2, I).
 
     Top-half crossings have original dS/dt < 0, which the reversed field
     sees as +1; the crossing's I is the mapped value.
     """
     direction = +1 if reverse else -1
-    return integrate((s2, I_value), params, horizon, tol=tol,
+    return integrate((s2, I_value), params, _LOOP_HORIZON, tol=tol,
                      reverse_time=reverse,
                      sections=(SectionEvent(0, s2, direction=direction,
                                             terminal_after=1,
@@ -477,8 +455,7 @@ def _return_map(I_value: float, params: ModelParams, s2: float, *,
 
 def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
                         het_p: float | None = None, tol: float = 1e-10,
-                        return_tol: float = 1e-9,
-                        horizon_per_loop: float = 800.0) -> PeriodicOrbit:
+                        return_tol: float = 1e-9) -> PeriodicOrbit:
     """Find the unstable cycle around E2 for p strictly between the Hopf
     and heteroclinic values at this r0.
 
@@ -513,7 +490,7 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
 
     def rev_map(I_value: float, record: bool = False) -> Trajectory:
         return _return_map(I_value, params, s2, reverse=True, tol=tol,
-                           horizon=horizon_per_loop, record=record)
+                           record=record)
 
     fixed = None
     for frac in (0.2, 0.05, 0.01, 1e-3, 1e-4):
@@ -568,10 +545,8 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     period = loop.terminal.t
 
     step = min(1e-6, 0.1 * (I_star - i2))
-    up = _return_map(I_star + step, params, s2, reverse=False, tol=tol,
-                     horizon=horizon_per_loop)
-    dn = _return_map(I_star - step, params, s2, reverse=False, tol=tol,
-                     horizon=horizon_per_loop)
+    up = _return_map(I_star + step, params, s2, reverse=False, tol=tol)
+    dn = _return_map(I_star - step, params, s2, reverse=False, tol=tol)
     if up.terminal.kind != "crossed-section" or dn.terminal.kind != "crossed-section":
         raise MislabeledRegionError(
             "forward return map undefined next to the cycle (no crossing)")

@@ -49,13 +49,9 @@ __all__ = [
 #: S below this is clamped to the wall and the boundary field takes over
 WALL_CLAMP = 1e-12
 
-#: located crossings satisfy |x[coord] - value| <= this
-EVENT_RESIDUAL = 1e-10
-
 _TOL_RANGE = (1e-13, 1e-3)
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is f at the endpoint).
-_C2, _C3, _C4, _C5, _C6 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -248,11 +244,10 @@ def _initial_step(f, x0, f0, t_span, atol, rtol):
 
 
 def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
-              t0: float = 0.0, reverse_time: bool = False, sections=(),
-              targets=(), max_step: float = math.inf,
+              reverse_time: bool = False, sections=(), targets=(),
               domain_bound: float | None = None,
               record: bool = True) -> Trajectory:
-    """Integrate from x0 over [t0, t_end] (elapsed time; the field is negated
+    """Integrate from x0 over [0, t_end] (elapsed time; the field is negated
     when reverse_time is set).
 
     sections are SectionEvents to record/stop on; targets are
@@ -271,8 +266,8 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         raise ValueError(f"non-finite initial state {x0}")
     if S0 < -1e-12 or I0 < -1e-12:
         raise ValueError(f"initial state outside the closed quadrant: {x0}")
-    if t_end <= t0:
-        raise ValueError("need t_end > t0")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"need finite t_end > t0 = 0, got {t_end}")
 
     A = params.A
     beta = params.beta
@@ -296,7 +291,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     fieldf = f_wall if on_wall else f_interior
 
     x = (S0, I0)
-    t = t0
+    t = 0.0
     fx = fieldf(x)
     evals = 1
     ts, xs, fs = [t], [x], [fx]
@@ -318,7 +313,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         terminal = TerminalEvent("converged-to-equilibrium", t, x,
                                  equilibrium=hit.ident)
 
-    h = min(_initial_step(fieldf, x, fx, t_end - t0, tol, tol), max_step)
+    h = _initial_step(fieldf, x, fx, t_end, tol, tol)
     evals += 1
     facold = 1e-4
 
@@ -329,7 +324,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
             terminal = TerminalEvent("step-failure", t, x,
                                      detail=f"step size underflow h={h:.3e}")
             break
-        h = min(h, t_end - t, max_step)
+        h = min(h, t_end - t)
         last = t + h >= t_end - 1e-14 * max(1.0, t_end)
 
         S, I = x
@@ -489,9 +484,9 @@ def _scan_step(t, x, fx, t_new, x_new, f_new, h, sections, counts,
 
 
 def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, *, coord, value,
-                   direction, tag, nsub=4):
+                   direction, tag):
     """Find crossings of x[coord] = value inside one step via sign changes
-    of the Hermite interpolant on nsub subintervals, bisected to
+    of the Hermite interpolant on 4 subintervals, bisected to
     |residual| <= 1e-12 (well inside the 1e-10 contract)."""
     x0c, x1c = x[coord], x_new[coord]
     f0c, f1c = fx[coord], f_new[coord]
@@ -499,10 +494,10 @@ def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, *, coord, value,
     def g(theta):
         return _hermite(theta, h, x0c, f0c, x1c, f1c) - value
 
-    thetas = [i / nsub for i in range(nsub + 1)]
+    thetas = [i / 4 for i in range(5)]
     vals = [g(th) for th in thetas]
     out = []
-    for i in range(nsub):
+    for i in range(4):
         g0, g1 = vals[i], vals[i + 1]
         if g0 == 0.0 and i == 0:
             continue            # starting exactly on the section: not a crossing
@@ -629,7 +624,6 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
 def manifold_shoot(equilibrium: Equilibrium, direction: str, side: str,
                    offset: float, params: ModelParams, t_end: float, *,
                    tol: float = 1e-8, sections=(), targets=(),
-                   domain_bound: float | None = None,
                    record: bool = True) -> Trajectory:
     """Launch a trajectory off a saddle along an eigenvector.
 
@@ -674,60 +668,56 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str, side: str,
         x0 = (x0[0], 0.0)
     return integrate(x0, params, t_end, tol=tol,
                      reverse_time=(direction == "stable"),
-                     sections=sections, targets=targets,
-                     domain_bound=domain_bound, record=record)
+                     sections=sections, targets=targets, record=record)
 
 
 # ----------------------------------------------------------------------
 # recovered-class reconstruction
 
 
-def recover_recovered(traj: Trajectory, R0_initial: float,
-                      params: ModelParams | None = None) -> np.ndarray:
-    """Integrate dR/dt = p*m + g*I(t) - mu*R along the trajectory's grid.
+def recover_recovered(traj: Trajectory, R0_initial: float) -> np.ndarray:
+    """Solve dR/dt = p*m + g*I(t) - mu*R exactly along the trajectory's grid.
 
-    I(t) is the trajectory's dense output; each grid interval is advanced by
-    fifth-order Runge-Kutta substeps (length <= 0.25) so the scalar solution
-    carries the same order as the planar one. Returns R at traj.t.
+    On each interval of length h, I(t) is the cubic Hermite dense output, so
+    variation of constants gives R1 = e^z R0 + h*(p*m*phi_1 + g*(weights .
+    Hermite data)) with the phi-functions at z = -mu*h (Hochbruck &
+    Ostermann, Acta Numerica 19, 2010). Returns R at traj.t.
     """
     if traj.reversed_time:
         raise ValueError("recovered-class reconstruction needs a forward run")
-    pr = params or traj.params
-    pm = pr.p * pr.m
-    g = pr.g
-    mu = pr.mu
-    t = traj.t
+    pm, g, mu = traj.params.p * traj.params.m, traj.params.g, traj.params.mu
+    t = traj.t.tolist()
+    I = traj.states[:, 1].tolist()
+    dI = traj.derivs[:, 1].tolist()
     out = np.empty(len(t))
     out[0] = R = float(R0_initial)
     for j in range(1, len(t)):
-        t0, t1 = float(t[j - 1]), float(t[j])
-        h_full = t1 - t0
-        if h_full == 0.0:
-            out[j] = R
-            continue
-        I0 = float(traj.states[j - 1, 1])
-        I1 = float(traj.states[j, 1])
-        fI0 = float(traj.derivs[j - 1, 1])
-        fI1 = float(traj.derivs[j, 1])
-
-        def I_of(tau):           # tau in [0, h_full]
-            return _hermite(tau / h_full, h_full, I0, fI0, I1, fI1)
-
-        nsub = max(1, math.ceil(h_full / 0.25))
-        hs = h_full / nsub
-        tau = 0.0
-        for _ in range(nsub):
-            def fR(tloc, Rloc):
-                return pm + g * I_of(tloc) - mu * Rloc
-            k1 = fR(tau, R)
-            k2 = fR(tau + hs * _C2, R + hs * _A21 * k1)
-            k3 = fR(tau + hs * _C3, R + hs * (_A31 * k1 + _A32 * k2))
-            k4 = fR(tau + hs * _C4, R + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = fR(tau + hs * _C5, R + hs * (_A51 * k1 + _A52 * k2
-                                              + _A53 * k3 + _A54 * k4))
-            k6 = fR(tau + hs, R + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3
-                                        + _A64 * k4 + _A65 * k5))
-            R = R + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-            tau += hs
+        h = t[j] - t[j - 1]
+        z = -mu * h
+        ph1, ph2, ph3, ph4 = _phi(z)
+        # integral of e^(z(1-theta)) I(h theta) over theta in [0, 1]
+        I_int = ((ph1 - 6.0 * ph3 + 12.0 * ph4) * I[j - 1]
+                 + (6.0 * ph3 - 12.0 * ph4) * I[j]
+                 + h * ((ph2 - 4.0 * ph3 + 6.0 * ph4) * dI[j - 1]
+                        + (6.0 * ph4 - 2.0 * ph3) * dI[j]))
+        R = math.exp(z) * R + h * (pm * ph1 + g * I_int)
         out[j] = R
     return out
+
+
+def _phi(z: float) -> tuple:
+    """phi_1..phi_4 at z, phi_k(z) = sum_n z^n/(n+k)!: the Taylor series of
+    phi_4 and phi_k = z*phi_(k+1) + 1/k! for |z| < 1, else expm1(z)/z and
+    phi_(k+1) = (phi_k - 1/k!)/z, each stable on its side."""
+    if abs(z) < 1.0:
+        ph4 = 1.0
+        for n in range(20, 4, -1):   # 1 + z/5 (1 + z/6 (...)), to z^16 4!/20!
+            ph4 = 1.0 + z * ph4 / n
+        ph4 /= 24.0
+        ph3 = z * ph4 + 1.0 / 6.0
+        ph2 = z * ph3 + 0.5
+        return z * ph2 + 1.0, ph2, ph3, ph4
+    ph1 = math.expm1(z) / z
+    ph2 = (ph1 - 1.0) / z
+    ph3 = (ph2 - 0.5) / z
+    return ph1, ph2, ph3, (ph3 - 1.0 / 6.0) / z

@@ -78,6 +78,11 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         assert run(["portraits", "--region", "A", "--max-samples", cap,
                     "--out", str(tmp_path)]) == 2
         assert "--max-samples must be at least 1" in capsys.readouterr().err
+    # atlas windows outside 0 < r0-min < r0-max, 0 <= p-min < p-max <= 1
+    for window in (["--r0-min", "0"], ["--r0-min", "-1"], ["--p-max", "1.5"],
+                   ["--r0-max", "inf"]):
+        assert run(["atlas", *window, "--out", str(tmp_path)]) == 2
+        assert "atlas window" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -293,6 +298,14 @@ def test_het_fit_rejects_bad_table(tmp_path, capsys):
     bad.write_text("x,y\n1,2\n3,4\n5,6\n")
     assert run(["het-fit", "--table", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_het_fit_table_needs_four_rows(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("r0,p_het\n2.2,0.68\n2.6,0.45\n3.0,0.30\n")
+    assert run(["het-fit", "--table", str(short)]) == 2
+    err = capsys.readouterr().err
+    assert str(short) in err and "at least 4" in err
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from sirbif import (
     PowerFit,
     ReducedPoint,
     SameSignBracketError,
-    SplitFunction,
     build_het_table,
     endemic,
     find_het_p,
@@ -76,9 +75,8 @@ def test_splitting_validation(base):
 
 
 def test_split_function_is_monotone_near_root(base, het26):
-    split = SplitFunction(2.6, base)
-    lo = split(het26.p_het - 0.01)
-    hi = split(het26.p_het + 0.01)
+    lo = splitting(2.6, het26.p_het - 0.01, base)
+    hi = splitting(2.6, het26.p_het + 0.01, base)
     assert lo < 0.0 < hi
 
 
@@ -172,8 +170,7 @@ def test_het_table_rows_match_single_solves(base, het26):
 
 
 def test_het_table_failures_become_rows(base):
-    rows = build_het_table([2.6], base, tol_p=1e-6,
-                           horizon=900.0)
+    rows = build_het_table([2.6], base)
     assert rows[0].error == ""
     bad = build_het_table([float("nan")], base)
     assert len(bad) == 1

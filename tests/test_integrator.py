@@ -12,6 +12,8 @@ from sirbif import (
     ModelParams,
     ReducedPoint,
     SectionEvent,
+    TerminalEvent,
+    Trajectory,
     disease_free,
     endemic,
     find_periodic_orbit,
@@ -25,6 +27,7 @@ from sirbif import (
     reduced_to_params,
     vector_field,
 )
+from sirbif.integrate import IntegrationStats
 
 
 def dist(a, b):
@@ -94,8 +97,9 @@ def test_input_validation(p_zero):
         integrate((float("nan"), 0.1), p_zero, 1.0)
     with pytest.raises(ValueError, match="outside the closed quadrant"):
         integrate((-0.1, 0.1), p_zero, 1.0)
-    with pytest.raises(ValueError, match="t_end > t0"):
-        integrate((0.5, 0.1), p_zero, 0.0)
+    for t_end in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end > t0"):
+            integrate((0.5, 0.1), p_zero, t_end)
 
 
 def test_dense_output_matches_fine_solution(p_zero):
@@ -294,7 +298,37 @@ def test_recovered_closed_form_when_no_infection(figure_params):
     R = recover_recovered(traj, 0.0)
     ratio = params.p * params.m / params.mu
     exact = ratio * (1.0 - np.exp(-params.mu * traj.t))
-    assert float(np.abs(R - exact).max()) <= 1e-6
+    assert float(np.abs(R - exact).max()) <= 1e-14
+
+
+def test_recovered_exact_for_cubic_infection():
+    # I(t) = c0 + c1 t + c2 t^2 + c3 t^3 is its own Hermite interpolant, so
+    # R' = pm + g I - mu R has the exact solution P(t) + (R0 - P(0)) e^(-mu t)
+    # with P the cubic particular solution.  Steps of 1e-9 to 1.7 have
+    # |mu h| < 1 (the series), steps of 7 and 10.5 do not (the recurrence).
+    params = ModelParams(A=1.1, beta=1.3, m=0.35, mu=0.175, d=0.175, g=0.35,
+                         p=0.3)
+    pm, g, mu = params.p * params.m, params.g, params.mu
+    c = (0.05, 0.02, -0.003, 1e-4)
+    t = np.array([0.0, 1e-9, 0.3, 2.0, 9.0, 9.5, 20.0])
+    I = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+    dI = c[1] + t * (2.0 * c[2] + t * 3.0 * c[3])
+    # P' = pm + g I - mu P for the cubic P = sum q_k t^k
+    q3 = g * c[3] / mu
+    q2 = (g * c[2] - 3.0 * q3) / mu
+    q1 = (g * c[1] - 2.0 * q2) / mu
+    q0 = (pm + g * c[0] - q1) / mu
+    R_init = 0.2
+    exact = (q0 + t * (q1 + t * (q2 + t * q3))
+             + (R_init - q0) * np.exp(-mu * t))
+    traj = Trajectory(
+        t=t, states=np.column_stack([np.full_like(t, 0.5), I]),
+        derivs=np.column_stack([np.zeros_like(t), dI]), crossings=(),
+        terminal=TerminalEvent("time-horizon", 20.0, (0.5, float(I[-1]))),
+        stats=IntegrationStats(6, 0, 0.0, 0), params=params,
+        reversed_time=False, tol=1e-8)
+    R = recover_recovered(traj, R_init)
+    assert float(np.abs(R - exact).max()) <= 1e-13
 
 
 def test_recovered_balances_at_equilibrium(p_zero):
