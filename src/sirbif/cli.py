@@ -603,6 +603,8 @@ def cmd_simulate(ns) -> int:
     params = _resolve_params(ns)
     if ns.t_end <= 0.0:
         raise ValueError("--t-end must be positive")
+    if not math.isfinite(ns.r_init):
+        raise ValueError(f"--r-init must be finite, got {ns.r_init}")
     tol = _effective_tol(ns, 1e-8)
     config = _config_for(ns, "simulate", {
         "params": params.to_dict(), "x0": [ns.S0, ns.I0],
@@ -640,6 +642,8 @@ def _parse_r0_list(text: str) -> list:
         raise ValueError(f"bad --r0-list: {exc}") from None
     if not values:
         raise ValueError("--r0-list is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"--r0-list entries must be finite, got {text}")
     return values
 
 
@@ -917,9 +921,10 @@ def build_parser():
         help="heteroclinic connection table (embedded or freshly shot)",
         description="Emit the connection-curve table. Default: the embedded "
                     "13-row reference table. With --shoot, locate each "
-                    "connection by bisection on the manifold splitting. CSV "
-                    "columns: r0,p_het,splitting_residual,delta_vs_reference,"
-                    "error (empty cells where not applicable).")
+                    "connection by Brent's method on the manifold splitting "
+                    "below the Hopf value. CSV columns: r0,p_het,"
+                    "splitting_residual,delta_vs_reference,error (empty "
+                    "cells where not applicable).")
     _add_base_args(ap)
     ap.add_argument("--shoot", action="store_true",
                     help="recompute the table by shooting instead of using "
@@ -1033,6 +1038,8 @@ def main(argv=None) -> int:
             # file values become defaults, so explicit flags still win
             _load_config_defaults(ns.config, parsers[ns.command], ns)
             ns = top.parse_args(argv)
+        if ns.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:

@@ -4,7 +4,8 @@ For r0 > 2 and p below the transcritical value both disease-free equilibria
 are saddles; the axis segment between them is always a connection, and the
 interior connection W^u(E1) -> W^s(E0) exists only on a curve p = p_het(r0),
 located here by shooting both manifolds onto the section S = S2 and
-bisecting the signed gap between them. A bundled 13-row (r0, p) table is
+solving for the zero of the signed gap between them by Brent's method on
+a bracket topped by the Hopf value. A bundled 13-row (r0, p) table is
 embedded for fit validation, and ``power_fit`` recovers the
 y = a*x^b + c law through any such table by damped Gauss-Newton.
 
@@ -76,7 +77,7 @@ REFERENCE_HET_POINTS = (
 _SHOOT_OFFSET = 1e-6
 _SHOOT_TOL = 1e-10
 _SHOOT_HORIZON = 900.0
-_BISECT_TOL = 1e-6         # bisection stops once the bracket is this narrow
+_SOLVE_TOL = 1e-7          # Brent stops once its bracket is this narrow
 _LOOP_HORIZON = 800.0      # time allowed for one traversal of the return map
 _FIT_ROUNDS = 500
 
@@ -106,7 +107,7 @@ class FitNonConvergence(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# splitting and bisection
+# splitting and its root
 
 
 def _saddle_pair(params: ModelParams):
@@ -132,7 +133,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     0 < p < p_t(r0) so that E0, E1 are interior-facing saddles and E2
     (hence the section) is interior. The gap is negative below the
     connection, positive above it (W^u(E1) passes above/outside W^s(E0))
-    and continuous in p, which is the bisection premise.
+    and smooth in p, which is the premise of the bracketing root solver.
     """
     if r0 <= 2.0:
         raise ValueError(f"splitting needs r0 > 2, got {r0}")
@@ -185,44 +186,112 @@ def _observed_ordering(r0: float, p: float, base: BaseParams) -> str:
     return " < ".join(name for name, _ in values)
 
 
+def _brent(f, a: float, b: float, fa: float, fb: float) -> tuple:
+    """Brent's zeroin on a bracket with fa*fb < 0 (Brent 1973, ch. 4).
+
+    Each step takes inverse quadratic interpolation through the last three
+    iterates (a secant when only two differ) and falls back to bisection
+    when that step would leave the bracket or shrink it too slowly, so the
+    bracket always holds the root and convergence is superlinear on a
+    smooth f. Stops once the root is bracketed to ``_SOLVE_TOL`` (the
+    relative term of Brent's stopping test is below 1e-15 for p in [0, 1]
+    and is left out); returns the best iterate b, f(b) and the number of
+    evaluations of f.
+    """
+    tol1 = 0.5 * _SOLVE_TOL
+    c, fc = b, fb
+    d = e = b - a
+    iterations = 0
+    while True:
+        if fb * fc > 0.0:              # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):          # b is the best iterate so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b, fb, iterations
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+        iterations += 1
+
+
 def find_het_p(r0: float, base: BaseParams, *, bracket=None,
                offset: float = _SHOOT_OFFSET,
                tol: float = _SHOOT_TOL) -> HetResult:
-    """Locate the heteroclinic p at this r0 by bisection on the splitting.
+    """Locate the heteroclinic p at this r0 by Brent's method on the
+    splitting.
 
-    The default bracket is (0.05*p_sn, p_t*(1 - 1e-3)); if the splitting has
-    equal signs there, the bracket is scanned at 12 interior points for a
-    sign change before giving up. The returned ``ordering`` field records
-    where the solved value actually sits among the closed-form curves (with
-    this base it lands below the Hopf value, not between Hopf and
-    transcritical — callers should consult it rather than assume).
+    The default bracket is (0.05*p_sn, min(p_h, 1)): for r0 > 2 the Hopf
+    value lies below p_t and the connection below the Hopf value. Only
+    when the splitting at that top misses the section, or has the sign of
+    the bottom while min(p_t*(1 - 1e-3), 1) lies higher, does the top fall
+    back to the latter, pulled inward until the splitting is computable
+    there. If the signs still agree, the bracket is scanned at 12 interior
+    points for a sign change before giving up.
+
+    The solver stops once the root is bracketed to 1e-7. ``p_het`` is its
+    best iterate, ``splitting_residual`` the absolute splitting there,
+    ``bracket`` the sign-changing bracket it started from and
+    ``iterations`` its evaluations after that bracket. The returned
+    ``ordering`` field records where the solved value actually sits among
+    the closed-form curves; callers should consult it rather than assume.
     """
+    def split(p: float) -> float:
+        return splitting(r0, p, base, offset=offset, tol=tol)
+
     if bracket is None:
         lo = 0.05 * atlas.p_sn(r0, base)
-        hi = atlas.p_t(r0, base) * (1.0 - 1e-3)
+        hi = min(atlas.p_h(r0, base), 1.0)
         if not lo < hi:
             raise ValueError(f"empty bracket ({lo}, {hi})")
-        # approaching the transcritical, E0's transverse rate vanishes and
-        # the backward shot stops reaching the section within any sane
-        # horizon; pull the top inward until the splitting is computable
-        s_hi = None
-        for _ in range(8):
-            try:
-                s_hi = splitting(r0, hi, base, offset=offset, tol=tol)
-                break
-            except NoCrossingError:
-                hi -= 0.04 * (hi - lo)
-        if s_hi is None:
-            raise NoCrossingError(
-                f"splitting not computable anywhere near the top of the "
-                f"default bracket at r0 = {r0}")
-        s_lo = splitting(r0, lo, base, offset=offset, tol=tol)
+        s_lo = split(lo)
+        try:
+            s_hi = split(hi)
+        except NoCrossingError:
+            s_hi = None
+        top = min(atlas.p_t(r0, base) * (1.0 - 1e-3), 1.0)
+        if s_hi is None or (s_lo * s_hi > 0.0 and top > hi):
+            # approaching the transcritical, E0's transverse rate vanishes
+            # and the backward shot stops reaching the section within any
+            # sane horizon; pull the top inward until the splitting is
+            # computable
+            hi, s_hi = top, None
+            for _ in range(8):
+                try:
+                    s_hi = split(hi)
+                    break
+                except NoCrossingError:
+                    hi -= 0.04 * (hi - lo)
+            if s_hi is None:
+                raise NoCrossingError(
+                    f"splitting not computable anywhere near the top of the "
+                    f"default bracket at r0 = {r0}")
     else:
         lo, hi = bracket
         if not lo < hi:
             raise ValueError(f"empty bracket ({lo}, {hi})")
-        s_lo = splitting(r0, lo, base, offset=offset, tol=tol)
-        s_hi = splitting(r0, hi, base, offset=offset, tol=tol)
+        s_lo = split(lo)
+        s_hi = split(hi)
     if s_lo == 0.0:
         return HetResult(r0, lo, 0.0, 0, (lo, hi), _observed_ordering(r0, lo, base))
     if s_hi == 0.0:
@@ -233,7 +302,7 @@ def find_het_p(r0: float, base: BaseParams, *, bracket=None,
         narrowed = None
         for pk in grid:
             try:
-                sk = splitting(r0, pk, base, offset=offset, tol=tol)
+                sk = split(pk)
             except NoCrossingError:
                 continue
             if prev_s * sk <= 0.0:
@@ -246,22 +315,8 @@ def find_het_p(r0: float, base: BaseParams, *, bracket=None,
                 f"({lo:.6g}, {hi:.6g}) at r0 = {r0}")
         lo, hi, s_lo, s_hi = narrowed
 
-    used = (lo, hi)
-    iterations = 0
-    while hi - lo > _BISECT_TOL and iterations < 80:
-        mid = 0.5 * (lo + hi)
-        s_mid = splitting(r0, mid, base, offset=offset, tol=tol)
-        iterations += 1
-        if s_mid == 0.0:
-            lo = hi = mid
-            break
-        if s_lo * s_mid < 0.0:
-            hi, s_hi = mid, s_mid
-        else:
-            lo, s_lo = mid, s_mid
-    p_het = 0.5 * (lo + hi)
-    residual = abs(splitting(r0, p_het, base, offset=offset, tol=tol))
-    return HetResult(r0, p_het, residual, iterations, used,
+    p_het, s_het, iterations = _brent(split, lo, hi, s_lo, s_hi)
+    return HetResult(r0, p_het, abs(s_het), iterations, (lo, hi),
                      _observed_ordering(r0, p_het, base))
 
 

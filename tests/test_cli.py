@@ -83,6 +83,22 @@ def test_validation_errors_exit_two(tmp_path, capsys):
                    ["--r0-max", "inf"]):
         assert run(["atlas", *window, "--out", str(tmp_path)]) == 2
         assert "atlas window" in capsys.readouterr().err
+    # a non-finite removed-class start
+    for value in ("nan", "inf"):
+        assert run(["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.5",
+                    "--I0", "0.1", "--r-init", value,
+                    "--out", str(tmp_path)]) == 2
+        assert "--r-init must be finite" in capsys.readouterr().err
+    # non-finite abscissae
+    for r0_list in ("2.6,inf", "nan"):
+        assert run(["het-table", "--shoot", "--r0-list", r0_list,
+                    "--out", str(tmp_path)]) == 2
+        assert "--r0-list entries must be finite" in capsys.readouterr().err
+    # fewer than one worker
+    for jobs in ("0", "-2"):
+        assert run(["het-table", "--shoot", "--r0-list", "2.6",
+                    "--jobs", jobs, "--out", str(tmp_path)]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,11 +1,13 @@
 """Heteroclinic location by shooting, the power-law fit, and the unstable
 periodic orbit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import sirbif.connections as connections
 from sirbif import (
     REFERENCE_BASE,
     REFERENCE_HET_POINTS,
@@ -57,7 +59,7 @@ def test_reference_table_shape():
 
 
 # ---------------------------------------------------------------------------
-# splitting function and bisection
+# splitting function and its root
 
 
 def test_splitting_signs_straddle_reference(base):
@@ -159,6 +161,88 @@ def test_find_het_same_sign_bracket(base):
         find_het_p(2.6, base, bracket=(0.48, 0.50))
     with pytest.raises(ValueError, match="empty bracket"):
         find_het_p(2.6, base, bracket=(0.5, 0.4))
+
+
+@pytest.mark.parametrize("f, root", [
+    (lambda x: x ** 3 - 2.0, 2.0 ** (1.0 / 3.0)),
+    (lambda x: math.tanh(50.0 * (x - 0.7)), 0.7),
+    (lambda x: -1.0 if x < 0.3 else 1.0, 0.3),     # forces bisection steps
+])
+def test_brent_brackets_root_to_tolerance(f, root):
+    b, fb, iterations = connections._brent(f, 0.0, 2.0, f(0.0), f(2.0))
+    assert abs(b - root) <= connections._SOLVE_TOL
+    assert fb == f(b)
+    assert 0 < iterations < 60
+
+
+def _count_splitting(monkeypatch):
+    calls = []
+    real = connections.splitting
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connections, "splitting", counted)
+    return calls
+
+
+def test_find_het_evaluation_cap(base, monkeypatch):
+    calls = _count_splitting(monkeypatch)
+    res = find_het_p(2.6, base)
+    assert len(calls) <= 10
+    assert res.iterations == len(calls) - 2
+    assert res.splitting_residual == abs(splitting(2.6, res.p_het, base))
+
+
+BASE_A13 = dataclasses.replace(REFERENCE_BASE, A=1.3)
+
+
+def test_find_het_bracket_capped_at_one():
+    # at A = 1.3 the transcritical value exceeds p = 1 at every abscissa,
+    # and at r0 = 2.19 the Hopf value does too
+    for r0, expected in ((2.19, 0.9718316), (2.2, 0.9611213),
+                         (2.6, 0.6306642)):
+        res = find_het_p(r0, BASE_A13)
+        assert p_t(r0, BASE_A13) > 1.0
+        assert res.bracket[1] <= 1.0
+        assert 0.0 < res.p_het < p_h(r0, BASE_A13) < p_t(r0, BASE_A13)
+        assert res.p_het == pytest.approx(expected, abs=1e-6)
+        assert res.splitting_residual <= 1e-6
+        assert splitting(r0, res.p_het - 1e-4, BASE_A13) < 0.0
+        assert splitting(r0, res.p_het + 1e-4, BASE_A13) > 0.0
+
+
+@pytest.mark.parametrize("fallback_base", [REFERENCE_BASE, BASE_A13])
+def test_find_het_falls_back_when_hopf_top_misses(fallback_base, monkeypatch):
+    # the fallback top starts at p_t*(1 - 1e-3) capped at 1; at the
+    # reference base the backward shot misses there and the top is pulled
+    # inward, at A = 1.3 the cap applies
+    r0 = 2.6
+    solved = find_het_p(r0, fallback_base).p_het
+    hopf = p_h(r0, fallback_base)
+    top = min(p_t(r0, fallback_base) * (1.0 - 1e-3), 1.0)
+    real = connections.splitting
+
+    def missing_at_hopf(r0, p, *args, **kwargs):
+        if p == hopf:
+            raise connections.NoCrossingError("synthetic miss at p_h")
+        return real(r0, p, *args, **kwargs)
+
+    monkeypatch.setattr(connections, "splitting", missing_at_hopf)
+    res = find_het_p(r0, fallback_base)
+    assert hopf < res.bracket[1] <= top
+    assert res.p_het == pytest.approx(solved, abs=2e-7)
+
+
+def test_find_het_connection_above_one(monkeypatch):
+    # at r0 = 2.15 both default tops cap at p = 1 and the connection lies
+    # above it: one evaluation there, then the scan, then the error
+    calls = _count_splitting(monkeypatch)
+    with pytest.raises(SameSignBracketError):
+        find_het_p(2.15, BASE_A13)
+    assert calls[1] == 1.0
+    assert len(calls) == len(set(calls)) == 14
 
 
 def test_het_table_rows_match_single_solves(base, het26):
