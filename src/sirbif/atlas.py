@@ -109,16 +109,10 @@ def p_t(r0: float, base: BaseParams) -> float:
     return (base.A * base.A / base.m) * (r0 - 1.0) / (r0 * r0)
 
 
-def p_h(r0: float, base: BaseParams, *, allow_left: bool = False) -> float:
-    """Hopf curve A^2/(m r0^2), defined for r0 >= 2.
-
-    With ``allow_left=True`` the formula is evaluated for 1 < r0 < 2 as a
-    diagnostic; there it exceeds p_sn and crosses no admissible dynamics, so
-    the classifier never consults it on that side.
-    """
-    low = 1.0 if allow_left else 2.0
-    if r0 < low:
-        raise CurveDomainError(f"p_h needs r0 >= {low}, got {r0}")
+def p_h(r0: float, base: BaseParams) -> float:
+    """Hopf curve A^2/(m r0^2), defined for r0 >= 2."""
+    if r0 < 2.0:
+        raise CurveDomainError(f"p_h needs r0 >= 2.0, got {r0}")
     return base.A * base.A / (base.m * r0 * r0)
 
 
@@ -385,15 +379,15 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
 # initial-condition fans (portraits)
 
 
-def region_fan(params: ModelParams, *, n_boundary: int = 12, n_ring: int = 8,
-               ring_center=None) -> list:
+def region_fan(params: ModelParams, *, n_boundary: int = 12,
+               n_ring: int = 8) -> list:
     """Initial conditions probing one region's phase portrait.
 
     ``n_boundary`` seeds sit on the slanted top edge S + I = bound of the
     flow-invariant region (S from 0.05*A to 0.98*A), entering the region
-    under the flow; ``n_ring`` seeds ring the interior equilibrium (or
-    ``ring_center``) at radius 0.02, probing its local basin. When E2 is
-    not interior and no centre is given, the ring is omitted.
+    under the flow; ``n_ring`` seeds ring the interior equilibrium at
+    radius 0.02, probing its local basin. When E2 is not interior, the ring
+    is omitted.
     """
     bound = invariant_region_bound(params)
     A = params.A
@@ -402,14 +396,10 @@ def region_fan(params: ModelParams, *, n_boundary: int = 12, n_ring: int = 8,
         frac = i / (n_boundary - 1) if n_boundary > 1 else 0.5
         S = A * (0.05 + 0.93 * frac)
         seeds.append((S, bound - S))
-    center = ring_center
-    if center is None:
-        e2 = eq.endemic(params)
-        if e2.I > 0.0:
-            center = e2.location
-    if center is not None and n_ring > 0:
-        cS, cI = center
-        radius = min(_RING_RADIUS, 0.5 * cI) if cI > 0 else _RING_RADIUS
+    e2 = eq.endemic(params)
+    if e2.I > 0.0 and n_ring > 0:
+        cS, cI = e2.location
+        radius = min(_RING_RADIUS, 0.5 * cI)
         for k in range(n_ring):
             angle = 2.0 * math.pi * k / n_ring
             seeds.append((cS + radius * math.cos(angle),

@@ -502,9 +502,9 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
     legs = []
     if pack.region == "het":
         e0, e1 = disease_free(params)
-        legs.append(manifold_shoot(e1, "unstable", "+", 1e-6, params,
+        legs.append(manifold_shoot(e1, "unstable", 1e-6, params,
                                    ns.horizon, tol=tol))
-        legs.append(manifold_shoot(e0, "stable", "+", 1e-6, params,
+        legs.append(manifold_shoot(e0, "stable", 1e-6, params,
                                    ns.horizon, tol=tol))
 
     outcome_rows = []
@@ -660,7 +660,7 @@ def cmd_het_table(ns) -> int:
         "r0_list": abscissae,
     }, tol)
 
-    reference = dict(REFERENCE_HET_POINTS)
+    reference = dict(REFERENCE_HET_POINTS) if base == REFERENCE_BASE else {}
     rows = []
     if ns.shoot:
         table = build_het_table(abscissae, base, jobs=ns.jobs, tol=tol)
@@ -768,18 +768,17 @@ def cmd_cycle(ns) -> int:
     print(f"section point: S = {orbit.section_S!r}, I = {orbit.section_I!r} "
           f"(return residual {orbit.return_residual!r})")
 
-    def table():
-        rows = orbit.to_csv_rows()          # its first row is the header
-        return next(rows), rows
-
     def figure():
         params = reduced_to_params(ReducedPoint(ns.r0, ns.p, base))
         return _phase_figure(params, f"unstable cycle: R0={ns.r0:g}, p={ns.p:g}",
                              config, [(orbit, 1200, PALETTE["cycle"], 2.0, 1.0)])
 
-    _emit(ns, config, [("cycle.csv", table),
-                       ("cycle.json", orbit.to_json_dict),
-                       ("cycle.svg", figure)])
+    _emit(ns, config, [
+        ("cycle.csv", lambda: (("t", "S", "I"), zip(
+            orbit.t, orbit.states[:, 0], orbit.states[:, 1]))),
+        ("cycle.json", orbit.to_json_dict),
+        ("cycle.svg", figure),
+    ])
     return 0
 
 

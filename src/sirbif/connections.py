@@ -87,7 +87,7 @@ class NoCrossingError(RuntimeError):
 
 
 class SameSignBracketError(ValueError):
-    """The splitting does not change sign on the supplied/derived bracket."""
+    """The splitting does not change sign on the heteroclinic bracket."""
 
 
 class NotInRegionEError(ValueError):
@@ -145,7 +145,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     s2 = eqmod.endemic(params).S
 
     unstable = manifold_shoot(
-        e1, "unstable", "+", offset, params, _SHOOT_HORIZON, tol=tol,
+        e1, "unstable", offset, params, _SHOOT_HORIZON, tol=tol,
         sections=(SectionEvent(0, s2, direction=-1, terminal_after=1,
                                name="split-u"),),
         record=False)
@@ -156,7 +156,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
 
     # stable shot runs in reversed time: original dS/dt < 0 is direction +1
     stable = manifold_shoot(
-        e0, "stable", "+", offset, params, _SHOOT_HORIZON, tol=tol,
+        e0, "stable", offset, params, _SHOOT_HORIZON, tol=tol,
         sections=(SectionEvent(0, s2, direction=+1, terminal_after=1,
                                name="split-s"),),
         record=False)
@@ -174,16 +174,6 @@ class HetResult:
     p_het: float
     splitting_residual: float
     iterations: int
-    bracket: tuple
-    ordering: str          # observed placement among the closed-form curves
-
-
-def _observed_ordering(r0: float, p: float, base: BaseParams) -> str:
-    values = sorted([("het", p),
-                     ("h", atlas.p_h(r0, base)),
-                     ("t", atlas.p_t(r0, base)),
-                     ("sn", atlas.p_sn(r0, base))], key=lambda kv: kv[1])
-    return " < ".join(name for name, _ in values)
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float) -> tuple:
@@ -235,89 +225,36 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> tuple:
         iterations += 1
 
 
-def find_het_p(r0: float, base: BaseParams, *, bracket=None,
+def find_het_p(r0: float, base: BaseParams, *,
                offset: float = _SHOOT_OFFSET,
                tol: float = _SHOOT_TOL) -> HetResult:
     """Locate the heteroclinic p at this r0 by Brent's method on the
     splitting.
 
-    The default bracket is (0.05*p_sn, min(p_h, 1)): for r0 > 2 the Hopf
-    value lies below p_t and the connection below the Hopf value. Only
-    when the splitting at that top misses the section, or has the sign of
-    the bottom while min(p_t*(1 - 1e-3), 1) lies higher, does the top fall
-    back to the latter, pulled inward until the splitting is computable
-    there. If the signs still agree, the bracket is scanned at 12 interior
-    points for a sign change before giving up.
+    The bracket is (0.05*p_sn, min(p_h, 1)): for r0 > 2 the connection
+    lies below the Hopf value, which lies below p_t. If the splitting has
+    the same sign at both ends the connection lies outside the bracket
+    (for instance above p = 1) and SameSignBracketError is raised; a
+    NoCrossingError at either end propagates.
 
     The solver stops once the root is bracketed to 1e-7. ``p_het`` is its
-    best iterate, ``splitting_residual`` the absolute splitting there,
-    ``bracket`` the sign-changing bracket it started from and
-    ``iterations`` its evaluations after that bracket. The returned
-    ``ordering`` field records where the solved value actually sits among
-    the closed-form curves; callers should consult it rather than assume.
+    best iterate, ``splitting_residual`` the absolute splitting there and
+    ``iterations`` its evaluations after the two ends.
     """
     def split(p: float) -> float:
         return splitting(r0, p, base, offset=offset, tol=tol)
 
-    if bracket is None:
-        lo = 0.05 * atlas.p_sn(r0, base)
-        hi = min(atlas.p_h(r0, base), 1.0)
-        if not lo < hi:
-            raise ValueError(f"empty bracket ({lo}, {hi})")
-        s_lo = split(lo)
-        try:
-            s_hi = split(hi)
-        except NoCrossingError:
-            s_hi = None
-        top = min(atlas.p_t(r0, base) * (1.0 - 1e-3), 1.0)
-        if s_hi is None or (s_lo * s_hi > 0.0 and top > hi):
-            # approaching the transcritical, E0's transverse rate vanishes
-            # and the backward shot stops reaching the section within any
-            # sane horizon; pull the top inward until the splitting is
-            # computable
-            hi, s_hi = top, None
-            for _ in range(8):
-                try:
-                    s_hi = split(hi)
-                    break
-                except NoCrossingError:
-                    hi -= 0.04 * (hi - lo)
-            if s_hi is None:
-                raise NoCrossingError(
-                    f"splitting not computable anywhere near the top of the "
-                    f"default bracket at r0 = {r0}")
-    else:
-        lo, hi = bracket
-        if not lo < hi:
-            raise ValueError(f"empty bracket ({lo}, {hi})")
-        s_lo = split(lo)
-        s_hi = split(hi)
-    if s_lo == 0.0:
-        return HetResult(r0, lo, 0.0, 0, (lo, hi), _observed_ordering(r0, lo, base))
-    if s_hi == 0.0:
-        return HetResult(r0, hi, 0.0, 0, (lo, hi), _observed_ordering(r0, hi, base))
+    lo = 0.05 * atlas.p_sn(r0, base)
+    hi = min(atlas.p_h(r0, base), 1.0)
+    if not lo < hi:
+        raise ValueError(f"empty bracket ({lo}, {hi})")
+    s_lo, s_hi = split(lo), split(hi)
     if s_lo * s_hi > 0.0:
-        grid = [lo + (hi - lo) * k / 13.0 for k in range(1, 13)]
-        prev_p, prev_s = lo, s_lo
-        narrowed = None
-        for pk in grid:
-            try:
-                sk = split(pk)
-            except NoCrossingError:
-                continue
-            if prev_s * sk <= 0.0:
-                narrowed = (prev_p, pk, prev_s, sk)
-                break
-            prev_p, prev_s = pk, sk
-        if narrowed is None:
-            raise SameSignBracketError(
-                f"splitting keeps sign {math.copysign(1, s_lo):+.0f} on "
-                f"({lo:.6g}, {hi:.6g}) at r0 = {r0}")
-        lo, hi, s_lo, s_hi = narrowed
-
+        raise SameSignBracketError(
+            f"splitting keeps sign {math.copysign(1, s_lo):+.0f} on "
+            f"({lo:.6g}, {hi:.6g}) at r0 = {r0}")
     p_het, s_het, iterations = _brent(split, lo, hi, s_lo, s_hi)
-    return HetResult(r0, p_het, abs(s_het), iterations, (lo, hi),
-                     _observed_ordering(r0, p_het, base))
+    return HetResult(r0, p_het, abs(s_het), iterations)
 
 
 @dataclass(frozen=True)
@@ -484,12 +421,6 @@ class PeriodicOrbit:
                      "S": [float(v) for v in self.states[:, 0]],
                      "I": [float(v) for v in self.states[:, 1]]},
         }
-
-    def to_csv_rows(self):
-        yield ("t", "S", "I")
-        for i in range(len(self.t)):
-            yield (float(self.t[i]), float(self.states[i, 0]),
-                   float(self.states[i, 1]))
 
 
 def _return_map(I_value: float, params: ModelParams, s2: float, *,

@@ -188,12 +188,6 @@ class Trajectory:
         out = _hermite(theta, h, x0, f0, x1, f1)
         return (float(out[0]), float(out[1]))
 
-    def to_csv_rows(self):
-        yield ("t", "S", "I")
-        for i in range(len(self.t)):
-            yield (float(self.t[i]), float(self.states[i, 0]),
-                   float(self.states[i, 1]))
-
     def to_json_dict(self) -> dict:
         return {
             "t": [float(v) for v in self.t],
@@ -621,8 +615,8 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
 # invariant-manifold shooting
 
 
-def manifold_shoot(equilibrium: Equilibrium, direction: str, side: str,
-                   offset: float, params: ModelParams, t_end: float, *,
+def manifold_shoot(equilibrium: Equilibrium, direction: str, offset: float,
+                   params: ModelParams, t_end: float, *,
                    tol: float = 1e-8, sections=(), targets=(),
                    record: bool = True) -> Trajectory:
     """Launch a trajectory off a saddle along an eigenvector.
@@ -630,9 +624,8 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str, side: str,
     The start is location + offset*v with v the unit eigenvector of the
     unstable (positive) or stable (negative) eigenvalue; 'stable' shots run
     in reversed time, tracing the stable manifold backwards out of the
-    saddle. side '+' orients v to positive I-component (falling back to
-    positive S when the I-component vanishes, as on the axis equilibria);
-    side '-' is the opposite.
+    saddle. v is oriented to positive I-component (falling back to
+    positive S when the I-component vanishes, as on the axis equilibria).
     """
     if equilibrium.stability is not StabilityClass.SADDLE:
         raise ValueError(
@@ -641,8 +634,6 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str, side: str,
         raise ValueError(f"offset must lie in [1e-8, 1e-4], got {offset}")
     if direction not in ("stable", "unstable"):
         raise ValueError(f"direction must be 'stable' or 'unstable', got {direction!r}")
-    if side not in ("+", "-"):
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
 
     jac = eqmod.jacobian(equilibrium.location, params)
     lam_s, lam_u = equilibrium.eigenvalues
@@ -660,8 +651,6 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str, side: str,
     else:
         flip = v[0] < 0.0
     if flip:
-        v = (-v[0], -v[1])
-    if side == "-":
         v = (-v[0], -v[1])
     x0 = (equilibrium.S + offset * v[0], equilibrium.I + offset * v[1])
     if x0[1] < 0.0:

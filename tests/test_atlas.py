@@ -65,11 +65,6 @@ def test_curve_domains(base):
         p_t(1.0, base)
     with pytest.raises(CurveDomainError):
         p_h(1.9, base)
-    # diagnostic evaluation left of the fold is explicit opt-in
-    left = p_h(1.9, base, allow_left=True)
-    assert left > p_sn(1.9, base)
-    with pytest.raises(CurveDomainError):
-        p_h(0.9, base, allow_left=True)
 
 
 @given(st.floats(min_value=1.05, max_value=6.0, allow_nan=False))
@@ -402,5 +397,3 @@ def test_region_fan_layouts(base):
     empty = reduced_to_params(ReducedPoint(1.5, 0.9, base))
     assert len(region_fan(empty)) == 12  # ring omitted without a centre
     assert len(region_fan(empty, n_boundary=20, n_ring=0)) == 20
-    custom = region_fan(empty, ring_center=(0.4, 0.3), n_ring=4)
-    assert len(custom) == 16

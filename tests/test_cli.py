@@ -274,6 +274,18 @@ def test_het_table_embedded(tmp_path, capsys):
     assert all(r[2] == "" and r[3] == "" and r[4] == "" for r in rows)
 
 
+def test_het_table_delta_only_at_reference_base(tmp_path, capsys):
+    # the embedded table belongs to the reference base; at any other base
+    # the comparison column stays empty
+    for extra, has_delta in (([], True), (["--A", "1.3"], False)):
+        assert run(["het-table", "--shoot", "--r0-list", "2.2,2.6", *extra,
+                    "--out", str(tmp_path), "--format", "csv"]) == 0
+        _, _, rows = read_csv(tmp_path / "het_table.csv")
+        assert [r[4] for r in rows] == ["", ""]
+        assert [r[3] != "" for r in rows] == [has_delta, has_delta]
+    capsys.readouterr()
+
+
 def test_het_table_r0_list_requires_shoot(capsys):
     assert run(["het-table", "--r0-list", "2.6"]) == 2
     assert "--shoot" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from sirbif import (
     invariant_region_bound,
     omega_limit_estimate,
     p_h,
+    p_sn,
     p_t,
     power_fit,
     reduced_to_params,
@@ -31,6 +32,9 @@ from sirbif import (
 )
 from sirbif.connections import FitSingularError
 from conftest import INDEPENDENT_HET_POINTS
+
+
+BASE_A13 = dataclasses.replace(REFERENCE_BASE, A=1.3)
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +92,6 @@ def test_find_het_reference_slice(base, het26):
     assert res.p_het == pytest.approx(0.4459443, abs=2e-4)
     assert res.splitting_residual <= 1e-4
     assert res.iterations > 0
-    assert res.bracket[0] < res.p_het < res.bracket[1]
-    # observed placement: the connection sits below the Hopf value here
-    assert res.ordering == "het < h < t < sn"
     assert 0.0 < res.p_het < p_h(2.6, base) < p_t(2.6, base)
     # within 2% of the interpolated reference value at this abscissa
     assert abs(res.p_het - 0.453994) / 0.453994 < 0.02
@@ -157,10 +158,13 @@ def test_independent_het_locus(base):
 
 
 def test_find_het_same_sign_bracket(base):
-    with pytest.raises(SameSignBracketError):
-        find_het_p(2.6, base, bracket=(0.48, 0.50))
+    # at A = 1.3, r0 = 2.15 the connection lies above the bracket top p = 1
+    with pytest.raises(SameSignBracketError, match="keeps sign"):
+        find_het_p(2.15, BASE_A13)
+    # at r0 = 9 the bottom 0.05*p_sn lies above the Hopf value
+    assert 0.05 * p_sn(9.0, base) > p_h(9.0, base)
     with pytest.raises(ValueError, match="empty bracket"):
-        find_het_p(2.6, base, bracket=(0.5, 0.4))
+        find_het_p(9.0, base)
 
 
 @pytest.mark.parametrize("f, root", [
@@ -195,9 +199,6 @@ def test_find_het_evaluation_cap(base, monkeypatch):
     assert res.splitting_residual == abs(splitting(2.6, res.p_het, base))
 
 
-BASE_A13 = dataclasses.replace(REFERENCE_BASE, A=1.3)
-
-
 def test_find_het_bracket_capped_at_one():
     # at A = 1.3 the transcritical value exceeds p = 1 at every abscissa,
     # and at r0 = 2.19 the Hopf value does too
@@ -205,7 +206,6 @@ def test_find_het_bracket_capped_at_one():
                          (2.6, 0.6306642)):
         res = find_het_p(r0, BASE_A13)
         assert p_t(r0, BASE_A13) > 1.0
-        assert res.bracket[1] <= 1.0
         assert 0.0 < res.p_het < p_h(r0, BASE_A13) < p_t(r0, BASE_A13)
         assert res.p_het == pytest.approx(expected, abs=1e-6)
         assert res.splitting_residual <= 1e-6
@@ -213,36 +213,31 @@ def test_find_het_bracket_capped_at_one():
         assert splitting(r0, res.p_het + 1e-4, BASE_A13) > 0.0
 
 
-@pytest.mark.parametrize("fallback_base", [REFERENCE_BASE, BASE_A13])
-def test_find_het_falls_back_when_hopf_top_misses(fallback_base, monkeypatch):
-    # the fallback top starts at p_t*(1 - 1e-3) capped at 1; at the
-    # reference base the backward shot misses there and the top is pulled
-    # inward, at A = 1.3 the cap applies
-    r0 = 2.6
-    solved = find_het_p(r0, fallback_base).p_het
-    hopf = p_h(r0, fallback_base)
-    top = min(p_t(r0, fallback_base) * (1.0 - 1e-3), 1.0)
-    real = connections.splitting
-
-    def missing_at_hopf(r0, p, *args, **kwargs):
-        if p == hopf:
-            raise connections.NoCrossingError("synthetic miss at p_h")
-        return real(r0, p, *args, **kwargs)
-
-    monkeypatch.setattr(connections, "splitting", missing_at_hopf)
-    res = find_het_p(r0, fallback_base)
-    assert hopf < res.bracket[1] <= top
-    assert res.p_het == pytest.approx(solved, abs=2e-7)
+@pytest.mark.parametrize("het_base, r0_list", [
+    (REFERENCE_BASE, (2.2, 2.6, 3.5)),
+    (BASE_A13, (2.19, 2.6)),
+    (dataclasses.replace(REFERENCE_BASE, A=1.0), (2.6,)),
+])
+def test_find_het_one_bracket(het_base, r0_list, monkeypatch):
+    # the ends (0.05*p_sn, min(p_h, 1)) are shot first, in that order, and
+    # every later shot stays inside them
+    calls = _count_splitting(monkeypatch)
+    for r0 in r0_list:
+        del calls[:]
+        find_het_p(r0, het_base)
+        lo = 0.05 * p_sn(r0, het_base)
+        hi = min(p_h(r0, het_base), 1.0)
+        assert calls[:2] == [lo, hi]
+        assert all(lo <= p <= hi for p in calls)
 
 
 def test_find_het_connection_above_one(monkeypatch):
-    # at r0 = 2.15 both default tops cap at p = 1 and the connection lies
-    # above it: one evaluation there, then the scan, then the error
+    # at r0 = 2.15 the top caps at p = 1 and the connection lies above it:
+    # the two ends are shot, then the error
     calls = _count_splitting(monkeypatch)
     with pytest.raises(SameSignBracketError):
         find_het_p(2.15, BASE_A13)
-    assert calls[1] == 1.0
-    assert len(calls) == len(set(calls)) == 14
+    assert calls == [0.05 * p_sn(2.15, BASE_A13), 1.0]
 
 
 def test_het_table_rows_match_single_solves(base, het26):
@@ -349,9 +344,6 @@ def test_periodic_orbit_reference(base, het26):
 
 def test_periodic_orbit_serialization(base, het26):
     orbit = find_periodic_orbit(2.6, 0.48, base, het_p=het26.p_het)
-    rows = list(orbit.to_csv_rows())
-    assert rows[0] == ("t", "S", "I")
-    assert len(rows) == len(orbit.t) + 1
     d = orbit.to_json_dict()
     assert d["period"] == orbit.period
     assert d["floquet"] == orbit.floquet

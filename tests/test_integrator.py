@@ -245,7 +245,7 @@ def test_omega_limit_escape_from_unstable_focus(base):
 
 def test_unstable_shot_enters_interior(p_zero):
     _, e1 = disease_free(p_zero)
-    traj = manifold_shoot(e1, "unstable", "+", 1e-6, p_zero, 30.0)
+    traj = manifold_shoot(e1, "unstable", 1e-6, p_zero, 30.0)
     assert not traj.reversed_time
     assert traj.states[0, 1] > 0.0
     assert traj.states[1, 1] > traj.states[0, 1]
@@ -256,7 +256,7 @@ def test_stable_shot_traces_backward(base):
     params = reduced_to_params(
         ReducedPoint(1.5, p_t(1.5, base) - 0.02, base))
     e0 = disease_free(params)[0]
-    traj = manifold_shoot(e0, "stable", "+", 1e-6, params, 30.0)
+    traj = manifold_shoot(e0, "stable", 1e-6, params, 30.0)
     assert traj.reversed_time
     assert traj.states[0, 1] > 0.0
     assert traj.states[-1, 1] > traj.states[0, 1]
@@ -264,9 +264,9 @@ def test_stable_shot_traces_backward(base):
 
 def test_offset_scaling_is_linear(p_zero):
     _, e1 = disease_free(p_zero)
-    d_full = dist(tuple(manifold_shoot(e1, "unstable", "+", 1e-5, p_zero,
+    d_full = dist(tuple(manifold_shoot(e1, "unstable", 1e-5, p_zero,
                                        1.0).states[0]), e1.location)
-    d_half = dist(tuple(manifold_shoot(e1, "unstable", "+", 5e-6, p_zero,
+    d_half = dist(tuple(manifold_shoot(e1, "unstable", 5e-6, p_zero,
                                        1.0).states[0]), e1.location)
     assert d_full == pytest.approx(1e-5, rel=1e-9)
     assert d_full / d_half == pytest.approx(2.0, rel=1e-9)
@@ -276,15 +276,13 @@ def test_shoot_validation(p_zero):
     e2 = endemic(p_zero)          # a sink, not a saddle
     _, e1 = disease_free(p_zero)
     with pytest.raises(ValueError, match="saddle"):
-        manifold_shoot(e2, "unstable", "+", 1e-6, p_zero, 1.0)
+        manifold_shoot(e2, "unstable", 1e-6, p_zero, 1.0)
     with pytest.raises(ValueError, match="direction"):
-        manifold_shoot(e1, "sideways", "+", 1e-6, p_zero, 1.0)
-    with pytest.raises(ValueError, match="side"):
-        manifold_shoot(e1, "unstable", "up", 1e-6, p_zero, 1.0)
+        manifold_shoot(e1, "sideways", 1e-6, p_zero, 1.0)
     with pytest.raises(ValueError, match="offset"):
-        manifold_shoot(e1, "unstable", "+", 1e-9, p_zero, 1.0)
+        manifold_shoot(e1, "unstable", 1e-9, p_zero, 1.0)
     with pytest.raises(ValueError, match="offset"):
-        manifold_shoot(e1, "unstable", "+", 1e-3, p_zero, 1.0)
+        manifold_shoot(e1, "unstable", 1e-3, p_zero, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +346,6 @@ def test_recovered_requires_forward_run(p_zero):
 
 def test_trajectory_serialization(p_zero):
     traj = integrate((0.5, 0.1), p_zero, 3.0, tol=1e-8)
-    rows = list(traj.to_csv_rows())
-    assert rows[0] == ("t", "S", "I")
-    assert len(rows) == len(traj.t) + 1
-    assert rows[1] == (float(traj.t[0]), float(traj.states[0, 0]),
-                       float(traj.states[0, 1]))
     d = traj.to_json_dict()
     assert d["terminal"]["kind"] == "time-horizon"
     assert len(d["t"]) == len(traj.t)
