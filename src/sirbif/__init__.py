@@ -57,7 +57,6 @@ from .atlas import (
     region_fan,
 )
 from .integrate import (
-    EquilibriumTarget,
     OmegaLimitResult,
     SectionEvent,
     TerminalEvent,
@@ -106,9 +105,8 @@ __all__ = [
     "hopf_certificate",
     "p_bt1", "p_bt2", "p_h", "p_sn", "p_t", "region_fan",
     # integrate
-    "EquilibriumTarget", "OmegaLimitResult", "SectionEvent", "TerminalEvent",
-    "Trajectory", "integrate", "manifold_shoot", "omega_limit_estimate",
-    "recover_recovered",
+    "OmegaLimitResult", "SectionEvent", "TerminalEvent", "Trajectory",
+    "integrate", "manifold_shoot", "omega_limit_estimate", "recover_recovered",
     # connections
     "REFERENCE_HET_POINTS", "HetResult", "HetRow", "MislabeledRegionError",
     "NoCrossingError", "NotInRegionEError", "SameSignBracketError",

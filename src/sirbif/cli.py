@@ -100,10 +100,11 @@ def _quote(cell: str) -> str:
 
 
 def _write_csv(path: Path, config: RunConfig, columns, rows) -> None:
-    lines = [f"# sirbif {__version__}", f"# config {config.compact()}",
-             ",".join(columns)]
-    lines.extend(",".join(_quote(_cell(v)) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write(f"# sirbif {__version__}\n# config {config.compact()}\n"
+                 + ",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_quote(_cell(v)) for v in row) + "\n")
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:

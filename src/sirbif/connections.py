@@ -146,8 +146,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
 
     unstable = manifold_shoot(
         e1, "unstable", offset, params, _SHOOT_HORIZON, tol=tol,
-        sections=(SectionEvent(0, s2, direction=-1, terminal_after=1,
-                               name="split-u"),),
+        sections=(SectionEvent(s2, -1, terminal=True, name="split-u"),),
         record=False)
     if unstable.terminal.kind != "crossed-section":
         raise NoCrossingError(
@@ -157,8 +156,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     # stable shot runs in reversed time: original dS/dt < 0 is direction +1
     stable = manifold_shoot(
         e0, "stable", offset, params, _SHOOT_HORIZON, tol=tol,
-        sections=(SectionEvent(0, s2, direction=+1, terminal_after=1,
-                               name="split-s"),),
+        sections=(SectionEvent(s2, +1, terminal=True, name="split-s"),),
         record=False)
     if stable.terminal.kind != "crossed-section":
         raise NoCrossingError(
@@ -433,8 +431,7 @@ def _return_map(I_value: float, params: ModelParams, s2: float, *,
     direction = +1 if reverse else -1
     return integrate((s2, I_value), params, _LOOP_HORIZON, tol=tol,
                      reverse_time=reverse,
-                     sections=(SectionEvent(0, s2, direction=direction,
-                                            terminal_after=1,
+                     sections=(SectionEvent(s2, direction, terminal=True,
                                             name="return"),),
                      record=record)
 
@@ -497,13 +494,14 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
             I_cur = I_next
         if not ok or prev is None:
             continue
-        # secant polish on g(I) = P(I) - I
+        # secant polish on g(I) = P(I) - I; the loop recorded from I_b is
+        # kept with it, so the converged cycle is not integrated again
         I_a, g_a = prev
         I_b = I_cur
-        traj = rev_map(I_b)
-        if traj.terminal.kind != "crossed-section":
+        loop = rev_map(I_b, record=True)
+        if loop.terminal.kind != "crossed-section":
             continue
-        g_b = traj.terminal.state[1] - I_b
+        g_b = loop.terminal.state[1] - I_b
         for _ in range(40):
             if abs(g_b) <= return_tol:
                 break
@@ -512,22 +510,21 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
             I_new = I_b - g_b * (I_b - I_a) / (g_b - g_a)
             if not i2 < I_new < i2 + headroom:
                 break
-            traj = rev_map(I_new)
+            traj = rev_map(I_new, record=True)
             if traj.terminal.kind != "crossed-section":
                 break
             I_a, g_a = I_b, g_b
-            I_b = I_new
+            I_b, loop = I_new, traj
             g_b = traj.terminal.state[1] - I_new
         if abs(g_b) <= max(return_tol, 1e-8):
-            fixed = (I_b, abs(g_b))
+            fixed = (I_b, abs(g_b), loop)
             break
     if fixed is None:
         raise MislabeledRegionError(
             f"no attracting reversed cycle found at (r0, p) = ({r0}, {p}); "
             "every start escaped or failed to return")
 
-    I_star, residual = fixed
-    loop = rev_map(I_star, record=True)
+    I_star, residual, loop = fixed
     period = loop.terminal.t
 
     step = min(1e-6, 0.1 * (I_star - i2))

@@ -11,8 +11,8 @@ Two model-specific behaviours live here:
 * the S = 0 wall: when a step crosses S = 1e-12 going down, integration is
   trimmed to the crossing, S is clamped to 0 and the boundary field
   (dS/dt = 0, dI/dt = -(sigma+g)I) takes over for the rest of the run — the
-  non-smooth extension of the flow. On the wall the origin is a genuine
-  attracting point and can be targeted like any equilibrium.
+  non-smooth extension of the flow. The wall is scanned like any other
+  section, ahead of the caller's, until the handoff.
 * eigenvector-offset shooting from a saddle, forward along the unstable
   direction or in reversed time (field negated) along the stable one.
 
@@ -32,7 +32,6 @@ from .equilibria import Equilibrium, StabilityClass
 
 __all__ = [
     "SectionEvent",
-    "EquilibriumTarget",
     "TerminalEvent",
     "Crossing",
     "IntegrationStats",
@@ -76,32 +75,25 @@ class StepFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SectionEvent:
-    """A coordinate section x[coord] = value to detect and localise.
+    """The section S = value, detected and localised in one direction.
 
-    direction: -1 only decreasing crossings, +1 only increasing, 0 both.
-    terminal_after: stop the run once this many crossings of this section
-    have been recorded (None: record only).
+    direction: -1 for crossings with S decreasing, +1 for S increasing
+    (the sign of dS/dt in the active, possibly negated, field).
+    terminal: stop the run at the first such crossing; otherwise every
+    crossing is only recorded.
     """
-    coord: int                   # 0 = S, 1 = I
     value: float
-    direction: int = 0
-    terminal_after: int | None = None
+    direction: int
+    terminal: bool = False
     name: str = "section"
 
+    def __post_init__(self):
+        if self.direction not in (-1, 1):
+            raise ValueError(f"direction must be -1 or +1, got {self.direction}")
 
-@dataclass(frozen=True)
-class EquilibriumTarget:
-    """Convergence target: terminal when ||x - (S, I)|| <= radius and the
-    active field satisfies ||f(x)|| <= field_tol."""
-    ident: str
-    S: float
-    I: float
-    radius: float = 1e-8
-    field_tol: float = 1e-10
 
-    @classmethod
-    def from_equilibrium(cls, equilibrium: Equilibrium, **kw) -> "EquilibriumTarget":
-        return cls(equilibrium.ident, equilibrium.S, equilibrium.I, **kw)
+# scanned ahead of the caller's sections until the run hands off to the wall
+_WALL = SectionEvent(WALL_CLAMP, -1, name="wall")
 
 
 @dataclass(frozen=True)
@@ -109,16 +101,15 @@ class Crossing:
     name: str
     t: float
     state: tuple
-    direction: int               # -1 or +1, sign of d(x[coord])/dt
+    direction: int               # -1 or +1, sign of dS/dt
 
 
 @dataclass(frozen=True)
 class TerminalEvent:
-    kind: str                    # time-horizon | converged-to-equilibrium |
-                                 # crossed-section | left-domain | step-failure
+    kind: str                    # time-horizon | crossed-section |
+                                 # left-domain | step-failure
     t: float
     state: tuple
-    equilibrium: str | None = None
     section: str | None = None
     direction: int = 0
     detail: str = ""
@@ -126,8 +117,6 @@ class TerminalEvent:
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "t": self.t,
                "state": {"S": self.state[0], "I": self.state[1]}}
-        if self.equilibrium is not None:
-            out["equilibrium"] = self.equilibrium
         if self.section is not None:
             out["section"] = self.section
             out["direction"] = self.direction
@@ -238,17 +227,16 @@ def _initial_step(f, x0, f0, t_span, atol, rtol):
 
 
 def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
-              reverse_time: bool = False, sections=(), targets=(),
-              domain_bound: float | None = None,
+              reverse_time: bool = False, sections=(),
               record: bool = True) -> Trajectory:
     """Integrate from x0 over [0, t_end] (elapsed time; the field is negated
     when reverse_time is set).
 
-    sections are SectionEvents to record/stop on; targets are
-    EquilibriumTargets checked after every accepted step (with the active
-    field, so the wall origin is targetable). domain_bound terminates with
-    'left-domain' when max(|S|, |I|) exceeds it; by default it is 50 times
-    the invariant-region height, which only reversed runs ever reach.
+    sections are SectionEvents to record or stop at; until the run hands
+    off to the wall, the downward wall section S = WALL_CLAMP is scanned
+    ahead of them, so a tie goes to the wall. The run ends with
+    'left-domain' once max(|S|, |I|) exceeds 50 times the invariant-region
+    height, which only reversed runs ever reach.
 
     The step size underflowing 1e-14*max(1, t) yields a 'step-failure'
     terminal rather than an exception.
@@ -268,8 +256,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     u = params.sigma + params.g
     pm = params.p * params.m
     sgn = -1.0 if reverse_time else 1.0
-    if domain_bound is None:
-        domain_bound = 50.0 * max(1.0, A * (u + A) / u)
+    bound = 50.0 * max(1.0, A * (u + A) / u)
 
     def f_interior(x):
         S, I = x
@@ -283,6 +270,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     if on_wall:
         S0 = 0.0
     fieldf = f_wall if on_wall else f_interior
+    armed = tuple(sections) if on_wall else (_WALL, *sections)
 
     x = (S0, I0)
     t = 0.0
@@ -290,7 +278,6 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     evals = 1
     ts, xs, fs = [t], [x], [fx]
     crossings: list = []
-    counts = {id(s): 0 for s in sections}
     terminal: TerminalEvent | None = None
     accepted = rejected = 0
     max_err = 0.0
@@ -301,11 +288,6 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
             ts.append(tv), xs.append(xv), fs.append(fv)
         else:
             ts[-1], xs[-1], fs[-1] = tv, xv, fv
-
-    hit = _target_hit(x, fx, targets)
-    if hit is not None:
-        terminal = TerminalEvent("converged-to-equilibrium", t, x,
-                                 equilibrium=hit.ident)
 
     h = _initial_step(fieldf, x, fx, t_end, tol, tol)
     evals += 1
@@ -373,44 +355,33 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
             f_new = fieldf(x_new)
             evals += 1
 
-        step_h = t_new - t
-        events = _scan_step(t, x, f1, t_new, x_new, f_new, step_h,
-                            sections, counts, crossings,
-                            wall_armed=not on_wall)
-        if events is not None and events[0] == "wall":
-            _, t_hit, I_hit = events
-            t, x = t_hit, (0.0, max(I_hit, 0.0))
-            on_wall = True
-            fieldf = f_wall
-            fx = fieldf(x)
-            evals += 1
-            crossings.append(Crossing("wall", t, x, -1))
-            push(t, x, fx)
-            hit = _target_hit(x, fx, targets)
-            if hit is not None:
-                terminal = TerminalEvent("converged-to-equilibrium", t, x,
-                                         equilibrium=hit.ident)
-            continue
-        if events is not None:
-            _, sec, t_hit, x_hit, direction = events
-            t, x = t_hit, x_hit
+        hit = _scan_step(t, x, f1, t_new, x_new, f_new, t_new - t, armed,
+                         crossings)
+        if hit is not None:
+            t, x_hit, sec = hit
+            if sec is _WALL:
+                x = (0.0, max(x_hit[1], 0.0))
+                on_wall = True
+                fieldf = f_wall
+                armed = tuple(sections)
+                fx = fieldf(x)
+                evals += 1
+                crossings.append(Crossing("wall", t, x, -1))
+                push(t, x, fx)
+                continue
+            x = x_hit
             fx = fieldf(x)
             evals += 1
             terminal = TerminalEvent("crossed-section", t, x,
-                                     section=sec.name, direction=direction)
+                                     section=sec.name, direction=sec.direction)
             break
 
         t, x, fx = t_new, x_new, f_new
         push(t, x, fx)
 
-        if max(abs(x[0]), abs(x[1])) > domain_bound:
+        if max(abs(x[0]), abs(x[1])) > bound:
             terminal = TerminalEvent("left-domain", t, x,
-                                     detail=f"|x| exceeded {domain_bound:g}")
-            break
-        hit = _target_hit(x, fx, targets)
-        if hit is not None:
-            terminal = TerminalEvent("converged-to-equilibrium", t, x,
-                                     equilibrium=hit.ident)
+                                     detail=f"|x| exceeded {bound:g}")
             break
         if last:
             terminal = TerminalEvent("time-horizon", t, x)
@@ -435,58 +406,40 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     )
 
 
-def _target_hit(x, fx, targets):
-    for tgt in targets:
-        dS = x[0] - tgt.S
-        dI = x[1] - tgt.I
-        if (math.sqrt(dS * dS + dI * dI) <= tgt.radius
-                and math.hypot(fx[0], fx[1]) <= tgt.field_tol):
-            return tgt
-    return None
-
-
-def _scan_step(t, x, fx, t_new, x_new, f_new, h, sections, counts,
-               crossings, *, wall_armed):
-    """Scan one accepted step for section crossings on the Hermite
-    interpolant (4 subintervals per section). Returns None, a wall hit
-    ('wall', t_hit, I_hit), or a terminal section hit
-    ('section', section, t_hit, x_hit, direction); non-terminal crossings
-    are appended to ``crossings`` in time order.
+def _scan_step(t, x, fx, t_new, x_new, f_new, h, sections, crossings):
+    """Scan one accepted step for crossings of the sections on the Hermite
+    interpolant (4 subintervals per section) and return the first wall or
+    terminal hit as (t_hit, x_hit, section), else None. Crossings of other
+    sections up to that hit are appended to ``crossings`` in time order;
+    the wall's is left to the caller, which clamps it onto S = 0.
     """
     if h <= 0.0:
         return None
     found = []
-    if wall_armed:
-        found.extend(_bracket_roots(t, x, fx, t_new, x_new, f_new, h,
-                                    coord=0, value=WALL_CLAMP, direction=-1,
-                                    tag=None))
     for sec in sections:
-        found.extend(_bracket_roots(t, x, fx, t_new, x_new, f_new, h,
-                                    coord=sec.coord, value=sec.value,
-                                    direction=sec.direction, tag=sec))
+        found.extend(_bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec))
     if not found:
         return None
     found.sort(key=lambda item: item[0])
-    for t_hit, x_hit, direction, tag in found:
-        if tag is None:
-            return ("wall", t_hit, x_hit[1])
-        counts[id(tag)] += 1
-        crossings.append(Crossing(tag.name, t_hit, x_hit, direction))
-        if tag.terminal_after is not None and counts[id(tag)] >= tag.terminal_after:
-            return ("section", tag, t_hit, x_hit, direction)
+    for t_hit, x_hit, sec in found:
+        if sec is _WALL:
+            return t_hit, x_hit, sec
+        crossings.append(Crossing(sec.name, t_hit, x_hit, sec.direction))
+        if sec.terminal:
+            return t_hit, x_hit, sec
     return None
 
 
-def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, *, coord, value,
-                   direction, tag):
-    """Find crossings of x[coord] = value inside one step via sign changes
-    of the Hermite interpolant on 4 subintervals, bisected to
+def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec):
+    """Find crossings of S = sec.value in sec.direction inside one step via
+    sign changes of the Hermite interpolant on 4 subintervals, bisected to
     |residual| <= 1e-12 (well inside the 1e-10 contract)."""
-    x0c, x1c = x[coord], x_new[coord]
-    f0c, f1c = fx[coord], f_new[coord]
+    value = sec.value
+    S0, S1 = x[0], x_new[0]
+    fS0, fS1 = fx[0], f_new[0]
 
     def g(theta):
-        return _hermite(theta, h, x0c, f0c, x1c, f1c) - value
+        return _hermite(theta, h, S0, fS0, S1, fS1) - value
 
     thetas = [i / 4 for i in range(5)]
     vals = [g(th) for th in thetas]
@@ -501,6 +454,8 @@ def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, *, coord, value,
         glo = g0
         if g0 * g1 == 0.0 and g1 != 0.0:
             continue
+        if (-1 if g0 > g1 else 1) != sec.direction:
+            continue
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             gm = g(mid)
@@ -512,16 +467,8 @@ def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, *, coord, value,
             else:
                 lo, glo = mid, gm
         theta_hit = 0.5 * (lo + hi) if abs(g(lo)) > 1e-12 else lo
-        cross_dir = -1 if g0 > g1 else 1
-        if direction != 0 and cross_dir != direction:
-            continue
-        other = 1 - coord
-        o0, o1 = x[other], x_new[other]
-        fo0, fo1 = fx[other], f_new[other]
-        other_val = _hermite(theta_hit, h, o0, fo0, o1, fo1)
-        coord_val = g(theta_hit) + value
-        state = (coord_val, other_val) if coord == 0 else (other_val, coord_val)
-        out.append((t + theta_hit * h, state, cross_dir, tag))
+        I_hit = _hermite(theta_hit, h, x[1], fx[1], x_new[1], f_new[1])
+        out.append((t + theta_hit * h, (g(theta_hit) + value, I_hit), sec))
     return out
 
 
@@ -540,31 +487,23 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
                          tol: float = 1e-8) -> OmegaLimitResult:
     """Estimate the forward limit set of the trajectory through x0.
 
-    Equilibrium-convergence events are armed for every admissible
-    equilibrium plus the wall origin (reported as 'boundary-axis'). 'cycle'
+    One run with no convergence stop: a run that leaves the domain is
+    'undecided', one that ends on the S = 0 wall 'boundary-axis'. 'cycle'
     is reported when, within the last 20% of the horizon, the trajectory
     crosses the section S = S2 (downward) at least 3 times with successive
-    gaps and crossing heights each consistent to 1%; crossings whose mean
-    height has already collapsed to within 1e-3 of I2 are counted as
-    convergence to E2 instead of a cycle.
+    gaps and crossing heights each consistent to 1%; crossings whose
+    heights have all collapsed to within 1e-3 of I2 are counted as
+    convergence to E2 instead of a cycle. Otherwise, when the field at the
+    final state is below 1e-6, the verdict is the admissible equilibrium
+    within 1e-6 of it, and 'undecided' failing that.
     """
-    targets = [EquilibriumTarget.from_equilibrium(e)
-               for e in eqmod.disease_free(params)]
     e2 = eqmod.endemic(params)
-    sections = []
+    sections = ()
     if e2.I > 0.0:
-        targets.append(EquilibriumTarget.from_equilibrium(e2))
-        sections.append(SectionEvent(coord=0, value=e2.S, direction=-1,
-                                     name="omega-S2"))
-    targets.append(EquilibriumTarget("wall-origin", 0.0, 0.0))
+        sections = (SectionEvent(e2.S, -1, name="omega-S2"),)
 
-    traj = integrate(x0, params, horizon, tol=tol, sections=sections,
-                     targets=targets)
+    traj = integrate(x0, params, horizon, tol=tol, sections=sections)
     term = traj.terminal
-    if term.kind == "converged-to-equilibrium":
-        if term.equilibrium == "wall-origin":
-            return OmegaLimitResult("boundary-axis", traj)
-        return OmegaLimitResult(term.equilibrium, traj)
     if term.kind == "step-failure":
         raise StepFailure(term.detail)
     if term.kind == "left-domain":
@@ -593,10 +532,9 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
                 "cycle", traj,
                 detail=f"period ~ {mean_gap:.6g}, section height ~ {mean_height:.6g}")
 
-    # Slow final approach: a weakly attracting equilibrium may not shrink
-    # the distance below the 1e-8 trigger radius within the horizon even
-    # though convergence is unambiguous.  Accept proximity at 1e-6 when the
-    # field is already negligible there.
+    # Final approach: accept proximity at 1e-6 to an equilibrium when the
+    # field is already negligible there; a weakly attracting one may still
+    # be that far off at the horizon although convergence is unambiguous.
     xf = traj.final_state
     ff = vector_field(xf, params)
     if math.hypot(ff[0], ff[1]) < 1e-6:
@@ -617,7 +555,7 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
 
 def manifold_shoot(equilibrium: Equilibrium, direction: str, offset: float,
                    params: ModelParams, t_end: float, *,
-                   tol: float = 1e-8, sections=(), targets=(),
+                   tol: float = 1e-8, sections=(),
                    record: bool = True) -> Trajectory:
     """Launch a trajectory off a saddle along an eigenvector.
 
@@ -657,7 +595,7 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str, offset: float,
         x0 = (x0[0], 0.0)
     return integrate(x0, params, t_end, tol=tol,
                      reverse_time=(direction == "stable"),
-                     sections=sections, targets=targets, record=record)
+                     sections=sections, record=record)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from sirbif import (
     REFERENCE_BASE,
-    EquilibriumTarget,
     ModelParams,
     ReducedPoint,
     SectionEvent,
@@ -121,8 +120,7 @@ def test_dense_output_matches_fine_solution(p_zero):
 
 def test_section_event_localization(p_zero):
     e2 = endemic(p_zero)
-    sec = SectionEvent(coord=0, value=e2.S, direction=0, terminal_after=1,
-                       name="test-sec")
+    sec = SectionEvent(e2.S, -1, terminal=True, name="test-sec")
     traj = integrate((0.9, 0.3), p_zero, 50.0, tol=1e-8, sections=[sec])
     assert traj.terminal.kind == "crossed-section"
     assert traj.terminal.section == "test-sec"
@@ -132,7 +130,7 @@ def test_section_event_localization(p_zero):
 
 def test_directional_crossings_only(p_zero):
     e2 = endemic(p_zero)
-    down = SectionEvent(coord=0, value=e2.S, direction=-1, name="down")
+    down = SectionEvent(e2.S, -1, name="down")
     traj = integrate((0.9, 0.3), p_zero, 120.0, tol=1e-8, sections=[down])
     named = [c for c in traj.crossings if c.name == "down"]
     assert named, "spiral toward E2 must cross its section"
@@ -144,25 +142,20 @@ def test_directional_crossings_only(p_zero):
         assert vector_field(c.state, p_zero)[0] < 1e-8
 
 
-def test_equilibrium_target_event(p_zero):
-    # radius/field_tol sit above the solver's noise floor at this tol
-    e2 = endemic(p_zero)
-    target = EquilibriumTarget.from_equilibrium(e2, radius=1e-6,
-                                                field_tol=1e-8)
-    traj = integrate((0.9, 0.3), p_zero, 2000.0, tol=1e-8, targets=[target])
-    assert traj.terminal.kind == "converged-to-equilibrium"
-    assert traj.terminal.equilibrium == "E2"
-    assert traj.terminal.t < 2000.0
-    assert dist(traj.terminal.state, e2.location) <= 1e-6
-    f = vector_field(traj.terminal.state, p_zero)
-    assert math.hypot(*f) <= 1e-8
+@pytest.mark.parametrize("direction", [0, 2])
+def test_section_direction_must_be_signed(direction):
+    with pytest.raises(ValueError, match="direction must be -1 or \\+1"):
+        SectionEvent(0.5, direction)
 
 
-def test_left_domain_terminal(p_zero):
-    # starting near the axis, S climbs toward A = 1.1 and exits the box
-    traj = integrate((0.95, 0.01), p_zero, 50.0, tol=1e-8, domain_bound=1.02)
+def test_left_domain_terminal():
+    # in reversed time S runs off to infinity from near the S-axis
+    params = reduced_to_params(ReducedPoint(2.6, 0.48, REFERENCE_BASE))
+    traj = integrate((0.95, 0.01), params, 50.0, tol=1e-8, reverse_time=True)
+    bound = 50.0 * invariant_region_bound(params)
     assert traj.terminal.kind == "left-domain"
-    assert max(abs(traj.terminal.state[0]), abs(traj.terminal.state[1])) > 1.02
+    assert traj.terminal.t < 50.0
+    assert max(abs(traj.terminal.state[0]), abs(traj.terminal.state[1])) > bound
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +181,18 @@ def test_wall_handoff_and_decay():
     t_w = traj.t[wall_pos:]
     predicted = wall_I[0] * np.exp(-params.removal * (t_w - t_w[0]))
     assert float(np.abs(wall_I - predicted).max()) <= 1e-6
+
+    # a recorded section above the wall is crossed first, in time order, and
+    # recording it leaves the run itself unchanged
+    above = SectionEvent(0.02, -1, name="above-wall")
+    both = integrate((0.05, 0.5), params, 400.0, tol=1e-8, sections=[above])
+    assert [c.name for c in both.crossings] == ["above-wall", "wall"]
+    assert both.crossings[0].t < both.crossings[1].t
+    assert abs(both.crossings[0].state[0] - 0.02) <= 1e-10
+    assert both.crossings[1].state[0] == 0.0
+    assert both.crossings[1].direction == -1
+    assert np.array_equal(both.t, traj.t)
+    assert np.array_equal(both.states, traj.states)
 
 
 # ---------------------------------------------------------------------------
