@@ -12,7 +12,6 @@ from .model import (
     ModelParams,
     REFERENCE_BASE,
     ReducedPoint,
-    boundary_field,
     gronwall_envelope,
     in_invariant_region,
     invariant_region_bound,
@@ -34,17 +33,14 @@ from .equilibria import (
     eigenvalues_2x2,
     endemic,
     jacobian,
-    residual_at,
 )
 from .atlas import (
     CurveDomainError,
     DZCertificate,
     HopfCertificate,
-    OrderingReport,
     RegionFlagError,
     RegionLabel,
     classify_region,
-    curve_ordering_check,
     curve_values_at,
     dz_point,
     e2_trace,
@@ -90,19 +86,16 @@ __all__ = [
     "__version__",
     # model
     "BaseParams", "ModelParams", "REFERENCE_BASE", "ReducedPoint",
-    "boundary_field", "gronwall_envelope", "in_invariant_region",
-    "invariant_region_bound", "params_to_reduced", "r0_of",
-    "reduced_to_params", "vector_field",
+    "gronwall_envelope", "in_invariant_region", "invariant_region_bound",
+    "params_to_reduced", "r0_of", "reduced_to_params", "vector_field",
     # equilibria
     "BelyakovDomainError", "Equilibrium", "StabilityClass",
     "belyakov_r0_zero_p", "belyakov_roots", "classify", "delta2_eval",
     "delta2_scale", "disease_free", "eigenvalues_2x2", "endemic", "jacobian",
-    "residual_at",
     # atlas
     "CurveDomainError", "DZCertificate", "HopfCertificate",
-    "OrderingReport", "RegionFlagError", "RegionLabel", "classify_region",
-    "curve_ordering_check", "curve_values_at", "dz_point", "e2_trace",
-    "hopf_certificate",
+    "RegionFlagError", "RegionLabel", "classify_region", "curve_values_at",
+    "dz_point", "e2_trace", "hopf_certificate",
     "p_bt1", "p_bt2", "p_h", "p_sn", "p_t", "region_fan",
     # integrate
     "OmegaLimitResult", "SectionEvent", "TerminalEvent", "Trajectory",

@@ -36,15 +36,12 @@ from .equilibria import (
     _jacobian_entries,
     belyakov_r0_zero_p,
     belyakov_roots,
-    delta2_eval,
 )
 
 __all__ = [
     "CurveDomainError",
-    "OrderingViolation",
     "RegionFlagError",
     "RegionLabel",
-    "OrderingReport",
     "DZCertificate",
     "HopfCertificate",
     "p_sn",
@@ -53,7 +50,6 @@ __all__ = [
     "p_bt1",
     "p_bt2",
     "e2_trace",
-    "curve_ordering_check",
     "dz_point",
     "hopf_certificate",
     "classify_region",
@@ -71,10 +67,6 @@ _RING_RADIUS = 0.02        # radius of the portrait seed ring
 
 class CurveDomainError(ValueError):
     """Curve evaluated outside the r0 range where it is defined."""
-
-
-class OrderingViolation(RuntimeError):
-    """The proved curve ordering failed numerically (should be unreachable)."""
 
 
 class RegionFlagError(RuntimeError):
@@ -133,45 +125,6 @@ def e2_trace(r0: float, p: float, base: BaseParams) -> float:
     in p, so E2 is spectrally stable below the Hopf curve and unstable above.
     """
     return p * base.m * r0 / base.A - base.A / r0
-
-
-# ----------------------------------------------------------------------
-# curve ordering
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    r0: float
-    p_h: float | None
-    p_t: float
-    p_sn: float
-    relation: str
-    at_dz: bool
-
-
-def curve_ordering_check(r0: float, base: BaseParams) -> OrderingReport:
-    """Verify the proved ordering of the closed-form curves at one r0.
-
-    r0 > 2: p_h < p_t < p_sn (strict); 1 < r0 < 2: p_t < p_sn;
-    |r0 - 2| <= 1e-12 is reported as the triple-equality boundary point.
-    Raises OrderingViolation with all values if the inequalities fail.
-    """
-    if r0 <= 1.0:
-        raise CurveDomainError(f"ordering check needs r0 > 1, got {r0}")
-    sn = p_sn(r0, base)
-    t = p_t(r0, base)
-    if abs(r0 - 2.0) <= 1e-12:
-        h = p_h(2.0, base)
-        return OrderingReport(r0, h, t, sn, "p_h = p_t = p_sn", True)
-    if r0 < 2.0:
-        if not t < sn:
-            raise OrderingViolation(f"expected p_t < p_sn at r0={r0}: {t} vs {sn}")
-        return OrderingReport(r0, None, t, sn, "p_t < p_sn", False)
-    h = p_h(r0, base)
-    if not (h < t < sn):
-        raise OrderingViolation(
-            f"expected p_h < p_t < p_sn at r0={r0}: {h}, {t}, {sn}")
-    return OrderingReport(r0, h, t, sn, "p_h < p_t < p_sn", False)
 
 
 # ----------------------------------------------------------------------

@@ -171,8 +171,7 @@ def _effective_tol(ns, default: float) -> float:
 
 
 def _config_for(ns, command: str, extra: dict, tol: float) -> RunConfig:
-    settings = {"tol": tol, "jobs": ns.jobs, "seed": ns.seed,
-                "formats": list(_formats(ns))}
+    settings = {"tol": tol, "jobs": ns.jobs, "formats": list(_formats(ns))}
     settings.update(extra)
     return RunConfig(command, settings)
 
@@ -826,9 +825,6 @@ def _io_parent() -> argparse.ArgumentParser:
                      help="integration tolerance (command-specific default)")
     grp.add_argument("--jobs", type=int, default=1,
                      help="parallel workers for independent rows "
-                          "(default %(default)s)")
-    grp.add_argument("--seed", type=int, default=0,
-                     help="seed recorded in the run configuration "
                           "(default %(default)s)")
     return parent
 

@@ -79,6 +79,7 @@ _SHOOT_TOL = 1e-10
 _SHOOT_HORIZON = 900.0
 _SOLVE_TOL = 1e-7          # Brent stops once its bracket is this narrow
 _LOOP_HORIZON = 800.0      # time allowed for one traversal of the return map
+_RETURN_TOL = 1e-9         # fixed-point tolerance of the return map
 _FIT_ROUNDS = 500
 
 
@@ -124,7 +125,6 @@ def _saddle_pair(params: ModelParams):
 
 
 def splitting(r0: float, p: float, base: BaseParams, *,
-              offset: float = _SHOOT_OFFSET,
               tol: float = _SHOOT_TOL) -> float:
     """Signed gap I_u - I_s between the manifolds on the section S = S2.
 
@@ -145,8 +145,8 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     s2 = eqmod.endemic(params).S
 
     unstable = manifold_shoot(
-        e1, "unstable", offset, params, _SHOOT_HORIZON, tol=tol,
-        sections=(SectionEvent(s2, -1, terminal=True, name="split-u"),),
+        e1, "unstable", _SHOOT_OFFSET, params, _SHOOT_HORIZON, tol=tol,
+        sections=(SectionEvent(s2, -1, name="split-u"),),
         record=False)
     if unstable.terminal.kind != "crossed-section":
         raise NoCrossingError(
@@ -155,8 +155,8 @@ def splitting(r0: float, p: float, base: BaseParams, *,
 
     # stable shot runs in reversed time: original dS/dt < 0 is direction +1
     stable = manifold_shoot(
-        e0, "stable", offset, params, _SHOOT_HORIZON, tol=tol,
-        sections=(SectionEvent(s2, +1, terminal=True, name="split-s"),),
+        e0, "stable", _SHOOT_OFFSET, params, _SHOOT_HORIZON, tol=tol,
+        sections=(SectionEvent(s2, +1, name="split-s"),),
         record=False)
     if stable.terminal.kind != "crossed-section":
         raise NoCrossingError(
@@ -224,28 +224,25 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> tuple:
 
 
 def find_het_p(r0: float, base: BaseParams, *,
-               offset: float = _SHOOT_OFFSET,
                tol: float = _SHOOT_TOL) -> HetResult:
     """Locate the heteroclinic p at this r0 by Brent's method on the
     splitting.
 
-    The bracket is (0.05*p_sn, min(p_h, 1)): for r0 > 2 the connection
-    lies below the Hopf value, which lies below p_t. If the splitting has
-    the same sign at both ends the connection lies outside the bracket
-    (for instance above p = 1) and SameSignBracketError is raised; a
-    NoCrossingError at either end propagates.
+    The bracket is (0.05*hi, hi) with hi = min(p_h, 1): for r0 > 2 the
+    connection lies below the Hopf value, which lies below p_t. If the
+    splitting has the same sign at both ends the connection lies outside
+    the bracket (for instance above p = 1) and SameSignBracketError is
+    raised; a NoCrossingError at either end propagates.
 
     The solver stops once the root is bracketed to 1e-7. ``p_het`` is its
     best iterate, ``splitting_residual`` the absolute splitting there and
     ``iterations`` its evaluations after the two ends.
     """
     def split(p: float) -> float:
-        return splitting(r0, p, base, offset=offset, tol=tol)
+        return splitting(r0, p, base, tol=tol)
 
-    lo = 0.05 * atlas.p_sn(r0, base)
     hi = min(atlas.p_h(r0, base), 1.0)
-    if not lo < hi:
-        raise ValueError(f"empty bracket ({lo}, {hi})")
+    lo = 0.05 * hi
     s_lo, s_hi = split(lo), split(hi)
     if s_lo * s_hi > 0.0:
         raise SameSignBracketError(
@@ -431,22 +428,21 @@ def _return_map(I_value: float, params: ModelParams, s2: float, *,
     direction = +1 if reverse else -1
     return integrate((s2, I_value), params, _LOOP_HORIZON, tol=tol,
                      reverse_time=reverse,
-                     sections=(SectionEvent(s2, direction, terminal=True,
-                                            name="return"),),
+                     sections=(SectionEvent(s2, direction, name="return"),),
                      record=record)
 
 
 def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
-                        het_p: float | None = None, tol: float = 1e-10,
-                        return_tol: float = 1e-9) -> PeriodicOrbit:
+                        het_p: float | None = None,
+                        tol: float = 1e-10) -> PeriodicOrbit:
     """Find the unstable cycle around E2 for p strictly between the Hopf
     and heteroclinic values at this r0.
 
     In reversed time the cycle attracts everything between E2 and itself,
     so iterating the reversed return map on S = S2 from a ladder of start
     heights converges to its section height; a secant refinement then
-    polishes the fixed point to ``return_tol``. The period is read off the
-    converged loop and the Floquet multiplier from a centred difference
+    polishes the fixed point to 1e-9 (a residual up to 1e-8 is accepted).
+    The period is read off the converged loop and the Floquet multiplier from a centred difference
     (step 1e-6) of the original-time return map, which must exceed 1.
 
     ``het_p`` skips re-solving the heteroclinic location when the caller
@@ -486,7 +482,7 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
                 ok = False
                 break
             I_next = traj.terminal.state[1]
-            if abs(I_next - I_cur) <= return_tol:
+            if abs(I_next - I_cur) <= _RETURN_TOL:
                 prev = (I_cur, I_next - I_cur)
                 I_cur = I_next
                 break
@@ -503,7 +499,7 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
             continue
         g_b = loop.terminal.state[1] - I_b
         for _ in range(40):
-            if abs(g_b) <= return_tol:
+            if abs(g_b) <= _RETURN_TOL:
                 break
             if g_b == g_a or I_a == I_b:
                 break
@@ -516,7 +512,7 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
             I_a, g_a = I_b, g_b
             I_b, loop = I_new, traj
             g_b = traj.terminal.state[1] - I_new
-        if abs(g_b) <= max(return_tol, 1e-8):
+        if abs(g_b) <= 1e-8:
             fixed = (I_b, abs(g_b), loop)
             break
     if fixed is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BaseParams, ModelParams, vector_field
+from .model import BaseParams, ModelParams
 
 __all__ = [
     "StabilityClass",
@@ -190,12 +190,6 @@ def endemic(params: ModelParams) -> Equilibrium:
         return _make("E2", S2, I2, params)
     eigs = eigenvalues_2x2(_jacobian_entries(S2, I2, params.A, b, u))
     return Equilibrium("E2", S2, I2, eigs, StabilityClass.NONEXISTENT)
-
-
-def residual_at(eq: Equilibrium, params: ModelParams) -> float:
-    """Max-norm of the field at the equilibrium location (diagnostic)."""
-    dS, dI = vector_field(eq.location, params)
-    return max(abs(dS), abs(dI))
 
 
 def delta2_eval(p: float, params) -> float:

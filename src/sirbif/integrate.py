@@ -3,8 +3,8 @@
 The stepper is an explicit Dormand-Prince 5(4) pair (FSAL) with
 proportional-integral step-size control and a mixed absolute/relative error
 norm, err_i / (atol + rtol*|x_i|) with atol = rtol = tol. Dense output is
-cubic Hermite on each accepted step and is used to localise section
-crossings to |residual| <= 1e-10.
+cubic Hermite on each accepted step and is used to localise the section
+crossing that stops a run to |residual| <= 1e-10.
 
 Two model-specific behaviours live here:
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, vector_field
+from .model import ModelParams
 from . import equilibria as eqmod
 from .equilibria import Equilibrium, StabilityClass
 
@@ -78,13 +78,11 @@ class SectionEvent:
     """The section S = value, detected and localised in one direction.
 
     direction: -1 for crossings with S decreasing, +1 for S increasing
-    (the sign of dS/dt in the active, possibly negated, field).
-    terminal: stop the run at the first such crossing; otherwise every
-    crossing is only recorded.
+    (the sign of dS/dt in the active, possibly negated, field). The run
+    stops at the first such crossing.
     """
     value: float
     direction: int
-    terminal: bool = False
     name: str = "section"
 
     def __post_init__(self):
@@ -232,11 +230,11 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     """Integrate from x0 over [0, t_end] (elapsed time; the field is negated
     when reverse_time is set).
 
-    sections are SectionEvents to record or stop at; until the run hands
-    off to the wall, the downward wall section S = WALL_CLAMP is scanned
-    ahead of them, so a tie goes to the wall. The run ends with
-    'left-domain' once max(|S|, |I|) exceeds 50 times the invariant-region
-    height, which only reversed runs ever reach.
+    The run stops with 'crossed-section' at the first crossing of any of the
+    SectionEvents in sections. Until it hands off to the wall, the downward
+    wall section S = WALL_CLAMP is scanned ahead of them, so a tie goes to
+    the wall. The run ends with 'left-domain' once max(|S|, |I|) exceeds 50
+    times the invariant-region height, which only reversed runs ever reach.
 
     The step size underflowing 1e-14*max(1, t) yields a 'step-failure'
     terminal rather than an exception.
@@ -355,8 +353,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
             f_new = fieldf(x_new)
             evals += 1
 
-        hit = _scan_step(t, x, f1, t_new, x_new, f_new, t_new - t, armed,
-                         crossings)
+        hit = _scan_step(t, x, f1, t_new, x_new, f_new, t_new - t, armed)
         if hit is not None:
             t, x_hit, sec = hit
             if sec is _WALL:
@@ -370,6 +367,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
                 push(t, x, fx)
                 continue
             x = x_hit
+            crossings.append(Crossing(sec.name, t, x, sec.direction))
             fx = fieldf(x)
             evals += 1
             terminal = TerminalEvent("crossed-section", t, x,
@@ -406,12 +404,11 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     )
 
 
-def _scan_step(t, x, fx, t_new, x_new, f_new, h, sections, crossings):
+def _scan_step(t, x, fx, t_new, x_new, f_new, h, sections):
     """Scan one accepted step for crossings of the sections on the Hermite
-    interpolant (4 subintervals per section) and return the first wall or
-    terminal hit as (t_hit, x_hit, section), else None. Crossings of other
-    sections up to that hit are appended to ``crossings`` in time order;
-    the wall's is left to the caller, which clamps it onto S = 0.
+    interpolant (4 subintervals per section) and return the earliest as
+    (t_hit, x_hit, section), else None. A tie goes to the section listed
+    first, so the wall, armed first, wins it.
     """
     if h <= 0.0:
         return None
@@ -420,14 +417,7 @@ def _scan_step(t, x, fx, t_new, x_new, f_new, h, sections, crossings):
         found.extend(_bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec))
     if not found:
         return None
-    found.sort(key=lambda item: item[0])
-    for t_hit, x_hit, sec in found:
-        if sec is _WALL:
-            return t_hit, x_hit, sec
-        crossings.append(Crossing(sec.name, t_hit, x_hit, sec.direction))
-        if sec.terminal:
-            return t_hit, x_hit, sec
-    return None
+    return min(found, key=lambda item: item[0])
 
 
 def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec):
@@ -478,31 +468,20 @@ def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec):
 
 @dataclass(frozen=True)
 class OmegaLimitResult:
-    outcome: str                 # E0 | E1 | E2 | cycle | boundary-axis | undecided
+    outcome: str                 # E0 | E1 | E2 | boundary-axis | undecided
     trajectory: Trajectory
     detail: str = ""
 
 
 def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
                          tol: float = 1e-8) -> OmegaLimitResult:
-    """Estimate the forward limit set of the trajectory through x0.
-
-    One run with no convergence stop: a run that leaves the domain is
-    'undecided', one that ends on the S = 0 wall 'boundary-axis'. 'cycle'
-    is reported when, within the last 20% of the horizon, the trajectory
-    crosses the section S = S2 (downward) at least 3 times with successive
-    gaps and crossing heights each consistent to 1%; crossings whose
-    heights have all collapsed to within 1e-3 of I2 are counted as
-    convergence to E2 instead of a cycle. Otherwise, when the field at the
-    final state is below 1e-6, the verdict is the admissible equilibrium
-    within 1e-6 of it, and 'undecided' failing that.
+    """Estimate the forward limit set of the trajectory through x0 from the
+    end of one run over the horizon: 'undecided' if it left the domain,
+    'boundary-axis' on the S = 0 wall, else the admissible equilibrium within
+    1e-3 of the end state (a sink, or a saddle reached along its stable
+    manifold, as on I = 0), or 'undecided'. No cycle: the Hopf one is unstable.
     """
-    e2 = eqmod.endemic(params)
-    sections = ()
-    if e2.I > 0.0:
-        sections = (SectionEvent(e2.S, -1, name="omega-S2"),)
-
-    traj = integrate(x0, params, horizon, tol=tol, sections=sections)
+    traj = integrate(x0, params, horizon, tol=tol)
     term = traj.terminal
     if term.kind == "step-failure":
         raise StepFailure(term.detail)
@@ -511,41 +490,12 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
     if traj.on_wall:
         return OmegaLimitResult("boundary-axis", traj,
                                 detail="on the wall, I still decaying")
-
-    late = [c for c in traj.crossings
-            if c.name == "omega-S2" and c.t >= 0.8 * horizon]
-    if len(late) >= 3:
-        gaps = [late[i + 1].t - late[i].t for i in range(len(late) - 1)]
-        heights = [c.state[1] for c in late]
-        mean_gap = sum(gaps) / len(gaps)
-        mean_height = sum(heights) / len(heights)
-        if e2.I > 0.0 and all(abs(ht - e2.I) < 1e-3 for ht in heights):
-            # crossing heights hugging I2: the spiral has collapsed, even if
-            # phase jitter at the tolerance floor blurs the crossing times
-            return OmegaLimitResult(
-                "E2", traj, detail="spiral collapsed onto E2")
-        gaps_ok = all(abs(gp - mean_gap) <= 0.01 * mean_gap for gp in gaps)
-        heights_ok = mean_height > 0.0 and all(
-            abs(ht - mean_height) <= 0.01 * mean_height for ht in heights)
-        if gaps_ok and heights_ok:
-            return OmegaLimitResult(
-                "cycle", traj,
-                detail=f"period ~ {mean_gap:.6g}, section height ~ {mean_height:.6g}")
-
-    # Final approach: accept proximity at 1e-6 to an equilibrium when the
-    # field is already negligible there; a weakly attracting one may still
-    # be that far off at the horizon although convergence is unambiguous.
     xf = traj.final_state
-    ff = vector_field(xf, params)
-    if math.hypot(ff[0], ff[1]) < 1e-6:
-        candidates = list(eqmod.disease_free(params))
-        if e2.I > 0.0:
-            candidates.append(e2)
-        for eq in candidates:
-            if math.hypot(xf[0] - eq.S, xf[1] - eq.I) < 1e-6:
-                return OmegaLimitResult(
-                    eq.ident, traj,
-                    detail="slow approach, within 1e-6 at horizon end")
+    for eq in (*eqmod.disease_free(params), eqmod.endemic(params)):
+        if (eq.stability is not StabilityClass.NONEXISTENT
+                and math.hypot(xf[0] - eq.S, xf[1] - eq.I) < 1e-3):
+            return OmegaLimitResult(eq.ident, traj,
+                                    detail="within 1e-3 at horizon end")
     return OmegaLimitResult("undecided", traj)
 
 

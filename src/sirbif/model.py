@@ -26,7 +26,6 @@ chosen and beta carries r0.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -36,7 +35,6 @@ __all__ = [
     "ReducedPoint",
     "REFERENCE_BASE",
     "vector_field",
-    "boundary_field",
     "r0_of",
     "reduced_to_params",
     "params_to_reduced",
@@ -94,26 +92,6 @@ class ModelParams:
     def to_dict(self) -> dict:
         return {k: float(getattr(self, k)) for k in _PARAM_KEYS}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelParams":
-        unknown = set(data) - set(_PARAM_KEYS)
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        missing = set(_PARAM_KEYS) - set(data)
-        if missing:
-            raise ValueError(f"missing parameter keys: {sorted(missing)}")
-        return cls(**{k: float(data[k]) for k in _PARAM_KEYS})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("parameter JSON must be an object")
-        return cls.from_dict(data)
-
 
 @dataclass(frozen=True)
 class BaseParams:
@@ -169,7 +147,7 @@ def vector_field(x, params: ModelParams):
 
     Rejects non-finite state components. The formula is also evaluated for
     S = 0 (where it points out of the quadrant when p > 0); the integrator is
-    responsible for handing off to :func:`boundary_field` there.
+    responsible for handing off to the wall field there.
     """
     S, I = x
     if not (math.isfinite(S) and math.isfinite(I)):
@@ -177,16 +155,6 @@ def vector_field(x, params: ModelParams):
     dS = S * (params.A - S) - params.beta * I * S - params.p * params.m
     dI = params.beta * I * S - (params.sigma + params.g) * I
     return (dS, dI)
-
-
-def boundary_field(x, params: ModelParams):
-    """Field on the wall S = 0: dS/dt = 0, dI/dt = -(sigma+g)*I."""
-    S, I = x
-    if S != 0.0:
-        raise ValueError(f"boundary_field requires S = 0, got S = {S!r}")
-    if not math.isfinite(I):
-        raise ValueError(f"non-finite state components: {x!r}")
-    return (0.0, -(params.sigma + params.g) * I)
 
 
 def r0_of(params: ModelParams) -> float:

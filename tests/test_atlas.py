@@ -14,7 +14,6 @@ from sirbif import (
     RegionLabel,
     ReducedPoint,
     StabilityClass,
-    curve_ordering_check,
     curve_values_at,
     classify_region,
     disease_free,
@@ -127,20 +126,6 @@ def test_hopf_certificate(base, r0):
     fd = (e2_trace(r0 + h, cert.p, base)
           - e2_trace(r0 - h, cert.p, base)) / (2.0 * h) / 2.0
     assert cert.dre_dr0 == pytest.approx(fd, rel=1e-6)
-
-
-def test_ordering_report(base):
-    at_dz = curve_ordering_check(2.0, base)
-    assert at_dz.at_dz and at_dz.relation == "p_h = p_t = p_sn"
-    left = curve_ordering_check(1.5, base)
-    assert left.relation == "p_t < p_sn"
-    assert left.p_h is None
-    assert left.p_t < left.p_sn
-    right = curve_ordering_check(3.0, base)
-    assert right.relation == "p_h < p_t < p_sn"
-    assert right.p_h < right.p_t < right.p_sn
-    with pytest.raises(CurveDomainError):
-        curve_ordering_check(1.0, base)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import sirbif.connections as connections
 from sirbif import (
     REFERENCE_BASE,
     REFERENCE_HET_POINTS,
+    BaseParams,
     NotInRegionEError,
     PowerFit,
     ReducedPoint,
@@ -97,8 +98,9 @@ def test_find_het_reference_slice(base, het26):
     assert abs(res.p_het - 0.453994) / 0.453994 < 0.02
 
 
-def test_find_het_offset_robustness(base, het26):
-    alt = find_het_p(2.6, base, offset=1e-7)
+def test_find_het_offset_robustness(base, het26, monkeypatch):
+    monkeypatch.setattr(connections, "_SHOOT_OFFSET", 1e-7)
+    alt = find_het_p(2.6, base)
     assert abs(alt.p_het - het26.p_het) <= 1e-5
 
 
@@ -157,14 +159,23 @@ def test_independent_het_locus(base):
         assert abs(_dop853_splitting(r0, p_ref, base)) > 1e-5, (r0, p_ref)
 
 
-def test_find_het_same_sign_bracket(base):
+def test_find_het_same_sign_bracket():
     # at A = 1.3, r0 = 2.15 the connection lies above the bracket top p = 1
     with pytest.raises(SameSignBracketError, match="keeps sign"):
         find_het_p(2.15, BASE_A13)
-    # at r0 = 9 the bottom 0.05*p_sn lies above the Hopf value
-    assert 0.05 * p_sn(9.0, base) > p_h(9.0, base)
-    with pytest.raises(ValueError, match="empty bracket"):
-        find_het_p(9.0, base)
+
+
+@pytest.mark.parametrize("A, m, g, r0, want", [
+    (0.6, 0.2, 0.1, 6.0, 0.0109140),
+    (0.6, 0.35, 0.35, 5.0, 0.0122602),
+])
+def test_find_het_low_connection(A, m, g, r0, want):
+    # connections below 0.05*p_sn: the bottom 0.05*min(p_h, 1) reaches them
+    low_base = BaseParams(A=A, m=m, mu=0.175, d=0.175, g=g)
+    assert want < 0.05 * p_sn(r0, low_base)
+    res = find_het_p(r0, low_base)
+    assert res.p_het == pytest.approx(want, abs=1e-7)
+    assert 0.0 < res.p_het < p_h(r0, low_base) < p_t(r0, low_base)
 
 
 @pytest.mark.parametrize("f, root", [
@@ -219,14 +230,14 @@ def test_find_het_bracket_capped_at_one():
     (dataclasses.replace(REFERENCE_BASE, A=1.0), (2.6,)),
 ])
 def test_find_het_one_bracket(het_base, r0_list, monkeypatch):
-    # the ends (0.05*p_sn, min(p_h, 1)) are shot first, in that order, and
-    # every later shot stays inside them
+    # the ends (0.05*hi, hi) with hi = min(p_h, 1) are shot first, in that
+    # order, and every later shot stays inside them
     calls = _count_splitting(monkeypatch)
     for r0 in r0_list:
         del calls[:]
         find_het_p(r0, het_base)
-        lo = 0.05 * p_sn(r0, het_base)
         hi = min(p_h(r0, het_base), 1.0)
+        lo = 0.05 * hi
         assert calls[:2] == [lo, hi]
         assert all(lo <= p <= hi for p in calls)
 
@@ -237,7 +248,7 @@ def test_find_het_connection_above_one(monkeypatch):
     calls = _count_splitting(monkeypatch)
     with pytest.raises(SameSignBracketError):
         find_het_p(2.15, BASE_A13)
-    assert calls == [0.05 * p_sn(2.15, BASE_A13), 1.0]
+    assert calls == [0.05, 1.0]
 
 
 def test_het_table_rows_match_single_solves(base, het26):

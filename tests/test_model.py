@@ -1,7 +1,7 @@
 """Core model layer: parameters, vector field, reduced coordinates,
 invariant region, and the comparison envelope."""
 
-import json
+import importlib
 import math
 
 import pytest
@@ -13,7 +13,6 @@ from sirbif import (
     BaseParams,
     ModelParams,
     ReducedPoint,
-    boundary_field,
     gronwall_envelope,
     in_invariant_region,
     invariant_region_bound,
@@ -77,28 +76,7 @@ def test_params_reject_out_of_range_p(bad_p):
 
 @given(params_strategy())
 def test_dict_round_trip(params):
-    assert ModelParams.from_dict(params.to_dict()) == params
-
-
-@given(params_strategy())
-def test_json_round_trip(params):
-    assert ModelParams.from_json(params.to_json()) == params
-
-
-def test_from_dict_rejects_unknown_and_missing_keys():
-    good = ModelParams(A=1.1, beta=1.3, m=0.35, mu=0.175, d=0.175, g=0.35,
-                       p=0.2).to_dict()
-    with pytest.raises(ValueError, match="unknown parameter keys"):
-        ModelParams.from_dict({**good, "extra": 1.0})
-    bad = dict(good)
-    del bad["beta"]
-    with pytest.raises(ValueError, match="missing parameter keys"):
-        ModelParams.from_dict(bad)
-
-
-def test_from_json_requires_object():
-    with pytest.raises(ValueError, match="must be an object"):
-        ModelParams.from_json("[1, 2, 3]")
+    assert ModelParams(**params.to_dict()) == params
 
 
 def test_base_params_round_trip(base):
@@ -163,23 +141,11 @@ def test_vector_field_rejects_nonfinite(figure_params):
         vector_field((float("nan"), 0.1), figure_params())
 
 
-def test_boundary_field_decay(figure_params):
-    params = figure_params(p=0.5)
-    dS, dI = boundary_field((0.0, 0.8), params)
-    assert dS == 0.0
-    assert_close(dI, -params.removal * 0.8, label="wall decay")
-    with pytest.raises(ValueError, match="requires S = 0"):
-        boundary_field((1e-12, 0.8), params)
-
-
 def test_axis_is_invariant(figure_params):
     # On I = 0 the infected component has zero derivative for any S.
     params = figure_params(p=0.3)
     for S in (0.0, 0.2, 0.9, 1.1):
-        if S == 0.0:
-            _, dI = boundary_field((S, 0.0), params)
-        else:
-            _, dI = vector_field((S, 0.0), params)
+        _, dI = vector_field((S, 0.0), params)
         assert dI == 0.0
 
 
@@ -246,3 +212,18 @@ def test_gronwall_envelope_monotone_toward_bound(phi0, t):
     if phi0 <= bound:
         assert now <= later + 1e-12
     assert abs(later - bound) <= abs(now - bound) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# public names
+
+
+@pytest.mark.parametrize("module", [
+    "sirbif", "sirbif.model", "sirbif.equilibria", "sirbif.atlas",
+    "sirbif.integrate", "sirbif.connections", "sirbif.svgplot",
+])
+def test_public_names_resolve(module):
+    namespace = importlib.import_module(module)
+    missing = [name for name in namespace.__all__
+               if not hasattr(namespace, name)]
+    assert missing == []
