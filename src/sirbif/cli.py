@@ -43,6 +43,7 @@ from .connections import (
 )
 from .equilibria import StabilityClass, disease_free, endemic
 from .integrate import (
+    TOL_RANGE,
     integrate,
     manifold_shoot,
     omega_limit_estimate,
@@ -693,19 +694,25 @@ def cmd_het_table(ns) -> int:
 def _read_points_csv(path: Path) -> list:
     points = []
     with path.open(newline="") as handle:
-        rows = [row for row in _csvmod.reader(handle)
+        reader = _csvmod.reader(handle)
+        rows = [(reader.line_num, row) for row in reader
                 if row and not row[0].lstrip().startswith("#")]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     try:
         i_r0, i_p = header.index("r0"), header.index("p_het")
     except ValueError:
         raise ValueError(f"{path}: header must name 'r0' and 'p_het' columns")
-    for row in rows[1:]:
+    for line, row in rows[1:]:
         if len(row) <= max(i_r0, i_p) or not row[i_p].strip():
             continue
-        points.append((float(row[i_r0]), float(row[i_p])))
+        try:
+            points.append((float(row[i_r0]), float(row[i_p])))
+        except ValueError:
+            raise ValueError(
+                f"{path}, line {line}: r0 = {row[i_r0]!r}, "
+                f"p_het = {row[i_p]!r} is not a pair of numbers") from None
     return points
 
 
@@ -822,7 +829,8 @@ def _io_parent() -> argparse.ArgumentParser:
                      help="output format (csv/json/svg); repeatable, "
                           "default: all that apply")
     grp.add_argument("--tol", type=float, default=None,
-                     help="integration tolerance (command-specific default)")
+                     help=f"integration tolerance in [{TOL_RANGE[0]:g}, "
+                          f"{TOL_RANGE[1]:g}] (command-specific default)")
     grp.add_argument("--jobs", type=int, default=1,
                      help="parallel workers for independent rows "
                           "(default %(default)s)")
@@ -1036,6 +1044,9 @@ def main(argv=None) -> int:
             ns = top.parse_args(argv)
         if ns.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
+        if ns.tol is not None and not TOL_RANGE[0] <= ns.tol <= TOL_RANGE[1]:
+            raise ValueError(f"--tol must lie in [{TOL_RANGE[0]:g}, "
+                             f"{TOL_RANGE[1]:g}], got {ns.tol}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:

@@ -12,8 +12,10 @@ y = a*x^b + c law through any such table by damped Gauss-Newton.
 Between the heteroclinic and Hopf values of p the broken cycle leaves an
 unstable periodic orbit around the (still stable) focus E2;
 ``find_periodic_orbit`` finds it as the attracting fixed point of the
-time-reversed return map on the same section, then measures its period and
-nontrivial Floquet multiplier in original time.
+time-reversed return map on the same section, the zero of its gap
+P(I) - I, solved by the same Brent iteration on one bracket between E2 and
+the invariant region's edge; it then measures the period and nontrivial
+Floquet multiplier in original time.
 """
 from __future__ import annotations
 
@@ -96,7 +98,7 @@ class NotInRegionEError(ValueError):
 
 
 class MislabeledRegionError(RuntimeError):
-    """Reversed integration escaped: no attracting reversed cycle here."""
+    """The reversed return map brackets no cycle, or its loop does not close."""
 
 
 class FitSingularError(ValueError):
@@ -174,19 +176,19 @@ class HetResult:
     iterations: int
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float) -> tuple:
+def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple:
     """Brent's zeroin on a bracket with fa*fb < 0 (Brent 1973, ch. 4).
 
     Each step takes inverse quadratic interpolation through the last three
     iterates (a secant when only two differ) and falls back to bisection
     when that step would leave the bracket or shrink it too slowly, so the
     bracket always holds the root and convergence is superlinear on a
-    smooth f. Stops once the root is bracketed to ``_SOLVE_TOL`` (the
-    relative term of Brent's stopping test is below 1e-15 for p in [0, 1]
+    smooth f. Stops once the root is bracketed to ``tol`` (the relative
+    term of Brent's stopping test is below 1e-15 for arguments of order 1
     and is left out); returns the best iterate b, f(b) and the number of
     evaluations of f.
     """
-    tol1 = 0.5 * _SOLVE_TOL
+    tol1 = 0.5 * tol
     c, fc = b, fb
     d = e = b - a
     iterations = 0
@@ -248,7 +250,7 @@ def find_het_p(r0: float, base: BaseParams, *,
         raise SameSignBracketError(
             f"splitting keeps sign {math.copysign(1, s_lo):+.0f} on "
             f"({lo:.6g}, {hi:.6g}) at r0 = {r0}")
-    p_het, s_het, iterations = _brent(split, lo, hi, s_lo, s_hi)
+    p_het, s_het, iterations = _brent(split, lo, hi, s_lo, s_hi, _SOLVE_TOL)
     return HetResult(r0, p_het, abs(s_het), iterations)
 
 
@@ -315,6 +317,8 @@ def power_fit(points) -> PowerFit:
         raise ValueError(f"need at least 4 points, got {len(pts)}")
     x = np.array([q[0] for q in pts])
     y = np.array([q[1] for q in pts])
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("all x and y must be finite")
     if np.any(x <= 0.0):
         raise ValueError("all x must be positive")
 
@@ -438,12 +442,17 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     """Find the unstable cycle around E2 for p strictly between the Hopf
     and heteroclinic values at this r0.
 
-    In reversed time the cycle attracts everything between E2 and itself,
-    so iterating the reversed return map on S = S2 from a ladder of start
-    heights converges to its section height; a secant refinement then
-    polishes the fixed point to 1e-9 (a residual up to 1e-8 is accepted).
-    The period is read off the converged loop and the Floquet multiplier from a centred difference
-    (step 1e-6) of the original-time return map, which must exceed 1.
+    The cycle's section height I* is the zero of the gap P(I) - I of the
+    reversed return map P on S = S2, found by Brent's method to 1e-9 on
+    the bracket [I2 + 1e-4 h, I2 + h], with h the headroom between E2 and
+    the invariant region's edge. The gap is positive at the bottom (E2
+    repels in reversed time) and negative at the top (outside the cycle a
+    reversed orbit returns lower or escapes); an escape counts as -h, which
+    may slow a Brent step but cannot lose the sign change. Without that
+    sign change MislabeledRegionError is raised. The loop from I* is
+    integrated once more to give the period and ``return_residual`` =
+    |P(I*) - I*|; the Floquet multiplier is a centred difference (step
+    1e-6) of the original-time return map, and must exceed 1.
 
     ``het_p`` skips re-solving the heteroclinic location when the caller
     already has it (otherwise find_het_p runs first).
@@ -467,60 +476,26 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     if headroom <= 0.0:
         raise MislabeledRegionError("no interior headroom above E2")
 
-    def rev_map(I_value: float, record: bool = False) -> Trajectory:
-        return _return_map(I_value, params, s2, reverse=True, tol=tol,
-                           record=record)
+    def gap(I_value: float) -> float:
+        traj = _return_map(I_value, params, s2, reverse=True, tol=tol)
+        if traj.terminal.kind != "crossed-section":
+            return -headroom     # escaped: the start lies outside the cycle
+        return traj.terminal.state[1] - I_value
 
-    fixed = None
-    for frac in (0.2, 0.05, 0.01, 1e-3, 1e-4):
-        I_cur = i2 + frac * headroom
-        ok = True
-        prev = None
-        for _ in range(300):
-            traj = rev_map(I_cur)
-            if traj.terminal.kind != "crossed-section":
-                ok = False
-                break
-            I_next = traj.terminal.state[1]
-            if abs(I_next - I_cur) <= _RETURN_TOL:
-                prev = (I_cur, I_next - I_cur)
-                I_cur = I_next
-                break
-            prev = (I_cur, I_next - I_cur)
-            I_cur = I_next
-        if not ok or prev is None:
-            continue
-        # secant polish on g(I) = P(I) - I; the loop recorded from I_b is
-        # kept with it, so the converged cycle is not integrated again
-        I_a, g_a = prev
-        I_b = I_cur
-        loop = rev_map(I_b, record=True)
-        if loop.terminal.kind != "crossed-section":
-            continue
-        g_b = loop.terminal.state[1] - I_b
-        for _ in range(40):
-            if abs(g_b) <= _RETURN_TOL:
-                break
-            if g_b == g_a or I_a == I_b:
-                break
-            I_new = I_b - g_b * (I_b - I_a) / (g_b - g_a)
-            if not i2 < I_new < i2 + headroom:
-                break
-            traj = rev_map(I_new, record=True)
-            if traj.terminal.kind != "crossed-section":
-                break
-            I_a, g_a = I_b, g_b
-            I_b, loop = I_new, traj
-            g_b = traj.terminal.state[1] - I_new
-        if abs(g_b) <= 1e-8:
-            fixed = (I_b, abs(g_b), loop)
-            break
-    if fixed is None:
+    bottom, top = i2 + 1e-4 * headroom, i2 + headroom
+    g_bottom, g_top = gap(bottom), gap(top)
+    if not g_bottom > 0.0 > g_top:
         raise MislabeledRegionError(
-            f"no attracting reversed cycle found at (r0, p) = ({r0}, {p}); "
-            "every start escaped or failed to return")
-
-    I_star, residual, loop = fixed
+            f"reversed return map does not bracket a cycle at (r0, p) = "
+            f"({r0}, {p}): gap {g_bottom:.3e} at I = {bottom:.6g} and "
+            f"{g_top:.3e} at I = {top:.6g}")
+    I_star, _, _ = _brent(gap, bottom, top, g_bottom, g_top, _RETURN_TOL)
+    loop = _return_map(I_star, params, s2, reverse=True, tol=tol, record=True)
+    if loop.terminal.kind != "crossed-section":
+        raise MislabeledRegionError(
+            f"the loop from the cycle's section point I = {I_star!r} does "
+            f"not return at (r0, p) = ({r0}, {p}): {loop.terminal.kind}")
+    residual = abs(loop.terminal.state[1] - I_star)
     period = loop.terminal.t
 
     step = min(1e-6, 0.1 * (I_star - i2))

@@ -43,12 +43,14 @@ __all__ = [
     "manifold_shoot",
     "recover_recovered",
     "WALL_CLAMP",
+    "TOL_RANGE",
 ]
 
 #: S below this is clamped to the wall and the boundary field takes over
 WALL_CLAMP = 1e-12
 
-_TOL_RANGE = (1e-13, 1e-3)
+#: the closed range of integration tolerances integrate accepts
+TOL_RANGE = (1e-13, 1e-3)
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is f at the endpoint).
 _A21 = 1 / 5
@@ -144,7 +146,7 @@ class Trajectory:
     t: np.ndarray
     states: np.ndarray           # shape (n, 2)
     derivs: np.ndarray           # shape (n, 2), active-field derivatives
-    crossings: tuple
+    crossings: tuple             # the wall crossing, if any; the stop is terminal
     terminal: TerminalEvent
     stats: IntegrationStats
     params: ModelParams
@@ -239,8 +241,8 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     The step size underflowing 1e-14*max(1, t) yields a 'step-failure'
     terminal rather than an exception.
     """
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol}")
+    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        raise ValueError(f"tol must lie in {TOL_RANGE}, got {tol}")
     S0, I0 = float(x0[0]), float(x0[1])
     if not (math.isfinite(S0) and math.isfinite(I0)):
         raise ValueError(f"non-finite initial state {x0}")
@@ -367,7 +369,6 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
                 push(t, x, fx)
                 continue
             x = x_hit
-            crossings.append(Crossing(sec.name, t, x, sec.direction))
             fx = fieldf(x)
             evals += 1
             terminal = TerminalEvent("crossed-section", t, x,

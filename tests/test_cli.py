@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,7 +69,7 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     # neither --beta nor --r0
     assert run(["equilibria", "--p", "0.2"]) == 2
     capsys.readouterr()
-    # out-of-range tolerance reaches the integrator's validation
+    # out-of-range tolerance
     assert run(["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.5",
                 "--I0", "0.1", "--tol", "1e-2",
                 "--out", str(tmp_path)]) == 2
@@ -99,6 +100,11 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         assert run(["het-table", "--shoot", "--r0-list", "2.6",
                     "--jobs", jobs, "--out", str(tmp_path)]) == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
+    # a tolerance outside the integrator's range, or not a number
+    for command in (["het-table", "--shoot", "--r0-list", "2.6", "--tol", "nan"],
+                    ["atlas", "--tol", "-1"]):
+        assert run([*command, "--out", str(tmp_path)]) == 2
+        assert "--tol must lie in [1e-13, 0.001]" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -325,6 +331,25 @@ def test_het_fit_rejects_bad_table(tmp_path, capsys):
     bad.write_text("x,y\n1,2\n3,4\n5,6\n")
     assert run(["het-fit", "--table", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("inf", "all x and y must be finite"),
+    ("nan", "all x and y must be finite"),
+    ("abc", "line 4: r0 = '2.7', p_het = 'abc' is not a pair of numbers"),
+])
+def test_het_fit_rejects_unusable_rows(tmp_path, capsys, cell, message):
+    table = tmp_path / "points.csv"
+    table.write_text("r0,p_het\n2.1,0.7\n2.4,0.55\n2.7," + cell
+                     + "\n3.0,0.3\n3.3,0.25\n")
+    out = tmp_path / "fitout"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["het-fit", "--table", str(table), "--out", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert str(table) in err and message in err
+    assert not out.exists()
 
 
 def test_het_fit_table_needs_four_rows(tmp_path, capsys):

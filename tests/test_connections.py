@@ -184,10 +184,13 @@ def test_find_het_low_connection(A, m, g, r0, want):
     (lambda x: -1.0 if x < 0.3 else 1.0, 0.3),     # forces bisection steps
 ])
 def test_brent_brackets_root_to_tolerance(f, root):
-    b, fb, iterations = connections._brent(f, 0.0, 2.0, f(0.0), f(2.0))
-    assert abs(b - root) <= connections._SOLVE_TOL
-    assert fb == f(b)
-    assert 0 < iterations < 60
+    # the connection's tolerance and the cycle's
+    for tol in (connections._SOLVE_TOL, connections._RETURN_TOL):
+        b, fb, iterations = connections._brent(f, 0.0, 2.0, f(0.0), f(2.0),
+                                               tol)
+        assert abs(b - root) <= tol
+        assert fb == f(b)
+        assert 0 < iterations < 60
 
 
 def _count_splitting(monkeypatch):
@@ -351,6 +354,36 @@ def test_periodic_orbit_reference(base, het26):
     gap = math.hypot(orbit.states[0][0] - orbit.states[-1][0],
                      orbit.states[0][1] - orbit.states[-1][1])
     assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("r0, frac", [
+    (2.1, 0.5),        # mid-band
+    (2.6, 0.98),       # next to the Hopf value, where the map is nearly flat
+    (3.5, 0.02),       # next to the connection
+])
+def test_periodic_orbit_across_band(base, r0, frac, monkeypatch):
+    # frac places p in the band from the model's connection to the Hopf value
+    het = find_het_p(r0, base).p_het
+    p = het + frac * (p_h(r0, base) - het)
+    calls = []
+    real = connections.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connections, "integrate", counted)
+    orbit = find_periodic_orbit(r0, p, base, het_p=het)
+    params = reduced_to_params(ReducedPoint(r0, p, base))
+    e2 = endemic(params)
+    headroom = invariant_region_bound(params) - e2.S - e2.I
+    assert e2.I < orbit.section_I < e2.I + headroom
+    assert orbit.return_residual <= 1e-9
+    assert orbit.floquet > 1.0
+    gap = math.hypot(orbit.states[0][0] - orbit.states[-1][0],
+                     orbit.states[0][1] - orbit.states[-1][1])
+    assert gap <= 1e-6
+    assert len(calls) <= 40
 
 
 def test_periodic_orbit_serialization(base, het26):

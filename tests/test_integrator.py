@@ -126,17 +126,19 @@ def test_section_event_localization(p_zero):
     assert traj.terminal.kind == "crossed-section"
     assert traj.terminal.section == "test-sec"
     assert abs(traj.terminal.state[0] - e2.S) <= 1e-10
-    assert traj.crossings and traj.crossings[-1].name == "test-sec"
+    assert traj.terminal.direction == -1
+    assert 0.0 < traj.terminal.t == traj.t[-1]
+    assert traj.crossings == ()       # the stop is the terminal event alone
 
 
 def test_directional_crossings_only(p_zero):
     e2 = endemic(p_zero)
     down = SectionEvent(e2.S, -1, name="down")
     traj = integrate((0.9, 0.3), p_zero, 120.0, tol=1e-8, sections=[down])
-    named = [c for c in traj.crossings if c.name == "down"]
-    assert named, "spiral toward E2 must cross its section"
-    assert all(c.direction == -1 for c in named)
-    assert vector_field(named[0].state, p_zero)[0] < -1e-3
+    assert traj.terminal.section == "down", \
+        "spiral toward E2 must cross its section"
+    assert traj.terminal.direction == -1
+    assert vector_field(traj.terminal.state, p_zero)[0] < -1e-3
 
 
 @pytest.mark.parametrize("direction", [0, 2])
@@ -186,7 +188,9 @@ def test_wall_handoff_and_decay():
     assert cut.terminal.kind == "crossed-section"
     assert cut.terminal.section == "above-wall"
     assert abs(cut.terminal.state[0] - 0.02) <= 1e-10
-    assert [c.name for c in cut.crossings] == ["above-wall"]
+    assert cut.terminal.direction == -1
+    assert cut.crossings == ()
+    assert [c.name for c in traj.crossings] == ["wall"]
     n = len(cut.t) - 1
     assert np.array_equal(cut.t[:n], traj.t[:n])
     assert np.array_equal(cut.states[:n], traj.states[:n])
