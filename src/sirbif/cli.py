@@ -55,6 +55,7 @@ from .model import (
     ModelParams,
     ReducedPoint,
     invariant_region_bound,
+    params_to_reduced,
     r0_of,
     reduced_to_params,
 )
@@ -157,11 +158,6 @@ def _resolve_params(ns) -> ModelParams:
     raise ValueError("give either --beta or --r0 to fix the transmission rate")
 
 
-def _base_of(params: ModelParams) -> BaseParams:
-    return BaseParams(A=params.A, m=params.m, mu=params.mu, d=params.d,
-                      g=params.g)
-
-
 def _formats(ns) -> tuple:
     chosen = ns.format or list(_FORMATS)
     return tuple(f for f in _FORMATS if f in chosen)
@@ -171,8 +167,11 @@ def _effective_tol(ns, default: float) -> float:
     return default if ns.tol is None else ns.tol
 
 
-def _config_for(ns, command: str, extra: dict, tol: float) -> RunConfig:
-    settings = {"tol": tol, "jobs": ns.jobs, "formats": list(_formats(ns))}
+def _config_for(ns, command: str, extra: dict, tol=None) -> RunConfig:
+    """The run's settings, with ``tol`` only if the run integrates."""
+    settings = {"jobs": ns.jobs, "formats": list(_formats(ns))}
+    if tol is not None:
+        settings["tol"] = tol
     settings.update(extra)
     return RunConfig(command, settings)
 
@@ -194,9 +193,8 @@ def _eig_text(eq) -> str:
 
 def cmd_equilibria(ns) -> int:
     params = _resolve_params(ns)
-    base = _base_of(params)
-    tol = _effective_tol(ns, 1e-8)
-    config = _config_for(ns, "equilibria", {"params": params.to_dict()}, tol)
+    base = params_to_reduced(params).base
+    config = _config_for(ns, "equilibria", {"params": params.to_dict()})
 
     dfe = disease_free(params)
     e2 = endemic(params)
@@ -237,8 +235,7 @@ def cmd_equilibria(ns) -> int:
 
 def cmd_dz(ns) -> int:
     base = _resolve_base(ns)
-    config = _config_for(ns, "dz", {"base": base.to_dict()},
-                         _effective_tol(ns, 1e-8))
+    config = _config_for(ns, "dz", {"base": base.to_dict()})
     cert = dz_point(base)
     r0s, ps = cert.point
     conc = {
@@ -350,12 +347,11 @@ def cmd_atlas(ns) -> int:
     if ns.samples < 2 or ns.grid < 2:
         raise ValueError("--samples and --grid must be at least 2")
     het = fit_reference_curve()
-    tol = _effective_tol(ns, 1e-8)
     config = _config_for(ns, "atlas", {
         "base": base.to_dict(),
         "window": [ns.r0_min, ns.r0_max, ns.p_min, ns.p_max],
         "samples": ns.samples, "grid": ns.grid,
-    }, tol)
+    })
 
     rows = _atlas_rows(base, het, ns.r0_min, ns.r0_max, ns.samples)
 
@@ -478,8 +474,8 @@ def _phase_figure(params: ModelParams, title: str, config: RunConfig, paths,
 
 def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
     params = pack.params
-    base = _base_of(params)
-    r0 = r0_of(params)
+    point = params_to_reduced(params)
+    r0, base = point.r0, point.base
     config = _config_for(ns, "portraits", {
         "region": pack.region, "params": params.to_dict(),
         "horizon": ns.horizon, "max_samples": ns.max_samples,
@@ -490,13 +486,10 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
     results = [omega_limit_estimate(x0, params, horizon=ns.horizon, tol=tol)
                for x0 in fan]
 
-    cycle = None
-    cycle_error = ""
+    cycle, cycle_error = None, ""
     if pack.region == "E":
-        het = fit_reference_curve()
         try:
-            cycle = find_periodic_orbit(r0, params.p, base,
-                                        het_p=float(het(r0)))
+            cycle = find_periodic_orbit(r0, params.p, base)
         except (ValueError, RuntimeError) as exc:
             cycle_error = str(exc)
 
@@ -571,11 +564,11 @@ def cmd_portraits(ns) -> int:
 
     if getattr(ns, "beta", None) is not None or getattr(ns, "r0", None) is not None:
         params = _resolve_params(ns)
-        base = _base_of(params)
+        point = params_to_reduced(params)
         label = "custom"
         try:
-            het = fit_reference_curve() if base == REFERENCE_BASE else None
-            label = classify_region(r0_of(params), params.p, base,
+            het = fit_reference_curve() if point.base == REFERENCE_BASE else None
+            label = classify_region(point.r0, params.p, point.base,
                                     het=het).value
         except (RegionFlagError, CurveDomainError, BelyakovDomainError):
             pass
@@ -648,12 +641,20 @@ def _parse_r0_list(text: str) -> list:
     return values
 
 
+def _shoot_tol(ns) -> float | None:
+    """The tolerance of ``--shoot``; without it nothing integrates."""
+    if ns.tol is not None and not ns.shoot:
+        raise ValueError("--tol only makes sense with --shoot: "
+                         "without it nothing integrates")
+    return _effective_tol(ns, 1e-10) if ns.shoot else None
+
+
 def cmd_het_table(ns) -> int:
     base = _resolve_base(ns)
-    tol = _effective_tol(ns, 1e-10)
     if ns.r0_list and not ns.shoot:
         raise ValueError("--r0-list only makes sense with --shoot; "
                          "the embedded table has fixed abscissae")
+    tol = _shoot_tol(ns)
     abscissae = (_parse_r0_list(ns.r0_list) if ns.r0_list
                  else [r0 for r0, _ in REFERENCE_HET_POINTS])
     config = _config_for(ns, "het-table", {
@@ -718,9 +719,9 @@ def _read_points_csv(path: Path) -> list:
 
 def cmd_het_fit(ns) -> int:
     base = _resolve_base(ns)
-    tol = _effective_tol(ns, 1e-10)
     if ns.table and ns.shoot:
         raise ValueError("--table and --shoot are mutually exclusive")
+    tol = _shoot_tol(ns)
     if ns.table:
         source = ns.table
         points = _read_points_csv(Path(ns.table))
@@ -762,14 +763,10 @@ def cmd_het_fit(ns) -> int:
 def cmd_cycle(ns) -> int:
     base = _resolve_base(ns)
     tol = _effective_tol(ns, 1e-10)
-    het_p = ns.het_p
-    if het_p is None:
-        het_p = float(fit_reference_curve()(ns.r0))
-    config = _config_for(ns, "cycle", {
-        "base": base.to_dict(), "r0": ns.r0, "p": ns.p, "het_p": het_p,
-    }, tol)
+    config = _config_for(ns, "cycle", {"base": base.to_dict(), "r0": ns.r0,
+                                       "p": ns.p}, tol)
 
-    orbit = find_periodic_orbit(ns.r0, ns.p, base, het_p=het_p, tol=tol)
+    orbit = find_periodic_orbit(ns.r0, ns.p, base, tol=tol)
     print(f"unstable cycle at (R0, p) = ({ns.r0!r}, {ns.p!r}): "
           f"period = {orbit.period!r}, Floquet multiplier = {orbit.floquet!r}")
     print(f"section point: S = {orbit.section_S!r}, I = {orbit.section_I!r} "
@@ -817,7 +814,7 @@ def _add_point_args(parser) -> None:
                      help="vaccination level in [0, 1] (default %(default)s)")
 
 
-def _io_parent() -> argparse.ArgumentParser:
+def _io_parent(integrates: bool) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     grp = parent.add_argument_group("run control")
     grp.add_argument("--config", metavar="FILE", default=None,
@@ -828,9 +825,10 @@ def _io_parent() -> argparse.ArgumentParser:
                      metavar="FMT", default=None,
                      help="output format (csv/json/svg); repeatable, "
                           "default: all that apply")
-    grp.add_argument("--tol", type=float, default=None,
-                     help=f"integration tolerance in [{TOL_RANGE[0]:g}, "
-                          f"{TOL_RANGE[1]:g}] (command-specific default)")
+    if integrates:
+        grp.add_argument("--tol", type=float, default=None,
+                         help=f"integration tolerance in [{TOL_RANGE[0]:g}, "
+                              f"{TOL_RANGE[1]:g}] (command-specific default)")
     grp.add_argument("--jobs", type=int, default=1,
                      help="parallel workers for independent rows "
                           "(default %(default)s)")
@@ -846,7 +844,7 @@ def build_parser():
     top.add_argument("--version", action="version",
                      version=f"sirbif {__version__}")
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    io = _io_parent()
+    io, io_tol = _io_parent(False), _io_parent(True)
     parsers = {}
 
     ap = sub.add_parser(
@@ -880,7 +878,7 @@ def build_parser():
     parsers["atlas"] = ap
 
     ap = sub.add_parser(
-        "portraits", parents=[io],
+        "portraits", parents=[io_tol],
         help="phase-portrait evidence packs for the open regions",
         description="Integrate an initial-condition fan for each requested "
                     "region at its documented representative parameters, "
@@ -904,7 +902,7 @@ def build_parser():
     parsers["portraits"] = ap
 
     ap = sub.add_parser(
-        "simulate", parents=[io],
+        "simulate", parents=[io_tol],
         help="integrate one trajectory and reconstruct the removed class",
         description="Integrate from (--S0, --I0), reporting the terminal "
                     "event and the reconstructed removed-compartment series. "
@@ -921,7 +919,7 @@ def build_parser():
     parsers["simulate"] = ap
 
     ap = sub.add_parser(
-        "het-table", parents=[io],
+        "het-table", parents=[io_tol],
         help="heteroclinic connection table (embedded or freshly shot)",
         description="Emit the connection-curve table. Default: the embedded "
                     "13-row reference table. With --shoot, locate each "
@@ -939,7 +937,7 @@ def build_parser():
     parsers["het-table"] = ap
 
     ap = sub.add_parser(
-        "het-fit", parents=[io],
+        "het-fit", parents=[io_tol],
         help="power-law fit p_het(r0) = a*r0^b + c",
         description="Fit the three-parameter power law to a connection "
                     "table: the embedded rows (default), a CSV with r0 and "
@@ -954,17 +952,17 @@ def build_parser():
     parsers["het-fit"] = ap
 
     ap = sub.add_parser(
-        "cycle", parents=[io],
+        "cycle", parents=[io_tol],
         help="locate the unstable periodic orbit around the endemic focus",
-        description="Find the unstable cycle at (--r0, --p) inside the band "
-                    "between the connection and Hopf curves. CSV columns: "
-                    "t,S,I over one period; JSON payload includes period and "
-                    "Floquet multiplier.")
+        description="Find the unstable cycle around the stable focus E2 at "
+                    "(--r0 > 2, --p) between the connection and Hopf curves; "
+                    "exit 3 if its loop does not close, as below the "
+                    "connection. CSV columns: t,S,I over one period; JSON "
+                    "adds period, return residual and Floquet multiplier "
+                    "exp(loop integral of div f).")
     _add_base_args(ap)
     ap.add_argument("--r0", type=float, default=2.6)
     ap.add_argument("--p", type=float, default=0.48)
-    ap.add_argument("--het-p", type=float, default=None,
-                    help="connection value p_het(r0) (default: embedded fit)")
     ap.set_defaults(func=cmd_cycle)
     parsers["cycle"] = ap
 
@@ -1044,9 +1042,10 @@ def main(argv=None) -> int:
             ns = top.parse_args(argv)
         if ns.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
-        if ns.tol is not None and not TOL_RANGE[0] <= ns.tol <= TOL_RANGE[1]:
+        tol = getattr(ns, "tol", None)
+        if tol is not None and not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
             raise ValueError(f"--tol must lie in [{TOL_RANGE[0]:g}, "
-                             f"{TOL_RANGE[1]:g}], got {ns.tol}")
+                             f"{TOL_RANGE[1]:g}], got {tol}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:

@@ -14,8 +14,10 @@ unstable periodic orbit around the (still stable) focus E2;
 ``find_periodic_orbit`` finds it as the attracting fixed point of the
 time-reversed return map on the same section, the zero of its gap
 P(I) - I, solved by the same Brent iteration on one bracket between E2 and
-the invariant region's edge; it then measures the period and nontrivial
-Floquet multiplier in original time.
+the invariant region's edge. The cycle certifies itself: its loop must
+close to a small residual, which fails below the connection, and its
+nontrivial Floquet multiplier is the loop integral of div f (Liouville's
+formula), so no heteroclinic value is needed.
 """
 from __future__ import annotations
 
@@ -82,6 +84,7 @@ _SHOOT_HORIZON = 900.0
 _SOLVE_TOL = 1e-7          # Brent stops once its bracket is this narrow
 _LOOP_HORIZON = 800.0      # time allowed for one traversal of the return map
 _RETURN_TOL = 1e-9         # fixed-point tolerance of the return map
+_CLOSE_TOL = 10 * _RETURN_TOL   # largest return residual of a certified cycle
 _FIT_ROUNDS = 500
 
 
@@ -94,7 +97,7 @@ class SameSignBracketError(ValueError):
 
 
 class NotInRegionEError(ValueError):
-    """p is outside the open band between the Hopf and heteroclinic values."""
+    """No cycle band here: r0 <= 2, or E2 is not the stable focus inside it."""
 
 
 class MislabeledRegionError(RuntimeError):
@@ -422,62 +425,52 @@ class PeriodicOrbit:
         }
 
 
-def _return_map(I_value: float, params: ModelParams, s2: float, *,
-                reverse: bool, tol: float, record: bool = False) -> Trajectory:
-    """One traversal of the section-to-section map starting at (S2, I).
-
-    Top-half crossings have original dS/dt < 0, which the reversed field
-    sees as +1; the crossing's I is the mapped value.
-    """
-    direction = +1 if reverse else -1
-    return integrate((s2, I_value), params, _LOOP_HORIZON, tol=tol,
-                     reverse_time=reverse,
-                     sections=(SectionEvent(s2, direction, name="return"),),
-                     record=record)
-
-
 def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
-                        het_p: float | None = None,
                         tol: float = 1e-10) -> PeriodicOrbit:
-    """Find the unstable cycle around E2 for p strictly between the Hopf
-    and heteroclinic values at this r0.
+    """Find the unstable cycle around E2 for p strictly between the
+    heteroclinic and Hopf values at this r0.
 
-    The cycle's section height I* is the zero of the gap P(I) - I of the
-    reversed return map P on S = S2, found by Brent's method to 1e-9 on
-    the bracket [I2 + 1e-4 h, I2 + h], with h the headroom between E2 and
-    the invariant region's edge. The gap is positive at the bottom (E2
-    repels in reversed time) and negative at the top (outside the cycle a
-    reversed orbit returns lower or escapes); an escape counts as -h, which
-    may slow a Brent step but cannot lose the sign change. Without that
-    sign change MislabeledRegionError is raised. The loop from I* is
-    integrated once more to give the period and ``return_residual`` =
-    |P(I*) - I*|; the Floquet multiplier is a centred difference (step
-    1e-6) of the original-time return map, and must exceed 1.
+    Without a band here (r0 <= 2, or E2 not a stable focus)
+    NotInRegionEError is raised. The cycle's section height I* is the zero
+    of the gap P(I) - I of the reversed return map P on S = S2, found by
+    Brent's method to 1e-9 on the bracket [I2 + 1e-4 h, I2 + h], with h the
+    headroom between E2 and the invariant region's edge. The gap is
+    positive at the bottom (E2 repels in reversed time) and negative at the
+    top (outside the cycle a reversed orbit returns lower or escapes); an
+    escape counts as -h, which may slow a Brent step but cannot lose the
+    sign change. Without that sign change MislabeledRegionError is raised.
 
-    ``het_p`` skips re-solving the heteroclinic location when the caller
-    already has it (otherwise find_het_p runs first).
+    The loop from I* is integrated once more to give the period and
+    ``return_residual`` = |P(I*) - I*|. Below the connection the gap jumps
+    over zero without a root and Brent closes in on the jump, so a residual
+    above 10 times the bracket raises MislabeledRegionError too. The
+    Floquet multiplier is exp of the loop integral of div f (Liouville's
+    formula for a planar cycle), exact on the recorded Hermite steps
+    because div f is linear in the state.
     """
-    ph = atlas.p_h(r0, base)
-    if het_p is None:
-        het_p = find_het_p(r0, base).p_het
-    lo, hi = sorted((ph, float(het_p)))
-    if not lo < p < hi:
+    if not r0 > 2.0:
         raise NotInRegionEError(
-            f"p = {p} is not inside the cycle band ({lo:.6g}, {hi:.6g}) "
-            f"at r0 = {r0}")
+            f"no cycle band at r0 = {r0}: the band needs r0 > 2")
     params = reduced_to_params(ReducedPoint(r0, p, base))
     e2 = eqmod.endemic(params)
     if e2.stability is not StabilityClass.SINK_FOCUS:
         raise NotInRegionEError(
-            f"E2 is {e2.stability.value} here, not the stable focus the "
-            "cycle surrounds")
+            f"p = {p} is not inside the cycle band at r0 = {r0}: E2 is "
+            f"{e2.stability.value}, not the stable focus the cycle surrounds")
     s2, i2 = e2.S, e2.I
     headroom = invariant_region_bound(params) - s2 - i2
     if headroom <= 0.0:
         raise MislabeledRegionError("no interior headroom above E2")
 
+    # reversed, the top-half crossings (original dS/dt < 0) have direction +1
+    section = (SectionEvent(s2, +1, name="return"),)
+
+    def return_map(I_value: float, record: bool = False) -> Trajectory:
+        return integrate((s2, I_value), params, _LOOP_HORIZON, tol=tol,
+                         reverse_time=True, sections=section, record=record)
+
     def gap(I_value: float) -> float:
-        traj = _return_map(I_value, params, s2, reverse=True, tol=tol)
+        traj = return_map(I_value)
         if traj.terminal.kind != "crossed-section":
             return -headroom     # escaped: the start lies outside the cycle
         return traj.terminal.state[1] - I_value
@@ -490,21 +483,27 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
             f"({r0}, {p}): gap {g_bottom:.3e} at I = {bottom:.6g} and "
             f"{g_top:.3e} at I = {top:.6g}")
     I_star, _, _ = _brent(gap, bottom, top, g_bottom, g_top, _RETURN_TOL)
-    loop = _return_map(I_star, params, s2, reverse=True, tol=tol, record=True)
+    loop = return_map(I_star, record=True)
     if loop.terminal.kind != "crossed-section":
         raise MislabeledRegionError(
             f"the loop from the cycle's section point I = {I_star!r} does "
             f"not return at (r0, p) = ({r0}, {p}): {loop.terminal.kind}")
     residual = abs(loop.terminal.state[1] - I_star)
+    if residual > _CLOSE_TOL:
+        raise MislabeledRegionError(
+            f"no cycle at (r0, p) = ({r0}, {p}): the loop from I = "
+            f"{I_star!r} misses its start by {residual:.3e} > {_CLOSE_TOL:g} "
+            "(as when p lies below the heteroclinic connection)")
     period = loop.terminal.t
 
-    step = min(1e-6, 0.1 * (I_star - i2))
-    up = _return_map(I_star + step, params, s2, reverse=False, tol=tol)
-    dn = _return_map(I_star - step, params, s2, reverse=False, tol=tol)
-    if up.terminal.kind != "crossed-section" or dn.terminal.kind != "crossed-section":
-        raise MislabeledRegionError(
-            "forward return map undefined next to the cycle (no crossing)")
-    floquet = (up.terminal.state[1] - dn.terminal.state[1]) / (2.0 * step)
+    # Liouville: the multiplier is exp of the loop integral of div f =
+    # (A - u) + (beta - 2) S - beta I, integrated exactly on each Hermite step
+    h = np.diff(loop.t)[:, None]
+    x, f = loop.states, loop.derivs
+    int_S, int_I = (0.5 * h * (x[:-1] + x[1:])
+                    + h * h / 12.0 * (f[:-1] - f[1:])).sum(axis=0)
+    floquet = math.exp((params.A - params.removal) * period
+                       + (params.beta - 2.0) * int_S - params.beta * int_I)
 
     # present the loop in forward-time orientation
     t_rev = loop.t
@@ -512,5 +511,5 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     states_fwd = loop.states[::-1].copy()
     return PeriodicOrbit(
         r0=r0, p=p, section_S=s2, section_I=I_star, period=period,
-        floquet=float(floquet), return_residual=residual,
+        floquet=floquet, return_residual=residual,
         t=t_fwd, states=states_fwd)

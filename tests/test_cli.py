@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 import sirbif.cli as cli
-from sirbif import (REFERENCE_BASE, __version__, find_periodic_orbit,
-                    fit_reference_curve)
+from sirbif import REFERENCE_BASE, __version__, find_periodic_orbit
 from sirbif.cli import main
 
 FORMAT_DOC = Path(__file__).resolve().parents[1] / "FORMAT.md"
@@ -102,9 +101,16 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         assert "--jobs must be at least 1" in capsys.readouterr().err
     # a tolerance outside the integrator's range, or not a number
     for command in (["het-table", "--shoot", "--r0-list", "2.6", "--tol", "nan"],
-                    ["atlas", "--tol", "-1"]):
+                    ["cycle", "--tol", "-1"]):
         assert run([*command, "--out", str(tmp_path)]) == 2
         assert "--tol must lie in [1e-13, 0.001]" in capsys.readouterr().err
+    # a tolerance where nothing integrates
+    for command in (["atlas"], ["dz"], ["equilibria", "--r0", "2.6"]):
+        assert run([*command, "--tol", "1e-8", "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    for command in (["het-table"], ["het-fit"]):
+        assert run([*command, "--tol", "1e-8", "--out", str(tmp_path)]) == 2
+        assert "--tol only makes sense with --shoot" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -380,9 +386,7 @@ def test_cycle_csv_has_one_header(tmp_path, capsys):
     capsys.readouterr()
     _, header, rows = read_csv(tmp_path / "cycle.csv")
     assert header == ["t", "S", "I"]
-    orbit = find_periodic_orbit(2.6, 0.48, REFERENCE_BASE,
-                                het_p=float(fit_reference_curve()(2.6)),
-                                tol=1e-10)
+    orbit = find_periodic_orbit(2.6, 0.48, REFERENCE_BASE, tol=1e-10)
     assert len(rows) == len(orbit.t)
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
@@ -390,6 +394,35 @@ def test_cycle_csv_has_one_header(tmp_path, capsys):
 def test_cycle_outside_band_is_validation_error(capsys):
     assert run(["cycle", "--p", "0.70"]) == 2
     assert "cycle band" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--r0", "-1"],
+    ["--r0", "0"],
+    ["--r0", "1.5"],
+    ["--p", "nan"],
+    ["--het-p", "0.45"],     # the band is certified by the cycle itself
+])
+def test_cycle_input_errors_exit_two(tmp_path, capsys, args):
+    assert run(["cycle", *args, "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cycle_certifies_band_without_het_p(tmp_path, capsys):
+    # the model's connection at r0 = 3.0 is 0.29978, below the bundled
+    # fit's 0.31493: just above it the cycle exists, just below it does not
+    assert run(["cycle", "--r0", "3.0", "--p", "0.305", "--format", "json",
+                "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = read_json(tmp_path / "cycle.json")
+    assert payload["floquet"] > 1.0 and payload["return_residual"] <= 1e-9
+    assert "het_p" not in payload["config"]["settings"]
+    assert run(["cycle", "--r0", "3.0", "--p", "0.29",
+                "--out", str(tmp_path / "below")]) == 3
+    err = capsys.readouterr().err
+    assert "misses its start by" in err and "Traceback" not in err
+    assert not (tmp_path / "below").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +497,20 @@ def test_config_string_for_repeatable_flag(tmp_path, capsys):
                 str(cfg), "--format", "json", "--out", str(out)]) == 0
     capsys.readouterr()
     assert [q.name for q in out.iterdir()] == ["equilibria.json"]
+
+
+def test_config_echoes_tol_only_when_the_run_integrates(tmp_path, capsys):
+    for k, (argv, integrates) in enumerate((
+            (["dz"], False),
+            (["equilibria", "--r0", "2.6", "--p", "0.3"], False),
+            (["het-table"], False),
+            (["het-table", "--shoot", "--r0-list", "2.6"], True),
+            (["het-fit", "--shoot", "--tol", "1e-9"], True))):
+        out = tmp_path / str(k)
+        assert run([*argv, "--format", "json", "--out", str(out)]) == 0, argv
+        [doc] = [read_json(path) for path in out.iterdir()]
+        assert ("tol" in doc["config"]["settings"]) is integrates, argv
+    capsys.readouterr()
 
 
 def test_config_file_must_be_json_object(tmp_path, capsys):

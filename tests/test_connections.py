@@ -12,6 +12,7 @@ from sirbif import (
     REFERENCE_BASE,
     REFERENCE_HET_POINTS,
     BaseParams,
+    MislabeledRegionError,
     NotInRegionEError,
     PowerFit,
     ReducedPoint,
@@ -336,8 +337,24 @@ def test_power_fit_result_is_value_object(reference_fit):
 # the unstable periodic orbit
 
 
-def test_periodic_orbit_reference(base, het26):
-    orbit = find_periodic_orbit(2.6, 0.48, base, het_p=het26.p_het)
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """The start of every integration the cycle search makes."""
+    calls = []
+    real = connections.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connections, "integrate", counted)
+    return calls
+
+
+def test_periodic_orbit_reference(base, integrate_calls):
+    orbit = find_periodic_orbit(2.6, 0.48, base)
+    # two bracket ends, the Brent iterates and the recorded loop, nothing else
+    assert len(integrate_calls) <= 20
     params = reduced_to_params(ReducedPoint(2.6, 0.48, base))
     e2 = endemic(params)
     assert orbit.section_S == pytest.approx(e2.S, rel=1e-12)
@@ -361,19 +378,11 @@ def test_periodic_orbit_reference(base, het26):
     (2.6, 0.98),       # next to the Hopf value, where the map is nearly flat
     (3.5, 0.02),       # next to the connection
 ])
-def test_periodic_orbit_across_band(base, r0, frac, monkeypatch):
+def test_periodic_orbit_across_band(base, r0, frac, integrate_calls):
     # frac places p in the band from the model's connection to the Hopf value
     het = find_het_p(r0, base).p_het
     p = het + frac * (p_h(r0, base) - het)
-    calls = []
-    real = connections.integrate
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(connections, "integrate", counted)
-    orbit = find_periodic_orbit(r0, p, base, het_p=het)
+    orbit = find_periodic_orbit(r0, p, base)
     params = reduced_to_params(ReducedPoint(r0, p, base))
     e2 = endemic(params)
     headroom = invariant_region_bound(params) - e2.S - e2.I
@@ -383,21 +392,21 @@ def test_periodic_orbit_across_band(base, r0, frac, monkeypatch):
     gap = math.hypot(orbit.states[0][0] - orbit.states[-1][0],
                      orbit.states[0][1] - orbit.states[-1][1])
     assert gap <= 1e-6
-    assert len(calls) <= 40
+    assert len(integrate_calls) <= 40
 
 
-def test_periodic_orbit_serialization(base, het26):
-    orbit = find_periodic_orbit(2.6, 0.48, base, het_p=het26.p_het)
+def test_periodic_orbit_serialization(base):
+    orbit = find_periodic_orbit(2.6, 0.48, base)
     d = orbit.to_json_dict()
     assert d["period"] == orbit.period
     assert d["floquet"] == orbit.floquet
     assert d["section"]["S"] == orbit.section_S
 
 
-def test_periodic_orbit_band_shrinks_toward_hopf(base, het26):
+def test_periodic_orbit_band_shrinks_toward_hopf(base):
     # closer to the Hopf value the cycle is smaller and faster
-    near_het = find_periodic_orbit(2.6, 0.48, base, het_p=het26.p_het)
-    near_hopf = find_periodic_orbit(2.6, 0.50, base, het_p=het26.p_het)
+    near_het = find_periodic_orbit(2.6, 0.48, base)
+    near_hopf = find_periodic_orbit(2.6, 0.50, base)
     e2_48 = endemic(reduced_to_params(ReducedPoint(2.6, 0.48, base)))
     e2_50 = endemic(reduced_to_params(ReducedPoint(2.6, 0.50, base)))
     amp_48 = near_het.section_I - e2_48.I
@@ -406,19 +415,100 @@ def test_periodic_orbit_band_shrinks_toward_hopf(base, het26):
     assert near_hopf.period < near_het.period
 
 
-def test_periodic_orbit_rejects_outside_band(base, het26):
+def test_periodic_orbit_rejects_outside_band(base):
+    # above Hopf E2 is an unstable focus: no band
     with pytest.raises(NotInRegionEError, match="cycle band"):
-        find_periodic_orbit(2.6, 0.60, base, het_p=het26.p_het)
-    with pytest.raises(NotInRegionEError, match="cycle band"):
-        find_periodic_orbit(2.6, 0.40, base, het_p=het26.p_het)
+        find_periodic_orbit(2.6, 0.60, base)
+    # below the connection the loop does not close
+    with pytest.raises(MislabeledRegionError, match="misses its start"):
+        find_periodic_orbit(2.6, 0.40, base)
+    for r0 in (2.0, 1.5, -1.0, math.nan):
+        with pytest.raises(NotInRegionEError, match="cycle band"):
+            find_periodic_orbit(r0, 0.5, base)
 
 
-def test_cycle_separates_basins(base, het26):
+@pytest.mark.parametrize("r0", [2.1, 2.6, 3.0, 3.5])
+def test_periodic_orbit_certifies_band(base, r0):
+    # no heteroclinic value goes in: the E2 class, the bracket and the
+    # closing residual place the band's lower edge at the model's connection
+    het = find_het_p(r0, base).p_het
+    width = p_h(r0, base) - het
+    for p in (het + 1e-5, het + 1e-3 * width, het + 5e-3 * width,
+              het + 1e-2 * width):
+        orbit = find_periodic_orbit(r0, p, base)
+        assert orbit.floquet > 1.0, (r0, p)
+        assert orbit.return_residual <= 1e-9, (r0, p)
+    for offset in (1e-5, 1e-4, 1e-3, 0.03):
+        with pytest.raises(MislabeledRegionError, match="misses its start"):
+            find_periodic_orbit(r0, het - offset, base)
+
+
+def _dop853_cycle_multiplier(r0, p, base):
+    """exp of the loop integral of div f over the unstable cycle, found from
+    the README vector field alone: brentq on the reversed return map to
+    S = S2, each traversal a pair of scipy DOP853 legs (bottom crossing, then
+    top crossing) with the integral L' = div f carried along."""
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    A, m, u = base.A, base.m, base.mu + base.d + base.g
+    beta = r0 * u / A
+    S2 = u / beta
+    I2 = (S2 * (A - S2) - p * m) / (beta * S2)
+    bound = A * (u + A) / u
+    headroom = bound - S2 - I2
+
+    def field(t, x):
+        S, I, _ = x
+        return (-(S * (A - S) - beta * I * S - p * m),
+                -(beta * I * S - u * I),
+                (A - u) + (beta - 2.0) * S - beta * I)
+
+    def section(t, x):
+        return x[0] - S2
+
+    def escape(t, x):
+        return 50.0 * bound - max(abs(x[0]), abs(x[1]))
+
+    section.terminal = escape.terminal = True
+
+    def leg(x0, direction):
+        section.direction = direction
+        sol = solve_ivp(field, (0.0, 800.0), x0, method="DOP853", rtol=1e-13,
+                        atol=1e-15, events=(section, escape))
+        return sol.y_events[0][0] if len(sol.t_events[0]) else None
+
+    def loop(I_value):
+        bottom = leg((S2, I_value, 0.0), -1)
+        return None if bottom is None else leg(bottom, +1)
+
+    def gap(I_value):
+        end = loop(I_value)
+        return -headroom if end is None else end[1] - I_value
+
+    I_star = brentq(gap, I2 + 1e-4 * headroom, I2 + headroom, xtol=1e-14)
+    return math.exp(loop(I_star)[2])
+
+
+def test_independent_floquet_multiplier(base):
+    pytest.importorskip("scipy")
+    points = [(2.6, 0.48)]
+    for r0, frac in ((2.1, 0.5), (3.0, 0.5), (3.5, 0.02)):
+        het = find_het_p(r0, base).p_het
+        points.append((r0, het + frac * (p_h(r0, base) - het)))
+    for r0, p in points:
+        want = _dop853_cycle_multiplier(r0, p, base)
+        for tol, bound in ((1e-12, 1e-6), (1e-10, 1e-5)):
+            got = find_periodic_orbit(r0, p, base, tol=tol).floquet
+            assert abs(got - want) <= bound * want, (r0, p, tol, got, want)
+
+
+def test_cycle_separates_basins(base):
     # inside the unstable orbit trajectories sink to E2; outside they reach
     # the wall and the infection dies out
     p = 0.48
     params = reduced_to_params(ReducedPoint(2.6, p, base))
-    orbit = find_periodic_orbit(2.6, p, base, het_p=het26.p_het)
+    orbit = find_periodic_orbit(2.6, p, base)
     e2 = endemic(params)
     inside_I = 0.5 * (e2.I + orbit.section_I)
     inside = omega_limit_estimate((orbit.section_S, inside_I), params)

@@ -17,7 +17,6 @@ from sirbif import (
     disease_free,
     endemic,
     find_periodic_orbit,
-    fit_reference_curve,
     integrate,
     invariant_region_bound,
     manifold_shoot,
@@ -233,9 +232,7 @@ def test_omega_limit_core_outcomes(p_zero):
 def test_omega_limit_on_the_unstable_cycle_is_undecided(base):
     # the Hopf cycle repels, so it is no forward limit; a start on the
     # polished orbit still circles it at the horizon, far from E0, E1 and E2
-    het = fit_reference_curve()
-    orbit = find_periodic_orbit(2.6, 0.48, base, het_p=float(het(2.6)),
-                                tol=1e-12)
+    orbit = find_periodic_orbit(2.6, 0.48, base, tol=1e-12)
     params = reduced_to_params(ReducedPoint(2.6, 0.48, base))
     res = omega_limit_estimate((orbit.section_S, orbit.section_I), params,
                                horizon=300.0, tol=1e-10)
