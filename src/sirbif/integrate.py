@@ -8,11 +8,11 @@ crossing that stops a run to |residual| <= 1e-10.
 
 Two model-specific behaviours live here:
 
-* the S = 0 wall: when a step crosses S = 1e-12 going down, integration is
-  trimmed to the crossing, S is clamped to 0 and the boundary field
-  (dS/dt = 0, dI/dt = -(sigma+g)I) takes over for the rest of the run — the
-  non-smooth extension of the flow. The wall is scanned like any other
-  section, ahead of the caller's, until the handoff.
+* the absorbing S = 0 wall, met only in forward time (reversed, dS/dt =
+  +p*m >= 0 there): a run whose step crosses S = 1e-12 going down is trimmed
+  to the crossing, S is clamped to 0, and the rest of the run is the closed
+  form of the wall flow dS/dt = 0, dI/dt = -(sigma+g)I, one sample at t_end.
+  The wall is scanned like any other section, ahead of the caller's.
 * eigenvector-offset shooting from a saddle, forward along the unstable
   direction or in reversed time (field negated) along the stable one.
 
@@ -46,7 +46,7 @@ __all__ = [
     "TOL_RANGE",
 ]
 
-#: S below this is clamped to the wall and the boundary field takes over
+#: S below this, going down in forward time, is clamped to the wall
 WALL_CLAMP = 1e-12
 
 #: the closed range of integration tolerances integrate accepts
@@ -92,7 +92,7 @@ class SectionEvent:
             raise ValueError(f"direction must be -1 or +1, got {self.direction}")
 
 
-# scanned ahead of the caller's sections until the run hands off to the wall
+# scanned ahead of the caller's sections in forward runs
 _WALL = SectionEvent(WALL_CLAMP, -1, name="wall")
 
 
@@ -139,9 +139,9 @@ class Trajectory:
 
     t is strictly increasing (elapsed integration time; for reversed runs it
     is elapsed *backward* time). interpolate() evaluates the cubic Hermite
-    dense output; at the sample where the run switched to the wall field the
-    stored derivative is the wall-side one, so interpolation is exact on each
-    smooth piece and merely continuous at the kink.
+    dense output; at the wall point the stored derivative is the wall-side
+    one. After it a forward run has one more sample, the end, and in between
+    it is the exact wall decay I_w exp(-(sigma+g)(t - t_w)).
     """
     t: np.ndarray
     states: np.ndarray           # shape (n, 2)
@@ -161,6 +161,11 @@ class Trajectory:
     def on_wall(self) -> bool:
         return self.states[-1, 0] == 0.0
 
+    @property
+    def _wall_tail(self) -> bool:
+        # only the wall point and the closed-form end have S == 0 going forward
+        return not self.reversed_time and bool(np.all(self.states[-2:, 0] == 0.0))
+
     def interpolate(self, t_query: float) -> tuple:
         t = self.t
         if not t[0] <= t_query <= t[-1]:
@@ -171,6 +176,9 @@ class Trajectory:
         h = t1 - t0
         if h == 0.0:
             return (float(self.states[j, 0]), float(self.states[j, 1]))
+        if j == len(t) - 1 and self._wall_tail:
+            decay = math.exp(-self.params.removal * (t_query - t0))
+            return (0.0, float(self.states[j - 1, 1]) * decay)
         theta = (t_query - t0) / h
         x0, x1 = self.states[j - 1], self.states[j]
         f0, f1 = self.derivs[j - 1], self.derivs[j]
@@ -233,10 +241,12 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     when reverse_time is set).
 
     The run stops with 'crossed-section' at the first crossing of any of the
-    SectionEvents in sections. Until it hands off to the wall, the downward
-    wall section S = WALL_CLAMP is scanned ahead of them, so a tie goes to
-    the wall. The run ends with 'left-domain' once max(|S|, |I|) exceeds 50
-    times the invariant-region height, which only reversed runs ever reach.
+    SectionEvents in sections. A forward run scans the downward wall section
+    S = WALL_CLAMP ahead of them, so a tie goes to the wall; once it crosses
+    the wall, or if it starts there, it takes no more steps and ends with a
+    'time-horizon' sample at t_end, (0, I_w exp(-(sigma+g)(t_end - t_w))).
+    The run ends with 'left-domain' once max(|S|, |I|) exceeds 50 times the
+    invariant-region height, which only reversed runs ever reach.
 
     The step size underflowing 1e-14*max(1, t) yields a 'step-failure'
     terminal rather than an exception.
@@ -253,34 +263,28 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
 
     A = params.A
     beta = params.beta
-    u = params.sigma + params.g
+    u = params.removal
     pm = params.p * params.m
     sgn = -1.0 if reverse_time else 1.0
     bound = 50.0 * max(1.0, A * (u + A) / u)
 
-    def f_interior(x):
+    def f(x):
         S, I = x
         return (sgn * (S * (A - S) - beta * I * S - pm),
                 sgn * (beta * I * S - u * I))
 
-    def f_wall(x):
-        return (0.0, sgn * (-u * x[1]))
-
-    on_wall = S0 == 0.0 or (S0 < WALL_CLAMP and f_interior((S0, I0))[0] < 0.0)
-    if on_wall:
-        S0 = 0.0
-    fieldf = f_wall if on_wall else f_interior
-    armed = tuple(sections) if on_wall else (_WALL, *sections)
-
-    x = (S0, I0)
-    t = 0.0
-    fx = fieldf(x)
-    evals = 1
+    # only a forward run meets the wall: reversed, S' = +pm >= 0 at S = 0
+    on_wall = not reverse_time and (
+        S0 == 0.0 or (S0 < WALL_CLAMP and f((S0, I0))[0] < 0.0))
+    t, x = 0.0, ((0.0, I0) if on_wall else (S0, I0))
+    fx = (0.0, -u * I0) if on_wall else f(x)
+    evals = 0 if on_wall else 1
     ts, xs, fs = [t], [x], [fx]
     crossings: list = []
     terminal: TerminalEvent | None = None
     accepted = rejected = 0
     max_err = 0.0
+    armed = tuple(sections) if reverse_time else (_WALL, *sections)
 
     def push(tv, xv, fv):
         # record=False keeps only the initial and the running last sample
@@ -289,11 +293,12 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         else:
             ts[-1], xs[-1], fs[-1] = tv, xv, fv
 
-    h = _initial_step(fieldf, x, fx, t_end, tol, tol)
-    evals += 1
+    if not on_wall:
+        h = _initial_step(f, x, fx, t_end, tol, tol)
+        evals += 1
     facold = 1e-4
 
-    while terminal is None:
+    while not on_wall:
         if accepted + rejected > _MAX_STEPS:
             raise StepFailure(f"step budget exhausted ({_MAX_STEPS}) at t={t}")
         if h < 1e-14 * max(1.0, abs(t)):
@@ -305,24 +310,24 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
 
         S, I = x
         f1 = fx
-        k2 = fieldf((S + h * _A21 * f1[0], I + h * _A21 * f1[1]))
-        k3 = fieldf((S + h * (_A31 * f1[0] + _A32 * k2[0]),
-                     I + h * (_A31 * f1[1] + _A32 * k2[1])))
-        k4 = fieldf((S + h * (_A41 * f1[0] + _A42 * k2[0] + _A43 * k3[0]),
-                     I + h * (_A41 * f1[1] + _A42 * k2[1] + _A43 * k3[1])))
-        k5 = fieldf((S + h * (_A51 * f1[0] + _A52 * k2[0] + _A53 * k3[0]
-                              + _A54 * k4[0]),
-                     I + h * (_A51 * f1[1] + _A52 * k2[1] + _A53 * k3[1]
-                              + _A54 * k4[1])))
-        k6 = fieldf((S + h * (_A61 * f1[0] + _A62 * k2[0] + _A63 * k3[0]
-                              + _A64 * k4[0] + _A65 * k5[0]),
-                     I + h * (_A61 * f1[1] + _A62 * k2[1] + _A63 * k3[1]
-                              + _A64 * k4[1] + _A65 * k5[1])))
+        k2 = f((S + h * _A21 * f1[0], I + h * _A21 * f1[1]))
+        k3 = f((S + h * (_A31 * f1[0] + _A32 * k2[0]),
+                I + h * (_A31 * f1[1] + _A32 * k2[1])))
+        k4 = f((S + h * (_A41 * f1[0] + _A42 * k2[0] + _A43 * k3[0]),
+                I + h * (_A41 * f1[1] + _A42 * k2[1] + _A43 * k3[1])))
+        k5 = f((S + h * (_A51 * f1[0] + _A52 * k2[0] + _A53 * k3[0]
+                         + _A54 * k4[0]),
+                I + h * (_A51 * f1[1] + _A52 * k2[1] + _A53 * k3[1]
+                         + _A54 * k4[1])))
+        k6 = f((S + h * (_A61 * f1[0] + _A62 * k2[0] + _A63 * k3[0]
+                         + _A64 * k4[0] + _A65 * k5[0]),
+                I + h * (_A61 * f1[1] + _A62 * k2[1] + _A63 * k3[1]
+                         + _A64 * k4[1] + _A65 * k5[1])))
         Sn = S + h * (_B1 * f1[0] + _B3 * k3[0] + _B4 * k4[0] + _B5 * k5[0]
                       + _B6 * k6[0])
         In = I + h * (_B1 * f1[1] + _B3 * k3[1] + _B4 * k4[1] + _B5 * k5[1]
                       + _B6 * k6[1])
-        k7 = fieldf((Sn, In))
+        k7 = f((Sn, In))
         evals += 6
 
         eS = h * (_E1 * f1[0] + _E3 * k3[0] + _E4 * k4[0] + _E5 * k5[0]
@@ -352,24 +357,22 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
                     detail=f"I undershot the axis: {In:.3e}")
                 break
             x_new = (Sn, 0.0)
-            f_new = fieldf(x_new)
+            f_new = f(x_new)
             evals += 1
 
-        hit = _scan_step(t, x, f1, t_new, x_new, f_new, t_new - t, armed)
-        if hit is not None:
-            t, x_hit, sec = hit
+        # the earliest crossing in the step; min keeps the first of a tie
+        hits = [hit for sec in armed for hit in
+                _bracket_roots(t, x, f1, t_new, x_new, f_new, t_new - t, sec)]
+        if hits:
+            t, x_hit, sec = min(hits, key=lambda hit: hit[0])
             if sec is _WALL:
                 x = (0.0, max(x_hit[1], 0.0))
                 on_wall = True
-                fieldf = f_wall
-                armed = tuple(sections)
-                fx = fieldf(x)
-                evals += 1
                 crossings.append(Crossing("wall", t, x, -1))
-                push(t, x, fx)
-                continue
+                push(t, x, (0.0, -u * x[1]))
+                break
             x = x_hit
-            fx = fieldf(x)
+            fx = f(x)
             evals += 1
             terminal = TerminalEvent("crossed-section", t, x,
                                      section=sec.name, direction=sec.direction)
@@ -390,6 +393,12 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         h *= min(_FAC_MAX, max(_FAC_MIN, fac))
         facold = max(err, 1e-4)
 
+    if on_wall:
+        # the wall is absorbing: S' = 0 and I' = -(sigma+g)I for the rest of
+        # the run, so its end is closed-form rather than stepped
+        I_end = x[1] * math.exp(-u * (t_end - t))
+        t, x, fx = t_end, (0.0, I_end), (0.0, -u * I_end)
+        terminal = TerminalEvent("time-horizon", t, x)
     if ts[-1] != t or xs[-1] != x:
         ts.append(t), xs.append(x), fs.append(fx)
     return Trajectory(
@@ -403,22 +412,6 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         reversed_time=reverse_time,
         tol=tol,
     )
-
-
-def _scan_step(t, x, fx, t_new, x_new, f_new, h, sections):
-    """Scan one accepted step for crossings of the sections on the Hermite
-    interpolant (4 subintervals per section) and return the earliest as
-    (t_hit, x_hit, section), else None. A tie goes to the section listed
-    first, so the wall, armed first, wins it.
-    """
-    if h <= 0.0:
-        return None
-    found = []
-    for sec in sections:
-        found.extend(_bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec))
-    if not found:
-        return None
-    return min(found, key=lambda item: item[0])
 
 
 def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec):
@@ -559,11 +552,14 @@ def recover_recovered(traj: Trajectory, R0_initial: float) -> np.ndarray:
     On each interval of length h, I(t) is the cubic Hermite dense output, so
     variation of constants gives R1 = e^z R0 + h*(p*m*phi_1 + g*(weights .
     Hermite data)) with the phi-functions at z = -mu*h (Hochbruck &
-    Ostermann, Acta Numerica 19, 2010). Returns R at traj.t.
+    Ostermann, Acta Numerica 19, 2010); on the wall tail, I_w e^(-(sigma+g)s),
+    it is exact too. Returns R at traj.t.
     """
     if traj.reversed_time:
         raise ValueError("recovered-class reconstruction needs a forward run")
     pm, g, mu = traj.params.p * traj.params.m, traj.params.g, traj.params.mu
+    u = traj.params.removal
+    wall_tail = traj._wall_tail
     t = traj.t.tolist()
     I = traj.states[:, 1].tolist()
     dI = traj.derivs[:, 1].tolist()
@@ -574,10 +570,13 @@ def recover_recovered(traj: Trajectory, R0_initial: float) -> np.ndarray:
         z = -mu * h
         ph1, ph2, ph3, ph4 = _phi(z)
         # integral of e^(z(1-theta)) I(h theta) over theta in [0, 1]
-        I_int = ((ph1 - 6.0 * ph3 + 12.0 * ph4) * I[j - 1]
-                 + (6.0 * ph3 - 12.0 * ph4) * I[j]
-                 + h * ((ph2 - 4.0 * ph3 + 6.0 * ph4) * dI[j - 1]
-                        + (6.0 * ph4 - 2.0 * ph3) * dI[j]))
+        if wall_tail and j == len(t) - 1:  # I_w e^(-u h theta); u - mu = d + g > 0
+            I_int = I[j - 1] * math.exp(z) * _phi((mu - u) * h)[0]
+        else:
+            I_int = ((ph1 - 6.0 * ph3 + 12.0 * ph4) * I[j - 1]
+                     + (6.0 * ph3 - 12.0 * ph4) * I[j]
+                     + h * ((ph2 - 4.0 * ph3 + 6.0 * ph4) * dI[j - 1]
+                            + (6.0 * ph4 - 2.0 * ph3) * dI[j]))
         R = math.exp(z) * R + h * (pm * ph1 + g * I_int)
         out[j] = R
     return out

@@ -147,7 +147,7 @@ def vector_field(x, params: ModelParams):
 
     Rejects non-finite state components. The formula is also evaluated for
     S = 0 (where it points out of the quadrant when p > 0); the integrator is
-    responsible for handing off to the wall field there.
+    responsible for ending forward runs on the wall in closed form there.
     """
     S, I = x
     if not (math.isfinite(S) and math.isfinite(I)):

@@ -161,24 +161,32 @@ def test_left_domain_terminal():
 
 
 def test_wall_handoff_and_decay():
-    # p above the fold: S declines to the wall, then I decays exponentially
+    # p above the fold: S declines to the wall, where the run ends in the
+    # closed form of the wall flow, I = I_w exp(-(sigma+g)(t - t_w))
     params = ModelParams(A=1.1, beta=1.3, m=0.35, mu=0.175, d=0.175, g=0.35,
                          p=0.9)
     traj = integrate((0.05, 0.5), params, 400.0, tol=1e-8)
     assert traj.on_wall
-    assert traj.final_state[0] == 0.0
+    assert traj.terminal.kind == "time-horizon"
     assert float(traj.states[:, 0].min()) >= 0.0
-    wall_pos = int(np.argmax(traj.states[:, 0] == 0.0))
-    wall_I = traj.states[wall_pos:, 1]
-    assert float(wall_I[-1]) <= 1e-6
-    # decay is strictly monotone above the absolute-tolerance noise floor
-    head = wall_I[wall_I > 1e-7]
-    assert len(head) > 3 and np.all(np.diff(head) < 0.0)
-    assert float(wall_I.max()) == float(wall_I[0])
-    # on-wall decay follows dI/dt = -(sigma+g) I
-    t_w = traj.t[wall_pos:]
-    predicted = wall_I[0] * np.exp(-params.removal * (t_w - t_w[0]))
-    assert float(np.abs(wall_I - predicted).max()) <= 1e-6
+    # two samples on the wall: the handoff point and the end
+    (wall,) = traj.crossings
+    assert int(np.count_nonzero(traj.states[:, 0] == 0.0)) == 2
+    assert float(traj.t[-2]) == wall.t
+    assert tuple(traj.states[-2]) == wall.state
+    assert float(traj.t[-1]) == 400.0
+    t_w, I_w = wall.t, wall.state[1]
+
+    def exact(t):
+        return I_w * math.exp(-params.removal * (t - t_w))
+
+    assert traj.final_state[1] == pytest.approx(exact(400.0), rel=1e-14, abs=0.0)
+    assert traj.terminal.state == traj.final_state
+    assert tuple(traj.derivs[-1]) == (0.0, -params.removal * traj.final_state[1])
+    for t_q in (t_w + 1e-9, t_w + 0.5, 3.0, 37.25, 250.0, 399.999):
+        S, I = traj.interpolate(t_q)
+        assert S == 0.0
+        assert I == pytest.approx(exact(t_q), rel=1e-14, abs=0.0)
 
     # a section above the wall stops the run before the wall, and arming it
     # leaves the run up to that crossing unchanged
@@ -193,6 +201,38 @@ def test_wall_handoff_and_decay():
     n = len(cut.t) - 1
     assert np.array_equal(cut.t[:n], traj.t[:n])
     assert np.array_equal(cut.states[:n], traj.states[:n])
+
+
+def test_start_on_the_wall_takes_no_step():
+    params = ModelParams(A=1.1, beta=1.3, m=0.35, mu=0.175, d=0.175, g=0.35,
+                         p=0.9)
+    traj = integrate((0.0, 0.3), params, 50.0, tol=1e-8)
+    assert traj.t.tolist() == [0.0, 50.0]
+    assert traj.stats.steps_accepted == traj.stats.steps_rejected == 0
+    assert traj.crossings == () and traj.terminal.kind == "time-horizon"
+    assert traj.final_state == (0.0, 0.3 * math.exp(-params.removal * 50.0))
+
+
+def test_reversed_run_from_the_wall_enters_the_interior(figure_params):
+    # reversed, dS/dt = +pm > 0 at S = 0: nothing holds the run on the wall,
+    # so a start on it and one just beside it end together
+    params = figure_params(p=0.6)
+    on = integrate((0.0, 0.1), params, 2.0, tol=1e-8, reverse_time=True)
+    off = integrate((1e-6, 0.1), params, 2.0, tol=1e-8, reverse_time=True)
+    assert on.final_state[0] > 0.2
+    assert dist(on.final_state, off.final_state) <= 1e-5
+
+
+def test_reversed_run_on_the_invariant_axis(p_zero):
+    # pm = 0: S = 0 is invariant and the interior field there is the wall's,
+    # I' = +(sigma+g)I in reversed time, so I grows out of the domain on S = 0
+    traj = integrate((0.0, 0.1), p_zero, 50.0, tol=1e-8, reverse_time=True)
+    assert bool(np.all(traj.states[:, 0] == 0.0))
+    assert traj.terminal.kind == "left-domain"
+    t_end, I_end = traj.terminal.t, traj.terminal.state[1]
+    assert 10.0 < t_end < 11.0
+    assert I_end == pytest.approx(0.1 * math.exp(p_zero.removal * t_end),
+                                  rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +376,24 @@ def test_recovered_exact_for_cubic_infection():
         reversed_time=False, tol=1e-8)
     R = recover_recovered(traj, R_init)
     assert float(np.abs(R - exact).max()) <= 1e-13
+
+
+@pytest.mark.parametrize("t_end", [1.0, 3.0, 40.0])
+def test_recovered_exact_on_the_wall_tail(t_end):
+    # on the wall I = I_w e^(-u s), so R' = pm + g I - mu R has the closed
+    # form below; the tail is 0.84, 2.8 and 40 long, so both branches of
+    # _phi meet it
+    params = ModelParams(A=1.1, beta=1.3, m=0.35, mu=0.175, d=0.175, g=0.35,
+                         p=0.9)
+    pm, g, mu, u = params.p * params.m, params.g, params.mu, params.removal
+    traj = integrate((0.05, 0.5), params, t_end, tol=1e-8)
+    assert traj.on_wall
+    R = recover_recovered(traj, 0.1)
+    h = float(traj.t[-1] - traj.t[-2])
+    I_w, R_w = float(traj.states[-2, 1]), float(R[-2])
+    exact = (R_w * math.exp(-mu * h) + pm * -math.expm1(-mu * h) / mu
+             + g * I_w * (math.exp(-mu * h) - math.exp(-u * h)) / (u - mu))
+    assert float(R[-1]) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_recovered_balances_at_equilibrium(p_zero):
