@@ -6,6 +6,16 @@ norm, err_i / (atol + rtol*|x_i|) with atol = rtol = tol. Dense output is
 cubic Hermite on each accepted step and is used to localise the section
 crossing that stops a run to |residual| <= 1e-10.
 
+Every section lies on S, so the event scan works on the S-cubic of each
+step in Bernstein form (Lane & Riesenfeld, IEEE PAMI 3, 1981; Hairer,
+Nørsett & Wanner, Solving ODEs I, sec. II.6). A section outside the hull of
+the step's four control ordinates cannot be crossed in the step and is
+skipped after two comparisons; the few steps whose hull straddles a section
+are cut by de Casteljau subdivision, earliest half first, down to the
+earliest root in the section's direction. This finds a grazing pair of
+crossings between two samples of the step too; a pair closer than 2**-30
+of a step is a tangency.
+
 Two model-specific behaviours live here:
 
 * the absorbing S = 0 wall, met only in forward time (reversed, dS/dt =
@@ -69,6 +79,13 @@ _ALPHA = 0.17          # err exponent in the PI controller
 _BETA = 0.04           # memory exponent
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
 _MAX_STEPS = 2_000_000
+
+# event scan (see _hull, _bracket_roots): the hull pad in units of the
+# largest |ordinate|; the depth and the number of pieces after which a piece
+# is judged by its end signs alone
+_HULL_PAD = 2.0 ** -46
+_SCAN_DEPTH = 30
+_SCAN_PIECES = 256
 
 
 class StepFailure(RuntimeError):
@@ -241,8 +258,10 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     when reverse_time is set).
 
     The run stops with 'crossed-section' at the first crossing of any of the
-    SectionEvents in sections. A forward run scans the downward wall section
-    S = WALL_CLAMP ahead of them, so a tie goes to the wall; once it crosses
+    SectionEvents in sections, found in each step by the exact hull scan
+    (_hull, _bracket_roots); the scan never changes a step. A forward run
+    scans the downward wall section S = WALL_CLAMP ahead of them, and a tie
+    goes to the section scanned first, so to the wall; once it crosses
     the wall, or if it starts there, it takes no more steps and ends with a
     'time-horizon' sample at t_end, (0, I_w exp(-(sigma+g)(t_end - t_w))).
     The run ends with 'left-domain' once max(|S|, |I|) exceeds 50 times the
@@ -360,11 +379,18 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
             f_new = f(x_new)
             evals += 1
 
-        # the earliest crossing in the step; min keeps the first of a tie
-        hits = [hit for sec in armed for hit in
-                _bracket_roots(t, x, f1, t_new, x_new, f_new, t_new - t, sec)]
-        if hits:
-            t, x_hit, sec = min(hits, key=lambda hit: hit[0])
+        # the earliest crossing in the step, the first section winning a tie;
+        # a section outside the hull of the step's S-cubic cannot be crossed
+        dt = t_new - t
+        lo, hi, _, _, _ = _hull(x[0], f1[0], x_new[0], f_new[0], dt)
+        hit = None
+        for sec in armed:
+            if lo <= sec.value <= hi:
+                found = _bracket_roots(t, x, f1, t_new, x_new, f_new, dt, sec)
+                if found and (hit is None or found[0] < hit[0]):
+                    hit = found
+        if hit:
+            t, x_hit, sec = hit
             if sec is _WALL:
                 x = (0.0, max(x_hit[1], 0.0))
                 on_wall = True
@@ -414,46 +440,106 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     )
 
 
+def _hull(S0, fS0, S1, fS1, h):
+    """The Bernstein form of one step's S-cubic, for the event scan.
+
+    The cubic Hermite S(theta), theta in [0, 1], with ends S0, S1 and slopes
+    h*fS0, h*fS1 has the control ordinates S0, c1 = S0 + h*fS0/3,
+    c2 = S1 - h*fS1/3 and S1, and lies between their min and max (convex hull
+    property; Lane & Riesenfeld, IEEE PAMI 3, 1981). Returns (lo, hi, pad,
+    c1, c2): the hull widened by pad, 64 ulps of the largest |ordinate|. That
+    is over twice the rounding of c1, c2 and of any computed Hermite value, so
+    a section outside [lo, hi] has every computed sample of the step strictly
+    on one side of it.
+    """
+    c1 = S0 + h * fS0 / 3.0
+    c2 = S1 - h * fS1 / 3.0
+    # min and max of the four by comparisons: this runs on every step
+    lo, hi = (S0, S1) if S0 < S1 else (S1, S0)
+    inner_lo, inner_hi = (c1, c2) if c1 < c2 else (c2, c1)
+    if inner_lo < lo:
+        lo = inner_lo
+    if inner_hi > hi:
+        hi = inner_hi
+    pad = _HULL_PAD * (hi if hi > -lo else -lo)
+    return lo - pad, hi + pad, pad, c1, c2
+
+
+def _sign_changes(*ordinates):
+    """Sign changes of a Bernstein polygon, zeros dropped: by Descartes' rule
+    a bound on the roots of its cubic inside the piece, of the same parity."""
+    signs = [v > 0.0 for v in ordinates if v != 0.0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec):
-    """Find crossings of S = sec.value in sec.direction inside one step via
-    sign changes of the Hermite interpolant on 4 subintervals, bisected to
-    |residual| <= 1e-12 (well inside the 1e-10 contract)."""
-    value = sec.value
+    """The earliest crossing of S = sec.value in sec.direction inside one
+    step, as (t, (S, I), sec), or None.
+
+    The step's S-cubic is cut in halves by de Casteljau subdivision, earliest
+    half first. Each piece carries its Bernstein polygon relative to the
+    section, with the Hermite values g as its end ordinates. A piece whose
+    hull clears the section by pad (see _hull) holds no root and is dropped.
+    From depth 2 (the quarter steps) on, a piece is a leaf once Descartes'
+    rule on its polygon allows no root inside but the one its end signs show
+    (subdivision never adds sign changes, so there are at most a few cut
+    pieces per depth). A leaf whose end values change sign in sec.direction
+    is bisected to |residual| <= 1e-12 (well inside the 1e-10 contract), and
+    any other is dropped; so an ordinary crossing is bisected on the same
+    quarter as by a plain 4-interval sign scan, bit for bit. A piece that may
+    hold more, as a grazing pair with both ends on one side, is cut again.
+    At depth _SCAN_DEPTH, or once _SCAN_PIECES pieces were taken (a cap on
+    what rounding could add to the few cut pieces per depth), a piece is
+    judged by its end signs alone: a pair of crossings within
+    2**-_SCAN_DEPTH of a step of each other counts as a tangency. A start exactly on the section is no crossing, and a root
+    exactly at a cut belongs to the earlier piece.
+    """
+    value, direction = sec.value, sec.direction
     S0, S1 = x[0], x_new[0]
     fS0, fS1 = fx[0], f_new[0]
+    bottom, top, pad, c1, c2 = _hull(S0, fS0, S1, fS1, h)
+    if not bottom <= value <= top:
+        return None
 
     def g(theta):
         return _hermite(theta, h, S0, fS0, S1, fS1) - value
 
-    thetas = [i / 4 for i in range(5)]
-    vals = [g(th) for th in thetas]
-    out = []
-    for i in range(4):
-        g0, g1 = vals[i], vals[i + 1]
-        if g0 == 0.0 and i == 0:
-            continue            # starting exactly on the section: not a crossing
-        if g0 * g1 > 0.0:
-            continue
-        lo, hi = thetas[i], thetas[i + 1]
-        glo = g0
-        if g0 * g1 == 0.0 and g1 != 0.0:
-            continue
-        if (-1 if g0 > g1 else 1) != sec.direction:
-            continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if abs(gm) <= 1e-12:
-                lo = mid
-                break
-            if glo * gm <= 0.0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-        theta_hit = 0.5 * (lo + hi) if abs(g(lo)) > 1e-12 else lo
-        I_hit = _hermite(theta_hit, h, x[1], fx[1], x_new[1], f_new[1])
-        out.append((t + theta_hit * h, (g(theta_hit) + value, I_hit), sec))
-    return out
+    # (depth, theta_lo, theta_hi, polygon g_lo, d1, d2, g_hi); last in, first out
+    pieces = [(0, 0.0, 1.0, g(0.0), c1 - value, c2 - value, g(1.0))]
+    budget = _SCAN_PIECES
+    while pieces:
+        depth, lo, hi, glo, d1, d2, ghi = pieces.pop()
+        budget -= 1
+        if depth < 2:
+            if min(glo, d1, d2, ghi) > pad or max(glo, d1, d2, ghi) < -pad:
+                continue
+        elif (depth == _SCAN_DEPTH or budget <= 0
+              or _sign_changes(glo, d1, d2, ghi)
+              <= (1 if glo != 0.0 and ghi != 0.0 else 0)):
+            if ((glo == 0.0 and lo == 0.0) or glo * ghi > 0.0
+                    or (glo * ghi == 0.0 and ghi != 0.0)
+                    or (-1 if glo > ghi else 1) != direction):
+                continue
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                gm = g(mid)
+                if abs(gm) <= 1e-12:
+                    lo = mid
+                    break
+                if glo * gm <= 0.0:
+                    hi = mid
+                else:
+                    lo, glo = mid, gm
+            theta_hit = 0.5 * (lo + hi) if abs(g(lo)) > 1e-12 else lo
+            I_hit = _hermite(theta_hit, h, x[1], fx[1], x_new[1], f_new[1])
+            return (t + theta_hit * h, (g(theta_hit) + value, I_hit), sec)
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        a, b, c = 0.5 * (glo + d1), 0.5 * (d1 + d2), 0.5 * (d2 + ghi)
+        ab, bc = 0.5 * (a + b), 0.5 * (b + c)
+        pieces.append((depth + 1, mid, hi, gm, bc, c, ghi))
+        pieces.append((depth + 1, lo, mid, glo, a, ab, gm))
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sirbif import (
     REFERENCE_BASE,
@@ -26,7 +28,7 @@ from sirbif import (
     reduced_to_params,
     vector_field,
 )
-from sirbif.integrate import IntegrationStats
+from sirbif.integrate import IntegrationStats, _bracket_roots, _hermite, _hull
 
 
 def dist(a, b):
@@ -144,6 +146,91 @@ def test_directional_crossings_only(p_zero):
 def test_section_direction_must_be_signed(direction):
     with pytest.raises(ValueError, match="direction must be -1 or \\+1"):
         SectionEvent(0.5, direction)
+
+
+@pytest.mark.parametrize("mirror", [1.0, -1.0])
+@pytest.mark.parametrize("direction", [-1, 1])
+def test_grazing_pair_inside_one_step(mirror, direction):
+    # one step (h = 1/2) of P(theta) = (theta - 3/8)^2 (theta + 1) + 1/2: its
+    # interior minimum 1/2 at theta = 3/8 dips below the section S = 0.501
+    # between theta = 0.348 and 0.402, while P at theta = 0, 1/4, 1/2, 3/4
+    # and 1 stays above 0.519. Mirrored (S -> -S), a maximum pokes above.
+    t, h = 10.0, 0.5
+    S0, fS0, S1, fS1 = (mirror * v for v in (0.640625, -1.21875, 1.28125, 5.78125))
+    value = mirror * 0.501
+    assert all(mirror * (_hermite(th, h, S0, fS0, S1, fS1) - value) > 0.018
+               for th in (0.0, 0.25, 0.5, 0.75, 1.0))
+    sec = SectionEvent(value, direction, name="graze")
+    hit = _bracket_roots(t, (S0, 0.1), (fS0, 0.0), t + h, (S1, 0.1), (fS1, 0.0),
+                         h, sec)
+    assert hit, "the crossing between two quarter samples was missed"
+    t_hit, (S_hit, I_hit), found = hit
+    assert found is sec and abs(I_hit - 0.1) <= 1e-15
+    assert abs(S_hit - value) <= 1e-10
+    # the pair straddles theta = 3/8: the crossing that leaves the side the
+    # step starts on comes first, the one back second
+    first = direction == -mirror
+    assert t + 0.25 * h < t_hit < t + 0.5 * h
+    assert (t_hit < t + 0.375 * h) == first
+    # P - 0.501 = theta^3 + theta^2/4 - 0.609375 theta + 0.139625
+    pair = sorted(r.real for r in np.roots([1.0, 0.25, -0.609375, 0.139625])
+                  if 0.25 < r.real < 0.5)
+    assert abs((t_hit - t) / h - pair[0 if first else 1]) <= 1e-9
+
+
+def _dense_first_root(g, direction, n=4096):
+    """The earliest root of g on (0, 1] in direction, from the sign changes
+    of n + 1 samples and bisection to the last bit, or None."""
+    theta = np.linspace(0.0, 1.0, n + 1)
+    a, b = g(theta[:-1]), g(theta[1:])
+    if direction == -1:
+        (ks,) = np.nonzero((a > 0.0) & (b <= 0.0))
+    else:
+        (ks,) = np.nonzero((a < 0.0) & (b >= 0.0))
+    if not len(ks):
+        return None
+    lo, hi = float(theta[ks[0]]), float(theta[ks[0] + 1])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (g(mid) > 0.0) == (direction == -1):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=400)
+@given(st.floats(-1.0, 1.0), st.floats(-4.0, 4.0), st.floats(-1.0, 1.0),
+       st.floats(-4.0, 4.0), st.floats(1e-3, 1.0), st.floats(-1.2, 1.2),
+       st.sampled_from([-1, 1]))
+def test_event_scan_matches_dense_reference(S0, m0, S1, m1, h, value, direction):
+    # m0, m1 are the end slopes in theta, h*f; the cubic is the step's own
+    fS0, fS1 = m0 / h, m1 / h
+
+    def g(theta):
+        return _hermite(theta, h, S0, fS0, S1, fS1) - value
+
+    ref = _dense_first_root(g, direction)
+    lo, hi, _, _, _ = _hull(S0, fS0, S1, fS1, h)
+    if ref is not None:
+        assert lo <= value <= hi, "the hull prefilter dropped a crossing step"
+    # compare only where the roots are well conditioned: every critical
+    # value of the cubic clear of the section, and no root on a flat slope
+    dg = np.polynomial.Polynomial(
+        [m0, -6.0 * (S0 - S1) - 4.0 * m0 - 2.0 * m1, 6.0 * (S0 - S1) + 3.0 * (m0 + m1)])
+    crit = [r.real for r in np.atleast_1d(dg.roots())
+            if abs(r.imag) < 1e-12 and 0.0 <= r.real <= 1.0]
+    assume(all(abs(g(c)) > 1e-3 for c in crit))
+    assume(ref is None or abs(dg(ref)) > 0.05)
+    t = 7.0
+    sec = SectionEvent(value, direction)
+    hit = _bracket_roots(t, (S0, 0.0), (fS0, 0.0), t + h, (S1, 0.0), (fS1, 0.0),
+                         h, sec)
+    if ref is None:
+        assert not hit
+    else:
+        assert hit, f"missed the root at theta = {ref}"
+        assert abs(hit[0] - (t + ref * h)) <= 1e-10
 
 
 def test_left_domain_terminal():
