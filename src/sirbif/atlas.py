@@ -172,7 +172,7 @@ def dz_point(base: BaseParams) -> DZCertificate:
     return DZCertificate(
         point=(2.0, p_star),
         location=(S_star, 0.0),
-        jacobian=tuple(tuple(float(v) for v in row) for row in jac),
+        jacobian=jac,
         expected=expected,
         max_entry_error=max_err,
         eig_moduli=moduli,
@@ -208,8 +208,8 @@ def hopf_certificate(r0: float, base: BaseParams) -> HopfCertificate:
     params = reduced_to_params(ReducedPoint(r0, p, base))
     e2 = eq.endemic(params)
     jac = eq.jacobian(e2.location, params)
-    trace = float(jac[0][0] + jac[1][1])
-    det = float(jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
+    trace = jac[0][0] + jac[1][1]
+    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
     omega = abs(e2.eigenvalues[0].imag)
     transversality = base.A / (2.0 * r0 * r0)
     ok = abs(trace) <= 1e-10 and det > 0.0 and omega > 0.0

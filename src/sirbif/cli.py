@@ -86,12 +86,8 @@ class RunConfig:
 
 
 def _cell(value) -> str:
-    if value is None:
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(float(value))
     return str(value)
 
 
@@ -244,13 +240,13 @@ def cmd_dz(ns) -> int:
         "dev_h": abs(p_sn(r0s, base) - p_h(r0s, base)),
         "dev_bt2": abs(p_sn(r0s, base) - p_bt2(r0s, base)),
     }
-    jac = [[float(v) for v in row] for row in cert.jacobian]
+    jac = [list(row) for row in cert.jacobian]
     print(f"double-zero point: (R0, p) = ({r0s!r}, {ps!r})")
     print(f"E2 location there: S={cert.location[0]!r} I={cert.location[1]!r}")
     print(f"Jacobian: {jac!r}")
     print(f"expected: {[list(row) for row in cert.expected]!r}")
-    print(f"max entry error: {float(cert.max_entry_error)!r}")
-    print(f"eigenvalue moduli: {[float(v) for v in cert.eig_moduli]!r}")
+    print(f"max entry error: {cert.max_entry_error!r}")
+    print(f"eigenvalue moduli: {list(cert.eig_moduli)!r}")
     print(f"curve concurrence at R0=2: p_SN={conc['p_sn']!r} "
           f"|p_SN-p_T|={conc['dev_t']!r} |p_SN-p_H|={conc['dev_h']!r} "
           f"|p_SN-p_Bt2|={conc['dev_bt2']!r}")
@@ -260,8 +256,8 @@ def cmd_dz(ns) -> int:
             "point": {"r0": r0s, "p": ps},
             "location": {"S": cert.location[0], "I": cert.location[1]},
             "jacobian": jac,
-            "max_entry_error": float(cert.max_entry_error),
-            "eig_moduli": [float(v) for v in cert.eig_moduli],
+            "max_entry_error": cert.max_entry_error,
+            "eig_moduli": list(cert.eig_moduli),
             "endemic_location_error": cert.endemic_location_error,
             "concurrence": conc,
             "ok": cert.ok,
@@ -421,7 +417,7 @@ def _builtin_packs() -> dict:
         "G": PortraitPack("G", red(2.6, 0.805), 12, 8, "unstable endemic node"),
         "H": PortraitPack("H", red(2.6, 0.84), 20, 0,
                           "endemic equilibrium gone; extinction window"),
-        "het": PortraitPack("het", red(2.6, round(float(het(2.6)), 6)), 12, 8,
+        "het": PortraitPack("het", red(2.6, round(het(2.6), 6)), 12, 8,
                             "near the saddle-to-saddle connection"),
     }
 
@@ -456,7 +452,7 @@ def _phase_figure(params: ModelParams, title: str, config: RunConfig, paths,
                      (0.0, 0.0)], PALETTE["boundary"], width=1.0, dash="4,3")
     for path, cap, color, width, opacity in paths:
         idx = _downsample(len(path.t), cap)
-        canvas.polyline([(path.states[i, 0], path.states[i, 1]) for i in idx],
+        canvas.polyline([path.states[i] for i in idx],
                         color, width=width, opacity=opacity)
     if start is not None:
         canvas.marker(*start, "open", PALETTE["axis"], size=3.5)
@@ -515,7 +511,7 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
         for k, res in enumerate(results):
             traj = res.trajectory
             for i in _downsample(len(traj.t), ns.max_samples):
-                rows.append((k, traj.t[i], traj.states[i, 0], traj.states[i, 1]))
+                rows.append((k, traj.t[i], *traj.states[i]))
         return ("traj", "t", "S", "I"), rows
 
     payload = {
@@ -608,15 +604,14 @@ def cmd_simulate(ns) -> int:
     traj = integrate((ns.S0, ns.I0), params, ns.t_end, tol=tol)
     recovered = recover_recovered(traj, ns.r_init)
     term = traj.terminal
-    print(f"integrated to t = {float(traj.t[-1])!r} ({len(traj.t)} samples); "
+    print(f"integrated to t = {traj.t[-1]!r} ({len(traj.t)} samples); "
           f"terminal: {term.kind}" + (f" [{term.detail}]" if term.detail else ""))
 
     _emit(ns, config, [
         ("trajectory.csv", lambda: (("t", "S", "I", "R"), [
-            (traj.t[i], traj.states[i, 0], traj.states[i, 1],
-             float(recovered[i])) for i in range(len(traj.t))])),
-        ("trajectory.json", lambda: {**traj.to_json_dict(),
-                                     "R": [float(v) for v in recovered]}),
+            (t, S, I, R) for t, (S, I), R
+            in zip(traj.t, traj.states, recovered)])),
+        ("trajectory.json", lambda: {**traj.to_json_dict(), "R": recovered}),
         ("trajectory.svg", lambda: _phase_figure(
             params, f"trajectory from ({ns.S0:g}, {ns.I0:g})", config,
             [(traj, 1200, PALETTE["traj"], 1.4, 1.0)],
@@ -778,8 +773,8 @@ def cmd_cycle(ns) -> int:
                              config, [(orbit, 1200, PALETTE["cycle"], 2.0, 1.0)])
 
     _emit(ns, config, [
-        ("cycle.csv", lambda: (("t", "S", "I"), zip(
-            orbit.t, orbit.states[:, 0], orbit.states[:, 1]))),
+        ("cycle.csv", lambda: (("t", "S", "I"), (
+            (t, S, I) for t, (S, I) in zip(orbit.t, orbit.states)))),
         ("cycle.json", orbit.to_json_dict),
         ("cycle.svg", figure),
     ])

@@ -22,10 +22,7 @@ formula), so no heteroclinic value is needed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import BaseParams, ModelParams, ReducedPoint, invariant_region_bound, reduced_to_params
 from . import atlas
@@ -149,26 +146,19 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     e0, e1 = _saddle_pair(params)
     s2 = eqmod.endemic(params).S
 
-    unstable = manifold_shoot(
-        e1, "unstable", _SHOOT_OFFSET, params, _SHOOT_HORIZON, tol=tol,
-        sections=(SectionEvent(s2, -1, name="split-u"),),
-        record=False)
-    if unstable.terminal.kind != "crossed-section":
-        raise NoCrossingError(
-            f"W^u(E1) missed the section at (r0, p) = ({r0}, {p}): "
-            f"{unstable.terminal.kind} ({unstable.terminal.detail})")
-
-    # stable shot runs in reversed time: original dS/dt < 0 is direction +1
-    stable = manifold_shoot(
-        e0, "stable", _SHOOT_OFFSET, params, _SHOOT_HORIZON, tol=tol,
-        sections=(SectionEvent(s2, +1, name="split-s"),),
-        record=False)
-    if stable.terminal.kind != "crossed-section":
-        raise NoCrossingError(
-            f"W^s(E0) missed the section at (r0, p) = ({r0}, {p}): "
-            f"{stable.terminal.kind} ({stable.terminal.detail})")
-
-    return unstable.terminal.state[1] - stable.terminal.state[1]
+    # the stable shot runs in reversed time: original dS/dt < 0 is +1 there
+    heights = []
+    for eq, kind, sign, name in ((e1, "unstable", -1, "W^u(E1)"),
+                                 (e0, "stable", +1, "W^s(E0)")):
+        shot = manifold_shoot(
+            eq, kind, _SHOOT_OFFSET, params, _SHOOT_HORIZON, tol=tol,
+            sections=(SectionEvent(s2, sign, name="split"),), record=False)
+        if shot.terminal.kind != "crossed-section":
+            raise NoCrossingError(
+                f"{name} missed the section at (r0, p) = ({r0}, {p}): "
+                f"{shot.terminal.kind} ({shot.terminal.detail})")
+        heights.append(shot.terminal.state[1])
+    return heights[0] - heights[1]
 
 
 @dataclass(frozen=True)
@@ -284,6 +274,7 @@ def build_het_table(r0_list, base: BaseParams, *, jobs: int = 1,
         return []
     if jobs <= 1 or len(tasks) == 1:
         return [_het_worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_het_worker, tasks))
 
@@ -318,19 +309,21 @@ def power_fit(points) -> PowerFit:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points, got {len(pts)}")
-    x = np.array([q[0] for q in pts])
-    y = np.array([q[1] for q in pts])
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    x, y = [q[0] for q in pts], [q[1] for q in pts]
+    if not all(math.isfinite(v) for v in x + y):
         raise ValueError("all x and y must be finite")
-    if np.any(x <= 0.0):
+    if min(x) <= 0.0:
         raise ValueError("all x must be positive")
 
-    c = float(np.min(y)) - 0.01
-    lx = np.log(x)
-    lz = np.log(y - c)
+    c = min(y) - 0.01
+    if c == min(y):
+        raise FitSingularError("y values too large to fit: min(y) - 0.01 "
+                               f"rounds to min(y) = {c!r}")
+    lx = [math.log(v) for v in x]
+    lz = [math.log(v - c) for v in y]
     n = len(x)
-    sx, sz = lx.sum(), lz.sum()
-    sxx, sxz = (lx * lx).sum(), (lx * lz).sum()
+    sx, sz = sum(lx), sum(lz)
+    sxx, sxz = sum(v * v for v in lx), sum(u * v for u, v in zip(lx, lz))
     denom = n * sxx - sx * sx
     if abs(denom) <= 1e-9 * max(1.0, n * sxx + sx * sx):
         raise FitSingularError("x values do not spread")
@@ -338,37 +331,40 @@ def power_fit(points) -> PowerFit:
     a = math.exp((sz - b * sx) / n)
 
     def residuals(av, bv, cv):
-        with np.errstate(over="ignore", invalid="ignore"):
-            model = av * np.power(x, bv) + cv
-        return y - model
+        # (r, rss); a non-finite r, or x**b overflowing, is an infinite rss
+        try:
+            rv = [yi - (av * xi ** bv + cv) for xi, yi in zip(x, y)]
+        except OverflowError:
+            return None, math.inf
+        ss = sum(v * v for v in rv)
+        return rv, ss if math.isfinite(ss) else math.inf
 
-    def gradient_norm(av, bv, cv, rv):
-        with np.errstate(over="ignore", invalid="ignore"):
-            xb = np.power(x, bv)
-        jac = np.column_stack([xb, av * xb * lx, np.ones_like(x)])
-        return jac, 2.0 * float(np.linalg.norm(jac.T @ rv))
+    def normal_equations(av, bv, rv):
+        # J^T J and J^T r for the Jacobian rows [x^b, a*x^b*ln x, 1]
+        jac = [(xb, av * xb * li, 1.0)
+               for xb, li in zip((xi ** bv for xi in x), lx)]
+        return ([[sum(u[i] * u[j] for u in jac) for j in range(3)]
+                 for i in range(3)],
+                [sum(u[i] * ri for u, ri in zip(jac, rv)) for i in range(3)])
 
-    r = residuals(a, b, c)
-    rss = float(r @ r)
+    r, rss = residuals(a, b, c)
+    if r is None:
+        raise FitSingularError("x**b overflows at the log-log start")
     lam = 1e-3
     iterations = 0
     while iterations < _FIT_ROUNDS:
         iterations += 1
-        jac, grad = gradient_norm(a, b, c, r)
-        if grad <= 1e-10:
+        jtj, jtr = normal_equations(a, b, r)
+        if 2.0 * math.hypot(*jtr) <= 1e-10:
             break
-        jtr = jac.T @ r
-        jtj = jac.T @ jac
         accepted = False
         while lam <= 1e10:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.eye(3), jtr)
-            except np.linalg.LinAlgError:
+            delta = _solve3(jtj, jtr, lam)
+            if delta is None:
                 lam *= 10.0
                 continue
             trial = (a + delta[0], b + delta[1], c + delta[2])
-            r_new = residuals(*trial)
-            rss_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else math.inf
+            r_new, rss_new = residuals(*trial)
             if rss_new < rss:
                 a, b, c = trial
                 r, rss = r_new, rss_new
@@ -379,16 +375,38 @@ def power_fit(points) -> PowerFit:
         if not accepted:
             raise FitSingularError(
                 "no descent direction under maximal damping (collinear data)")
-        if float(np.linalg.norm(delta)) <= 1e-12:
+        if math.hypot(*delta) <= 1e-12:
             break
     else:
         raise FitNonConvergence(
             f"no convergence after {_FIT_ROUNDS} rounds (rss={rss:.3e})")
 
-    _, grad = gradient_norm(a, b, c, r)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    grad = 2.0 * math.hypot(*normal_equations(a, b, r)[1])
+    mean = sum(y) / n
+    ss_tot = sum((v - mean) ** 2 for v in y)
     corr = 1.0 - rss / ss_tot if ss_tot > 0.0 else 1.0
-    return PowerFit(float(a), float(b), float(c), rss, corr, iterations, grad)
+    return PowerFit(a, b, c, rss, corr, iterations, grad)
+
+
+def _solve3(m, v, lam: float):
+    """Solve (m + lam*I) z = v for a 3x3 m by Gaussian elimination with
+    partial pivoting; None when a pivot is exactly zero (a singular matrix)."""
+    rows = [[*mi, vi] for mi, vi in zip(m, v)]
+    for k in range(3):
+        rows[k][k] += lam
+    for k in range(3):
+        piv = max(range(k, 3), key=lambda i: abs(rows[i][k]))
+        if rows[piv][k] == 0.0:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [u - f * w for u, w in zip(row[k:], rows[k][k:])]
+    z = [0.0, 0.0, 0.0]
+    for i in (2, 1, 0):
+        z[i] = (rows[i][3] - sum(rows[i][j] * z[j] for j in range(i + 1, 3))
+                ) / rows[i][i]
+    return z
 
 
 def fit_reference_curve() -> PowerFit:
@@ -409,8 +427,8 @@ class PeriodicOrbit:
     period: float
     floquet: float               # nontrivial multiplier, > 1: unstable
     return_residual: float
-    t: np.ndarray                # one full loop, forward-time orientation
-    states: np.ndarray
+    t: tuple                     # one full loop, forward-time orientation
+    states: tuple                # (S, I) float pairs, one per t
 
     def to_json_dict(self) -> dict:
         return {
@@ -419,9 +437,9 @@ class PeriodicOrbit:
             "period": self.period,
             "floquet": self.floquet,
             "return_residual": self.return_residual,
-            "loop": {"t": [float(v) for v in self.t],
-                     "S": [float(v) for v in self.states[:, 0]],
-                     "I": [float(v) for v in self.states[:, 1]]},
+            "loop": {"t": list(self.t),
+                     "S": [x[0] for x in self.states],
+                     "I": [x[1] for x in self.states]},
         }
 
 
@@ -498,18 +516,16 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
 
     # Liouville: the multiplier is exp of the loop integral of div f =
     # (A - u) + (beta - 2) S - beta I, integrated exactly on each Hermite step
-    h = np.diff(loop.t)[:, None]
-    x, f = loop.states, loop.derivs
-    int_S, int_I = (0.5 * h * (x[:-1] + x[1:])
-                    + h * h / 12.0 * (f[:-1] - f[1:])).sum(axis=0)
+    t, x, f = loop.t, loop.states, loop.derivs
+    steps = [(t[k + 1] - t[k], k) for k in range(len(t) - 1)]
+    int_S, int_I = (sum(0.5 * h * (x[k][i] + x[k + 1][i])
+                        + h * h / 12.0 * (f[k][i] - f[k + 1][i])
+                        for h, k in steps) for i in (0, 1))
     floquet = math.exp((params.A - params.removal) * period
                        + (params.beta - 2.0) * int_S - params.beta * int_I)
 
     # present the loop in forward-time orientation
-    t_rev = loop.t
-    t_fwd = (period - t_rev)[::-1].copy()
-    states_fwd = loop.states[::-1].copy()
     return PeriodicOrbit(
         r0=r0, p=p, section_S=s2, section_I=I_star, period=period,
         floquet=floquet, return_residual=residual,
-        t=t_fwd, states=states_fwd)
+        t=tuple(period - v for v in reversed(t)), states=x[::-1])

@@ -19,8 +19,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import BaseParams, ModelParams
 
 __all__ = [
@@ -92,11 +90,10 @@ def _jacobian_entries(S: float, I: float, A: float, b: float, u: float) -> tuple
             (b * I, b * S - u))
 
 
-def jacobian(x, params: ModelParams) -> np.ndarray:
-    """Jacobian of the interior field at x = (S, I)."""
+def jacobian(x, params: ModelParams) -> tuple:
+    """Jacobian of the interior field at x = (S, I), as ((a, b), (c, d))."""
     S, I = x
-    return np.array(_jacobian_entries(S, I, params.A, params.beta,
-                                      params.sigma + params.g))
+    return _jacobian_entries(S, I, params.A, params.beta, params.removal)
 
 
 def eigenvalues_2x2(matrix) -> tuple:

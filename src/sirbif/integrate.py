@@ -32,9 +32,8 @@ nothing and may run concurrently.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import ModelParams
 from . import equilibria as eqmod
@@ -160,9 +159,9 @@ class Trajectory:
     one. After it a forward run has one more sample, the end, and in between
     it is the exact wall decay I_w exp(-(sigma+g)(t - t_w)).
     """
-    t: np.ndarray
-    states: np.ndarray           # shape (n, 2)
-    derivs: np.ndarray           # shape (n, 2), active-field derivatives
+    t: tuple                     # floats
+    states: tuple                # (S, I) float pairs, one per t
+    derivs: tuple                # (S, I) pairs, active-field derivatives
     crossings: tuple             # the wall crossing, if any; the stop is terminal
     terminal: TerminalEvent
     stats: IntegrationStats
@@ -172,41 +171,40 @@ class Trajectory:
 
     @property
     def final_state(self) -> tuple:
-        return (float(self.states[-1, 0]), float(self.states[-1, 1]))
+        return self.states[-1]
 
     @property
     def on_wall(self) -> bool:
-        return self.states[-1, 0] == 0.0
+        return self.states[-1][0] == 0.0
 
     @property
     def _wall_tail(self) -> bool:
         # only the wall point and the closed-form end have S == 0 going forward
-        return not self.reversed_time and bool(np.all(self.states[-2:, 0] == 0.0))
+        return not self.reversed_time and all(x[0] == 0.0 for x in self.states[-2:])
 
     def interpolate(self, t_query: float) -> tuple:
         t = self.t
         if not t[0] <= t_query <= t[-1]:
             raise ValueError(f"t={t_query} outside [{t[0]}, {t[-1]}]")
-        j = int(np.searchsorted(t, t_query, side="right"))
-        j = min(max(j, 1), len(t) - 1)
-        t0, t1 = float(t[j - 1]), float(t[j])
-        h = t1 - t0
+        j = min(max(bisect_right(t, t_query), 1), len(t) - 1)
+        t0 = t[j - 1]
+        h = t[j] - t0
         if h == 0.0:
-            return (float(self.states[j, 0]), float(self.states[j, 1]))
+            return self.states[j]
         if j == len(t) - 1 and self._wall_tail:
             decay = math.exp(-self.params.removal * (t_query - t0))
-            return (0.0, float(self.states[j - 1, 1]) * decay)
+            return (0.0, self.states[j - 1][1] * decay)
         theta = (t_query - t0) / h
-        x0, x1 = self.states[j - 1], self.states[j]
-        f0, f1 = self.derivs[j - 1], self.derivs[j]
-        out = _hermite(theta, h, x0, f0, x1, f1)
-        return (float(out[0]), float(out[1]))
+        (S0, I0), (S1, I1) = self.states[j - 1], self.states[j]
+        (fS0, fI0), (fS1, fI1) = self.derivs[j - 1], self.derivs[j]
+        return (_hermite(theta, h, S0, fS0, S1, fS1),
+                _hermite(theta, h, I0, fI0, I1, fI1))
 
     def to_json_dict(self) -> dict:
         return {
-            "t": [float(v) for v in self.t],
-            "S": [float(v) for v in self.states[:, 0]],
-            "I": [float(v) for v in self.states[:, 1]],
+            "t": list(self.t),
+            "S": [x[0] for x in self.states],
+            "I": [x[1] for x in self.states],
             "crossings": [
                 {"name": c.name, "t": c.t, "S": c.state[0], "I": c.state[1],
                  "direction": c.direction}
@@ -226,7 +224,7 @@ class Trajectory:
 
 
 def _hermite(theta, h, x0, f0, x1, f1):
-    """Cubic Hermite basis evaluation (componentwise, numpy or scalars)."""
+    """Cubic Hermite interpolant of one float component at theta in [0, 1]."""
     t2 = theta * theta
     h00 = (1.0 + 2.0 * theta) * (1.0 - theta) * (1.0 - theta)
     h10 = theta * (1.0 - theta) * (1.0 - theta)
@@ -428,9 +426,9 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     if ts[-1] != t or xs[-1] != x:
         ts.append(t), xs.append(x), fs.append(fx)
     return Trajectory(
-        t=np.asarray(ts, dtype=float),
-        states=np.asarray(xs, dtype=float),
-        derivs=np.asarray(fs, dtype=float),
+        t=tuple(ts),
+        states=tuple(xs),
+        derivs=tuple(fs),
         crossings=tuple(crossings),
         terminal=terminal,
         stats=IntegrationStats(accepted, rejected, max_err, evals),
@@ -614,11 +612,7 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str, offset: float,
     if norm <= 1e-13 * (1.0 + abs(lam)):
         raise ValueError("eigenvector numerically undefined (defective matrix)")
     v = (v[0] / norm, v[1] / norm)
-    if v[1] != 0.0:
-        flip = v[1] < 0.0
-    else:
-        flip = v[0] < 0.0
-    if flip:
+    if v[1] < 0.0 or (v[1] == 0.0 and v[0] < 0.0):
         v = (-v[0], -v[1])
     x0 = (equilibrium.S + offset * v[0], equilibrium.I + offset * v[1])
     if x0[1] < 0.0:
@@ -632,25 +626,22 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str, offset: float,
 # recovered-class reconstruction
 
 
-def recover_recovered(traj: Trajectory, R0_initial: float) -> np.ndarray:
+def recover_recovered(traj: Trajectory, R0_initial: float) -> list:
     """Solve dR/dt = p*m + g*I(t) - mu*R exactly along the trajectory's grid.
 
     On each interval of length h, I(t) is the cubic Hermite dense output, so
     variation of constants gives R1 = e^z R0 + h*(p*m*phi_1 + g*(weights .
     Hermite data)) with the phi-functions at z = -mu*h (Hochbruck &
     Ostermann, Acta Numerica 19, 2010); on the wall tail, I_w e^(-(sigma+g)s),
-    it is exact too. Returns R at traj.t.
+    it is exact too. Returns R at traj.t, as a list of floats.
     """
     if traj.reversed_time:
         raise ValueError("recovered-class reconstruction needs a forward run")
     pm, g, mu = traj.params.p * traj.params.m, traj.params.g, traj.params.mu
     u = traj.params.removal
     wall_tail = traj._wall_tail
-    t = traj.t.tolist()
-    I = traj.states[:, 1].tolist()
-    dI = traj.derivs[:, 1].tolist()
-    out = np.empty(len(t))
-    out[0] = R = float(R0_initial)
+    t, I, dI = traj.t, [x[1] for x in traj.states], [f[1] for f in traj.derivs]
+    out = [float(R0_initial)]
     for j in range(1, len(t)):
         h = t[j] - t[j - 1]
         z = -mu * h
@@ -663,8 +654,7 @@ def recover_recovered(traj: Trajectory, R0_initial: float) -> np.ndarray:
                      + (6.0 * ph3 - 12.0 * ph4) * I[j]
                      + h * ((ph2 - 4.0 * ph3 + 6.0 * ph4) * dI[j - 1]
                             + (6.0 * ph4 - 2.0 * ph3) * dI[j]))
-        R = math.exp(z) * R + h * (pm * ph1 + g * I_int)
-        out[j] = R
+        out.append(math.exp(z) * out[-1] + h * (pm * ph1 + g * I_int))
     return out
 
 

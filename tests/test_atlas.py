@@ -80,7 +80,7 @@ def test_e2_trace_matches_jacobian(r0, p):
     e2 = endemic(params)
     assume(e2.interior)
     J = jacobian(e2.location, params)
-    tr = float(J[0, 0] + J[1, 1])
+    tr = float(J[0][0] + J[1][1])
     assert_close(e2_trace(r0, p, REFERENCE_BASE), tr, rel=1e-9, abs_=1e-10,
                  label="trace identity")
 

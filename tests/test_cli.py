@@ -5,12 +5,16 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import sirbif
 import sirbif.cli as cli
 from sirbif import REFERENCE_BASE, __version__, find_periodic_orbit
 from sirbif.cli import main
@@ -35,6 +39,15 @@ def read_json(path):
     payload = json.loads(Path(path).read_text())
     assert "config" in payload
     return payload
+
+
+def run_child(code, *argv):
+    """Run ``python -c code argv...`` on this checkout of sirbif."""
+    src = str(Path(sirbif.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +371,20 @@ def test_het_fit_rejects_unusable_rows(tmp_path, capsys, cell, message):
     assert not out.exists()
 
 
+def test_het_fit_offset_lost_to_rounding(tmp_path):
+    # min(y) - 0.01 rounds to min(y), so y - c is 0 at that row: a clean
+    # validation error, with no warning or traceback on stderr
+    table = tmp_path / "huge.csv"
+    table.write_text("r0,p_het\n0.001,1e120\n0.002,1e108\n0.003,1e101\n"
+                     "0.004,1e96\n0.005,1e92\n")
+    proc = run_child("from sirbif.cli import main; raise SystemExit(main())",
+                     "het-fit", "--table", str(table), "--format", "json",
+                     "--out", str(tmp_path / "fitout"))
+    assert proc.returncode == 2
+    assert proc.stderr == (f"sirbif: {table}: y values too large to fit: "
+                           "min(y) - 0.01 rounds to min(y) = 1e+92\n")
+
+
 def test_het_fit_table_needs_four_rows(tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("r0,p_het\n2.2,0.68\n2.6,0.45\n3.0,0.30\n")
@@ -602,3 +629,33 @@ def test_schema_sweep_matches_format_doc(tmp_path, capsys):
             assert keys == _documented(path.name), path.name
         else:
             assert path.read_text().startswith("<svg"), path.name
+
+
+# ---------------------------------------------------------------------------
+# start-up: the runtime needs neither numpy nor a process pool
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None      # any import of numpy now raises ImportError
+from sirbif.cli import main
+code = main()
+if "concurrent.futures" in sys.modules:
+    sys.exit("concurrent.futures was imported")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["atlas", "--grid", "20", "--samples", "20"],
+    ["portraits", "--region", "all"],
+    ["cycle", "--r0", "2.6", "--p", "0.48"],
+    ["simulate", "--r0", "2.6", "--p", "0.9", "--S0", "0.05", "--I0", "0.5",
+     "--t-end", "400"],
+    ["het-table", "--shoot", "--r0-list", "2.6"],
+    ["het-fit"],
+    ["dz"],
+], ids=lambda argv: argv[0])
+def test_subcommand_runs_without_numpy(tmp_path, argv):
+    proc = run_child(_WITHOUT_NUMPY, *argv, "--jobs", "1",
+                     "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr

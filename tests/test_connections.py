@@ -297,6 +297,21 @@ def test_power_fit_recovers_exact_parameters():
     assert fit(2.5) == pytest.approx(a * 2.5 ** b + c, abs=1e-8)
 
 
+def test_power_fit_reference_values_pinned():
+    # the fit runs in Python floats; it keeps the numpy-era values of the
+    # reference table to 1e-14 in a, b and c and the same 22 rounds. rss is
+    # held to 1e-13: the 13 residuals are about 3e-4 and each carries up to
+    # 6e-17 of rounding, so the computed rss is good to about 1e-13 only (its
+    # exact value at the pinned a, b, c is 8.4706869040786110e-07, 7e-14 off)
+    fit = power_fit(REFERENCE_HET_POINTS)
+    for got, want, rel in ((fit.a, 4.495477591350638, 1e-14),
+                           (fit.b, -2.313144396318223, 1e-14),
+                           (fit.c, -0.03917162530289507, 1e-14),
+                           (fit.rss, 8.470686904079201e-07, 1e-13)):
+        assert abs(got - want) <= rel * abs(want), (got, want)
+    assert fit.iterations == 22
+
+
 def test_power_fit_shift_property(reference_fit):
     shifted = power_fit([(r, p + 1.0) for r, p in REFERENCE_HET_POINTS])
     assert shifted.c == pytest.approx(reference_fit.c + 1.0, abs=1e-6)
@@ -366,7 +381,7 @@ def test_periodic_orbit_reference(base, integrate_calls):
     assert len(orbit.t) == len(orbit.states)
     assert all(in_invariant_region(tuple(s), params, tol=1e-9)
                for s in orbit.states)
-    assert float(np.min(orbit.states[:, 1])) > 0.0
+    assert float(np.min(np.asarray(orbit.states)[:, 1])) > 0.0
     # loop closes: first and last recorded states coincide to the polish tol
     gap = math.hypot(orbit.states[0][0] - orbit.states[-1][0],
                      orbit.states[0][1] - orbit.states[-1][1])

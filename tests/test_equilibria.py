@@ -54,7 +54,7 @@ def test_jacobian_matches_finite_differences(S, I, r0, p):
         minus = vector_field((S - delta[0], I - delta[1]), params)
         for i in range(2):
             fd = (plus[i] - minus[i]) / (2.0 * h)
-            assert J[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            assert J[i][j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 @given(st.lists(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
@@ -196,8 +196,8 @@ def test_delta2_matches_jacobian_discriminant(r0, p):
     e2 = endemic(params)
     assume(e2.interior)
     J = jacobian(e2.location, params)
-    tr = float(J[0, 0] + J[1, 1])
-    det = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+    tr = float(J[0][0] + J[1][1])
+    det = float(J[0][0] * J[1][1] - J[0][1] * J[1][0])
     want = (params.beta * params.removal) ** 2 * (tr * tr - 4.0 * det)
     assert_close(delta2_eval(p, params), want, rel=1e-9,
                  abs_=1e-9 * delta2_scale(params), label="delta2 identity")

@@ -47,8 +47,8 @@ def p_zero():
 
 def test_samples_and_first_derivative(p_zero):
     traj = integrate((0.5, 0.1), p_zero, 10.0, tol=1e-8)
-    assert traj.derivs[0, 0] == vector_field((0.5, 0.1), p_zero)[0]
-    assert traj.derivs[0, 1] == vector_field((0.5, 0.1), p_zero)[1]
+    assert np.asarray(traj.derivs)[0, 0] == vector_field((0.5, 0.1), p_zero)[0]
+    assert np.asarray(traj.derivs)[0, 1] == vector_field((0.5, 0.1), p_zero)[1]
     t = traj.t
     assert np.all(np.diff(t) > 0.0)
     assert np.all(np.isfinite(traj.states))
@@ -76,7 +76,7 @@ def test_time_reversal_round_trip(p_zero, tol):
 def test_quadrant_preservation(x0, p_zero):
     tol = 1e-8
     traj = integrate(x0, p_zero, 60.0, tol=tol)
-    assert float(traj.states.min()) >= -10.0 * tol
+    assert float(np.asarray(traj.states).min()) >= -10.0 * tol
 
 
 def test_equilibria_are_fixed_points(p_zero):
@@ -255,10 +255,10 @@ def test_wall_handoff_and_decay():
     traj = integrate((0.05, 0.5), params, 400.0, tol=1e-8)
     assert traj.on_wall
     assert traj.terminal.kind == "time-horizon"
-    assert float(traj.states[:, 0].min()) >= 0.0
+    assert float(np.asarray(traj.states)[:, 0].min()) >= 0.0
     # two samples on the wall: the handoff point and the end
     (wall,) = traj.crossings
-    assert int(np.count_nonzero(traj.states[:, 0] == 0.0)) == 2
+    assert int(np.count_nonzero(np.asarray(traj.states)[:, 0] == 0.0)) == 2
     assert float(traj.t[-2]) == wall.t
     assert tuple(traj.states[-2]) == wall.state
     assert float(traj.t[-1]) == 400.0
@@ -294,7 +294,7 @@ def test_start_on_the_wall_takes_no_step():
     params = ModelParams(A=1.1, beta=1.3, m=0.35, mu=0.175, d=0.175, g=0.35,
                          p=0.9)
     traj = integrate((0.0, 0.3), params, 50.0, tol=1e-8)
-    assert traj.t.tolist() == [0.0, 50.0]
+    assert np.asarray(traj.t).tolist() == [0.0, 50.0]
     assert traj.stats.steps_accepted == traj.stats.steps_rejected == 0
     assert traj.crossings == () and traj.terminal.kind == "time-horizon"
     assert traj.final_state == (0.0, 0.3 * math.exp(-params.removal * 50.0))
@@ -314,7 +314,7 @@ def test_reversed_run_on_the_invariant_axis(p_zero):
     # pm = 0: S = 0 is invariant and the interior field there is the wall's,
     # I' = +(sigma+g)I in reversed time, so I grows out of the domain on S = 0
     traj = integrate((0.0, 0.1), p_zero, 50.0, tol=1e-8, reverse_time=True)
-    assert bool(np.all(traj.states[:, 0] == 0.0))
+    assert bool(np.all(np.asarray(traj.states)[:, 0] == 0.0))
     assert traj.terminal.kind == "left-domain"
     t_end, I_end = traj.terminal.t, traj.terminal.state[1]
     assert 10.0 < t_end < 11.0
@@ -383,9 +383,9 @@ def test_unstable_shot_enters_interior(p_zero):
     _, e1 = disease_free(p_zero)
     traj = manifold_shoot(e1, "unstable", 1e-6, p_zero, 30.0)
     assert not traj.reversed_time
-    assert traj.states[0, 1] > 0.0
-    assert traj.states[1, 1] > traj.states[0, 1]
-    assert float(traj.states[:, 1].max()) > 0.01
+    assert np.asarray(traj.states)[0, 1] > 0.0
+    assert np.asarray(traj.states)[1, 1] > np.asarray(traj.states)[0, 1]
+    assert float(np.asarray(traj.states)[:, 1].max()) > 0.01
 
 
 def test_stable_shot_traces_backward(base):
@@ -394,8 +394,8 @@ def test_stable_shot_traces_backward(base):
     e0 = disease_free(params)[0]
     traj = manifold_shoot(e0, "stable", 1e-6, params, 30.0)
     assert traj.reversed_time
-    assert traj.states[0, 1] > 0.0
-    assert traj.states[-1, 1] > traj.states[0, 1]
+    assert np.asarray(traj.states)[0, 1] > 0.0
+    assert np.asarray(traj.states)[-1, 1] > np.asarray(traj.states)[0, 1]
 
 
 def test_offset_scaling_is_linear(p_zero):
@@ -428,10 +428,10 @@ def test_shoot_validation(p_zero):
 def test_recovered_closed_form_when_no_infection(figure_params):
     params = figure_params(p=0.5)
     traj = integrate((0.5, 0.0), params, 40.0, tol=1e-10)
-    assert float(np.abs(traj.states[:, 1]).max()) == 0.0
+    assert float(np.abs(np.asarray(traj.states)[:, 1]).max()) == 0.0
     R = recover_recovered(traj, 0.0)
     ratio = params.p * params.m / params.mu
-    exact = ratio * (1.0 - np.exp(-params.mu * traj.t))
+    exact = ratio * (1.0 - np.exp(-params.mu * np.asarray(traj.t)))
     assert float(np.abs(R - exact).max()) <= 1e-14
 
 
@@ -477,7 +477,7 @@ def test_recovered_exact_on_the_wall_tail(t_end):
     assert traj.on_wall
     R = recover_recovered(traj, 0.1)
     h = float(traj.t[-1] - traj.t[-2])
-    I_w, R_w = float(traj.states[-2, 1]), float(R[-2])
+    I_w, R_w = float(np.asarray(traj.states)[-2, 1]), float(R[-2])
     exact = (R_w * math.exp(-mu * h) + pm * -math.expm1(-mu * h) / mu
              + g * I_w * (math.exp(-mu * h) - math.exp(-u * h)) / (u - mu))
     assert float(R[-1]) == pytest.approx(exact, rel=1e-13, abs=0.0)
@@ -489,7 +489,7 @@ def test_recovered_balances_at_equilibrium(p_zero):
     R = recover_recovered(traj, 0.0)
     want = p_zero.g * e2.I / p_zero.mu
     assert R[-1] == pytest.approx(want, rel=1e-3)
-    assert float(R.min()) >= 0.0
+    assert float(np.asarray(R).min()) >= 0.0
 
 
 def test_recovered_requires_forward_run(p_zero):
