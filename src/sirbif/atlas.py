@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .model import (BaseParams, ModelParams, ReducedPoint, _check_positive,
-                    invariant_region_bound, reduced_to_params)
+                    _check_reduced, _Record, invariant_region_bound,
+                    reduced_to_params)
 from . import equilibria as eq
 from .equilibria import (
     BelyakovDomainError,
@@ -131,8 +131,7 @@ def e2_trace(r0: float, p: float, base: BaseParams) -> float:
 # degeneracy certificates
 
 
-@dataclass(frozen=True)
-class DZCertificate:
+class DZCertificate(_Record):
     point: tuple                 # (r0, p) = (2, A^2/(4m))
     location: tuple              # (S, I) of the collided equilibrium
     jacobian: tuple              # ((a, b), (c, d)) as evaluated
@@ -181,8 +180,7 @@ def dz_point(base: BaseParams) -> DZCertificate:
     )
 
 
-@dataclass(frozen=True)
-class HopfCertificate:
+class HopfCertificate(_Record):
     r0: float
     p: float
     trace: float                 # trace of the Jacobian at E2, ~0
@@ -286,7 +284,7 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
         if abs(p - value) <= boundary_tol:
             return RegionLabel.BOUNDARY
 
-    ReducedPoint(r0, p, base)    # rejects non-finite r0 and p outside [0, 1]
+    _check_reduced(r0, p)
     A, m, u = base.A, base.m, base.removal
     b = r0 * u / A               # beta, exactly as reduced_to_params
     _check_positive("beta", b)

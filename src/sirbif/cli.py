@@ -17,7 +17,6 @@ import csv as _csvmod
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -54,6 +53,7 @@ from .model import (
     BaseParams,
     ModelParams,
     ReducedPoint,
+    _Record,
     invariant_region_bound,
     params_to_reduced,
     r0_of,
@@ -69,8 +69,7 @@ _REGION_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H", "het")
 # run configuration and artifact writers
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Resolved settings of one subcommand invocation."""
 
     command: str
@@ -385,8 +384,7 @@ def cmd_atlas(ns) -> int:
 # portraits
 
 
-@dataclass(frozen=True)
-class PortraitPack:
+class PortraitPack(_Record):
     region: str
     params: ModelParams
     n_boundary: int
@@ -736,14 +734,16 @@ def cmd_het_fit(ns) -> int:
     config = _config_for(ns, "het-fit", {
         "base": base.to_dict(), "source": source, "n_points": len(points),
     }, tol)
+    # past these digits rss and grad_norm depend on the order of the float
+    # operations, not on the data (FORMAT.md)
+    rss, grad_norm = float(f"{fit.rss:.12g}"), float(f"{fit.grad_norm:.2g}")
     print(f"p_het(r0) ~ a*r0^b + c with a = {fit.a!r}, b = {fit.b!r}, "
           f"c = {fit.c!r}")
-    print(f"rss = {fit.rss!r}, corr = {fit.corr!r}, "
-          f"iterations = {fit.iterations}")
+    print(f"rss = {rss!r}, corr = {fit.corr!r}, iterations = {fit.iterations}")
 
-    payload = {"a": fit.a, "b": fit.b, "c": fit.c, "rss": fit.rss,
+    payload = {"a": fit.a, "b": fit.b, "c": fit.c, "rss": rss,
                "corr": fit.corr, "iterations": fit.iterations,
-               "grad_norm": fit.grad_norm, "n_points": len(points)}
+               "grad_norm": grad_norm, "n_points": len(points)}
     _emit(ns, config, [
         ("het_fit.json", lambda: {"fit": payload}),
         ("het_fit.csv", lambda: (tuple(payload), [tuple(payload.values())])),

@@ -22,9 +22,8 @@ formula), so no heteroclinic value is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import BaseParams, ModelParams, ReducedPoint, invariant_region_bound, reduced_to_params
+from .model import BaseParams, ModelParams, ReducedPoint, _Record, invariant_region_bound, reduced_to_params
 from . import atlas
 from . import equilibria as eqmod
 from .equilibria import StabilityClass
@@ -161,8 +160,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     return heights[0] - heights[1]
 
 
-@dataclass(frozen=True)
-class HetResult:
+class HetResult(_Record):
     r0: float
     p_het: float
     splitting_residual: float
@@ -247,8 +245,7 @@ def find_het_p(r0: float, base: BaseParams, *,
     return HetResult(r0, p_het, abs(s_het), iterations)
 
 
-@dataclass(frozen=True)
-class HetRow:
+class HetRow(_Record):
     r0: float
     p_het: float               # nan when the row failed
     splitting_residual: float
@@ -283,8 +280,7 @@ def build_het_table(r0_list, base: BaseParams, *, jobs: int = 1,
 # power-law fit
 
 
-@dataclass(frozen=True)
-class PowerFit:
+class PowerFit(_Record):
     a: float
     b: float
     c: float
@@ -418,8 +414,7 @@ def fit_reference_curve() -> PowerFit:
 # the unstable periodic orbit (between the Hopf and heteroclinic values)
 
 
-@dataclass(frozen=True)
-class PeriodicOrbit:
+class PeriodicOrbit(_Record):
     r0: float
     p: float
     section_S: float             # the section S = S2

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .model import BaseParams, ModelParams
+from .model import BaseParams, ModelParams, _Record
 
 __all__ = [
     "StabilityClass",
@@ -53,8 +52,7 @@ class StabilityClass(enum.Enum):
     NONEXISTENT = "nonexistent"
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(_Record):
     ident: str                      # "E0" | "E1" | "E2"
     S: float
     I: float

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from .model import ModelParams
+from .model import ModelParams, _Record
 from . import equilibria as eqmod
 from .equilibria import Equilibrium, StabilityClass
 
@@ -91,8 +90,7 @@ class StepFailure(RuntimeError):
     """Raised internally; surfaced to callers as a 'step-failure' terminal."""
 
 
-@dataclass(frozen=True)
-class SectionEvent:
+class SectionEvent(_Record):
     """The section S = value, detected and localised in one direction.
 
     direction: -1 for crossings with S decreasing, +1 for S increasing
@@ -112,16 +110,14 @@ class SectionEvent:
 _WALL = SectionEvent(WALL_CLAMP, -1, name="wall")
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(_Record):
     name: str
     t: float
     state: tuple
     direction: int               # -1 or +1, sign of dS/dt
 
 
-@dataclass(frozen=True)
-class TerminalEvent:
+class TerminalEvent(_Record):
     kind: str                    # time-horizon | crossed-section |
                                  # left-domain | step-failure
     t: float
@@ -141,16 +137,14 @@ class TerminalEvent:
         return out
 
 
-@dataclass(frozen=True)
-class IntegrationStats:
+class IntegrationStats(_Record):
     steps_accepted: int
     steps_rejected: int
     max_error_estimate: float
     field_evals: int
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """An integration result: samples, crossings, terminal event, stats.
 
     t is strictly increasing (elapsed integration time; for reversed runs it
@@ -544,8 +538,7 @@ def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec):
 # omega-limit estimation
 
 
-@dataclass(frozen=True)
-class OmegaLimitResult:
+class OmegaLimitResult(_Record):
     outcome: str                 # E0 | E1 | E2 | boundary-axis | undecided
     trajectory: Trajectory
     detail: str = ""

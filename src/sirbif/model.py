@@ -27,7 +27,6 @@ chosen and beta carries r0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 
 __all__ = [
     "ModelParams",
@@ -43,8 +42,6 @@ __all__ = [
     "gronwall_envelope",
 ]
 
-_PARAM_KEYS = ("A", "beta", "m", "mu", "d", "g", "p")
-
 
 def _check_positive(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value)):
@@ -53,8 +50,60 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"parameter {name} must be positive, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+def _check_reduced(r0: float, p: float) -> None:
+    if not (math.isfinite(r0) and r0 > 0.0):
+        raise ValueError(f"r0 must be positive and finite, got {r0!r}")
+    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+
+
+class _Record:
+    """Base of the immutable value records. A subclass declares its fields
+    as annotations in signature order, a default as the class attribute of
+    that name, and may validate them in ``__post_init__``. Instances refuse
+    assignment, compare and hash by value within one class, and pickle
+    through ``__dict__``, which holds the fields in order. No method is
+    generated, so importing a record costs no more than a plain class."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            tail, defaults = names[len(args):], vars(type(self))
+            if (len(args) > len(names) or set(kwargs).difference(tail)
+                    or any(k not in kwargs and k not in defaults for k in tail)):
+                raise TypeError(f"{type(self).__qualname__}({', '.join(names)}) "
+                                f"got {len(args)} positional and "
+                                f"{sorted(kwargs)} keyword arguments")
+            args += tuple(kwargs[k] if k in kwargs else defaults[k] for k in tail)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is frozen: "
+                             f"cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        items = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({items})"
+
+
+class ModelParams(_Record):
     """Full parameter set. All rates positive; 0 <= p <= 1.
 
     sigma is stored split as (mu, d) because the recovered-class ODE needs mu
@@ -90,11 +139,10 @@ class ModelParams:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {k: float(getattr(self, k)) for k in _PARAM_KEYS}
+        return {k: float(v) for k, v in self.__dict__.items()}
 
 
-@dataclass(frozen=True)
-class BaseParams:
+class BaseParams(_Record):
     """The fixed part of a reduced parameterization: everything except beta.
 
     beta is reconstructed from r0 via beta = r0*(sigma+g)/A.
@@ -119,7 +167,7 @@ class BaseParams:
         return (self.mu + self.d) + self.g
 
     def to_dict(self) -> dict:
-        return {k: float(v) for k, v in asdict(self).items()}
+        return {k: float(v) for k, v in self.__dict__.items()}
 
 
 #: Base used by the bundled reference data and the CLI defaults:
@@ -127,8 +175,7 @@ class BaseParams:
 REFERENCE_BASE = BaseParams(A=1.1, m=0.35, mu=0.175, d=0.175, g=0.35)
 
 
-@dataclass(frozen=True)
-class ReducedPoint:
+class ReducedPoint(_Record):
     """(r0, p) plus the fixed base that makes the map to ModelParams exact."""
 
     r0: float
@@ -136,10 +183,7 @@ class ReducedPoint:
     base: BaseParams
 
     def __post_init__(self):
-        if not (math.isfinite(self.r0) and self.r0 > 0.0):
-            raise ValueError(f"r0 must be positive and finite, got {self.r0!r}")
-        if not (math.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+        _check_reduced(self.r0, self.p)
 
 
 def vector_field(x, params: ModelParams):

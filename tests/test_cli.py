@@ -632,7 +632,7 @@ def test_schema_sweep_matches_format_doc(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up: the runtime needs neither numpy nor a process pool
+# start-up: the runtime needs neither numpy, a process pool nor dataclasses
 
 _WITHOUT_NUMPY = """
 import sys
@@ -645,7 +645,14 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv", [
+_WITHOUT_DATACLASSES = """
+import sys
+sys.modules["dataclasses"] = sys.modules["inspect"] = None   # imports raise
+from sirbif.cli import main
+sys.exit(main())
+"""
+
+every_subcommand = pytest.mark.parametrize("argv", [
     ["atlas", "--grid", "20", "--samples", "20"],
     ["portraits", "--region", "all"],
     ["cycle", "--r0", "2.6", "--p", "0.48"],
@@ -654,8 +661,20 @@ sys.exit(code)
     ["het-table", "--shoot", "--r0-list", "2.6"],
     ["het-fit"],
     ["dz"],
+    ["equilibria", "--r0", "2.6", "--p", "0.3"],
 ], ids=lambda argv: argv[0])
+
+
+@every_subcommand
 def test_subcommand_runs_without_numpy(tmp_path, argv):
     proc = run_child(_WITHOUT_NUMPY, *argv, "--jobs", "1",
+                     "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+@every_subcommand
+def test_subcommand_runs_without_dataclasses(tmp_path, argv):
+    # the records generate no code, so neither module is needed at start-up
+    proc = run_child(_WITHOUT_DATACLASSES, *argv, "--jobs", "1",
                      "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr

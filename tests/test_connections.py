@@ -1,7 +1,6 @@
 """Heteroclinic location by shooting, the power-law fit, and the unstable
 periodic orbit."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -36,7 +35,7 @@ from sirbif.connections import FitSingularError
 from conftest import INDEPENDENT_HET_POINTS
 
 
-BASE_A13 = dataclasses.replace(REFERENCE_BASE, A=1.3)
+BASE_A13 = BaseParams(A=1.3, m=0.35, mu=0.175, d=0.175, g=0.35)
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +230,7 @@ def test_find_het_bracket_capped_at_one():
 @pytest.mark.parametrize("het_base, r0_list", [
     (REFERENCE_BASE, (2.2, 2.6, 3.5)),
     (BASE_A13, (2.19, 2.6)),
-    (dataclasses.replace(REFERENCE_BASE, A=1.0), (2.6,)),
+    (BaseParams(A=1.0, m=0.35, mu=0.175, d=0.175, g=0.35), (2.6,)),
 ])
 def test_find_het_one_bracket(het_base, r0_list, monkeypatch):
     # the ends (0.05*hi, hi) with hi = min(p_h, 1) are shot first, in that

@@ -3,6 +3,7 @@ invariant region, and the comparison envelope."""
 
 import importlib
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,14 @@ from sirbif import (
     reduced_to_params,
     vector_field,
 )
+
+from sirbif.atlas import DZCertificate, HopfCertificate
+from sirbif.cli import PortraitPack, RunConfig
+from sirbif.connections import HetResult, HetRow, PeriodicOrbit, PowerFit
+from sirbif.equilibria import Equilibrium, StabilityClass
+from sirbif.integrate import (Crossing, IntegrationStats, OmegaLimitResult,
+                              SectionEvent, TerminalEvent, Trajectory)
+from sirbif.model import _Record
 
 from conftest import assert_close
 
@@ -227,3 +236,172 @@ def test_public_names_resolve(module):
     missing = [name for name in namespace.__all__
                if not hasattr(namespace, name)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# the record contract: every value record of the package
+
+
+_PARAMS = ModelParams(1.1, 1.3, 0.35, 0.175, 0.175, 0.35, 0.2)
+_TERMINAL = TerminalEvent("time-horizon", 1.0, (0.4, 0.2))
+_STATS = IntegrationStats(3, 1, 1e-9, 20)
+_TRAJECTORY = Trajectory((0.0, 1.0), ((0.5, 0.1), (0.4, 0.2)),
+                         ((0.1, 0.1), (0.1, 0.1)), (), _TERMINAL, _STATS,
+                         _PARAMS, False, 1e-8)
+
+# (class, every field by keyword in signature order, the defaulted fields)
+RECORDS = [
+    (ModelParams, dict(A=1.1, beta=1.3, m=0.35, mu=0.175, d=0.175, g=0.35,
+                       p=0.2), dict(p=0.0)),
+    (BaseParams, dict(A=1.1, m=0.35, mu=0.175, d=0.175, g=0.35), {}),
+    (ReducedPoint, dict(r0=2.6, p=0.48, base=REFERENCE_BASE), {}),
+    (Equilibrium, dict(ident="E2", S=0.5, I=0.1,
+                       eigenvalues=(-0.1 - 0.2j, -0.1 + 0.2j),
+                       stability=StabilityClass.SINK_FOCUS), {}),
+    (DZCertificate, dict(point=(2.0, 0.864), location=(0.55, 0.0),
+                         jacobian=((0.0, -0.7), (0.0, 0.0)),
+                         expected=((0.0, -0.7), (0.0, 0.0)),
+                         max_entry_error=0.0, eig_moduli=(0.0, 0.0),
+                         endemic_location_error=None, ok=True), {}),
+    (HopfCertificate, dict(r0=2.6, p=0.51, trace=0.0, omega=0.3,
+                           determinant=0.09, transversality=0.08,
+                           dre_dr0=0.16, ok=True), {}),
+    (SectionEvent, dict(value=0.5, direction=-1, name="split"),
+     dict(name="section")),
+    (Crossing, dict(name="wall", t=1.5, state=(0.0, 0.2), direction=-1), {}),
+    (TerminalEvent, dict(kind="crossed-section", t=1.5, state=(0.5, 0.2),
+                         section="split", direction=1, detail="x"),
+     dict(section=None, direction=0, detail="")),
+    (IntegrationStats, dict(steps_accepted=3, steps_rejected=1,
+                            max_error_estimate=1e-9, field_evals=20), {}),
+    (Trajectory, dict(t=_TRAJECTORY.t, states=_TRAJECTORY.states,
+                      derivs=_TRAJECTORY.derivs, crossings=(),
+                      terminal=_TERMINAL, stats=_STATS, params=_PARAMS,
+                      reversed_time=False, tol=1e-8), {}),
+    (OmegaLimitResult, dict(outcome="E2", trajectory=_TRAJECTORY,
+                            detail="near"), dict(detail="")),
+    (HetResult, dict(r0=2.6, p_het=0.446, splitting_residual=1e-9,
+                     iterations=8), {}),
+    (HetRow, dict(r0=2.6, p_het=0.446, splitting_residual=1e-9,
+                  error="bad"), dict(error="")),
+    (PowerFit, dict(a=4.5, b=-2.3, c=-0.04, rss=8e-7, corr=0.99,
+                    iterations=22, grad_norm=7e-14), {}),
+    (PeriodicOrbit, dict(r0=2.6, p=0.48, section_S=0.27, section_I=0.4,
+                         period=17.25, floquet=1.736, return_residual=1e-10,
+                         t=(0.0, 17.25), states=((0.27, 0.4), (0.27, 0.4))),
+     {}),
+    (RunConfig, dict(command="dz", settings={"formats": ["json"]}), {}),
+    (PortraitPack, dict(region="E", params=_PARAMS, n_boundary=12, n_ring=8,
+                        note="focus"), {}),
+]
+
+records = pytest.mark.parametrize("cls, fields, defaults", RECORDS,
+                                  ids=[cls.__name__ for cls, _, _ in RECORDS])
+
+
+@records
+def test_record_construction(cls, fields, defaults):
+    values = tuple(fields.values())
+    record = cls(*values)
+    assert tuple(getattr(record, k) for k in fields) == values
+    assert cls(**fields) == record
+    first, *rest = fields
+    assert cls(values[0], **{k: fields[k] for k in rest}) == record
+    required = [v for k, v in fields.items() if k not in defaults]
+    bare = cls(*required)
+    assert {k: getattr(bare, k) for k in defaults} == defaults
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, unknown=1)
+    if required:
+        with pytest.raises(TypeError):
+            cls(*required[:-1])
+
+
+@records
+def test_record_is_frozen(cls, fields, defaults):
+    record = cls(**fields)
+    for name in (*fields, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, k) for k in fields) == tuple(fields.values())
+
+
+@records
+def test_record_value_semantics(cls, fields, defaults):
+    record, clone = cls(**fields), cls(*fields.values())
+    assert record == clone and not record != clone
+    first, *_ = fields
+    changed = cls(**dict(fields, **{first: fields[first] * 2}))
+    assert changed != record
+    for other_cls, other_fields, _ in RECORDS:
+        if other_cls is not cls:
+            assert record != other_cls(**other_fields)
+    try:
+        hash(tuple(fields.values()))
+    except TypeError:            # a field holds a dict: unhashable, as a tuple
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(clone)
+        assert {record: "x"}[clone] == "x"
+
+
+@records
+def test_record_repr(cls, fields, defaults):
+    inner = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__name__}({inner})"
+
+
+@records
+def test_record_pickle_round_trip(cls, fields, defaults):
+    record = cls(**fields)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is cls and back == record
+
+
+def test_records_with_the_same_fields_differ_by_class():
+    class Twin(_Record):
+        A: float
+        m: float
+        mu: float
+        d: float
+        g: float
+
+    twin = Twin(**REFERENCE_BASE.to_dict())
+    assert twin != REFERENCE_BASE and REFERENCE_BASE != twin
+    assert repr(SectionEvent(0.5, -1)) == (
+        "SectionEvent(value=0.5, direction=-1, name='section')")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModelParams(0.0, 1.3, 0.35, 0.175, 0.175, 0.35),
+     "parameter A must be positive, got 0.0"),
+    (lambda: ModelParams(1.1, math.nan, 0.35, 0.175, 0.175, 0.35),
+     "parameter beta must be a finite number, got nan"),
+    (lambda: ModelParams(1.1, 1.3, 0.35, 0.175, 0.175, 0.35, p=math.inf),
+     "parameter p must be a finite number, got inf"),
+    (lambda: ModelParams(1.1, 1.3, 0.35, 0.175, 0.175, 0.35, p=1.5),
+     "vaccination fraction p must lie in [0, 1], got 1.5"),
+    (lambda: BaseParams(1.1, 0.35, 0.175, 0.175, g=-1.0),
+     "parameter g must be positive, got -1.0"),
+    (lambda: BaseParams(1.1, "0.35", 0.175, 0.175, 0.35),
+     "parameter m must be a finite number, got '0.35'"),
+    (lambda: ReducedPoint(math.nan, 0.5, REFERENCE_BASE),
+     "r0 must be positive and finite, got nan"),
+    (lambda: ReducedPoint(2.6, 1.1, REFERENCE_BASE),
+     "p must lie in [0, 1], got 1.1"),
+    (lambda: SectionEvent(0.5, 0),
+     "direction must be -1 or +1, got 0"),
+])
+def test_record_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
