@@ -21,8 +21,6 @@ from pathlib import Path
 
 from . import __version__
 from .atlas import (
-    BelyakovDomainError,
-    CurveDomainError,
     RegionFlagError,
     classify_region,
     curve_values_at,
@@ -284,23 +282,19 @@ def _atlas_rows(base: BaseParams, het, r0_min: float, r0_max: float,
 def _region_label_anchors(base: BaseParams, het) -> list:
     """(label, r0, p) anchors for the open regions, computed from the curves
     so they stay inside their bands under any base."""
-    anchors = []
-
     def mid(lo, hi):
         return 0.5 * (lo + hi)
 
-    try:
-        anchors.append(("A", 2.2, mid(p_sn(2.2, base), min(1.0, 1.12 * p_sn(2.2, base)))))
-        anchors.append(("B", 1.55, mid(p_t(1.55, base), p_sn(1.55, base))))
-        anchors.append(("C", 1.16, 0.45 * p_t(1.16, base)))
-        anchors.append(("D", 2.35, 0.5 * het(2.35)))
-        anchors.append(("E", 3.0, mid(het(3.0), p_h(3.0, base))))
-        anchors.append(("F", 2.8, mid(p_h(2.8, base), p_bt2(2.8, base))))
-        anchors.append(("G", 3.2, mid(p_bt2(3.2, base), p_t(3.2, base))))
-        anchors.append(("H", 3.0, mid(p_t(3.0, base), p_sn(3.0, base))))
-    except (CurveDomainError, BelyakovDomainError):
-        pass
-    return anchors
+    return [
+        ("A", 2.2, mid(p_sn(2.2, base), min(1.0, 1.12 * p_sn(2.2, base)))),
+        ("B", 1.55, mid(p_t(1.55, base), p_sn(1.55, base))),
+        ("C", 1.16, 0.45 * p_t(1.16, base)),
+        ("D", 2.35, 0.5 * het(2.35)),
+        ("E", 3.0, mid(het(3.0), p_h(3.0, base))),
+        ("F", 2.8, mid(p_h(2.8, base), p_bt2(2.8, base))),
+        ("G", 3.2, mid(p_bt2(3.2, base), p_t(3.2, base))),
+        ("H", 3.0, mid(p_t(3.0, base), p_sn(3.0, base))),
+    ]
 
 
 def _atlas_svg(base: BaseParams, rows, het, config: RunConfig,
@@ -358,7 +352,7 @@ def cmd_atlas(ns) -> int:
                 p = ns.p_min + (ns.p_max - ns.p_min) * j / (ns.grid - 1)
                 try:
                     label = classify_region(r0, p, base, het=het).value
-                except (RegionFlagError, CurveDomainError, BelyakovDomainError):
+                except RegionFlagError:
                     # corner cases sitting exactly on a degenerate locus
                     label = "boundary"
                 grid_rows.append((r0, p, label))
@@ -564,7 +558,7 @@ def cmd_portraits(ns) -> int:
             het = fit_reference_curve() if point.base == REFERENCE_BASE else None
             label = classify_region(point.r0, params.p, point.base,
                                     het=het).value
-        except (RegionFlagError, CurveDomainError, BelyakovDomainError):
+        except RegionFlagError:
             pass
         packs = [PortraitPack(label, params, 12, 8, "custom parameter point")]
     else:
@@ -840,7 +834,6 @@ def build_parser():
                      version=f"sirbif {__version__}")
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
     io, io_tol = _io_parent(False), _io_parent(True)
-    parsers = {}
 
     ap = sub.add_parser(
         "equilibria", parents=[io],
@@ -851,7 +844,6 @@ def build_parser():
     _add_base_args(ap)
     _add_point_args(ap)
     ap.set_defaults(func=cmd_equilibria)
-    parsers["equilibria"] = ap
 
     ap = sub.add_parser(
         "atlas", parents=[io],
@@ -870,7 +862,6 @@ def build_parser():
     ap.add_argument("--grid", type=int, default=200,
                     help="region grid resolution per axis (default %(default)s)")
     ap.set_defaults(func=cmd_atlas)
-    parsers["atlas"] = ap
 
     ap = sub.add_parser(
         "portraits", parents=[io_tol],
@@ -894,7 +885,6 @@ def build_parser():
                     help="cap on CSV samples per trajectory "
                          "(default %(default)s)")
     ap.set_defaults(func=cmd_portraits)
-    parsers["portraits"] = ap
 
     ap = sub.add_parser(
         "simulate", parents=[io_tol],
@@ -911,7 +901,6 @@ def build_parser():
     ap.add_argument("--t-end", type=float, default=100.0,
                     help="integration horizon (default %(default)s)")
     ap.set_defaults(func=cmd_simulate)
-    parsers["simulate"] = ap
 
     ap = sub.add_parser(
         "het-table", parents=[io_tol],
@@ -929,7 +918,6 @@ def build_parser():
     ap.add_argument("--r0-list", default=None, metavar="LIST",
                     help="comma-separated abscissae (requires --shoot)")
     ap.set_defaults(func=cmd_het_table)
-    parsers["het-table"] = ap
 
     ap = sub.add_parser(
         "het-fit", parents=[io_tol],
@@ -944,7 +932,6 @@ def build_parser():
     ap.add_argument("--shoot", action="store_true",
                     help="shoot a fresh table at the embedded abscissae")
     ap.set_defaults(func=cmd_het_fit)
-    parsers["het-fit"] = ap
 
     ap = sub.add_parser(
         "cycle", parents=[io_tol],
@@ -959,7 +946,6 @@ def build_parser():
     ap.add_argument("--r0", type=float, default=2.6)
     ap.add_argument("--p", type=float, default=0.48)
     ap.set_defaults(func=cmd_cycle)
-    parsers["cycle"] = ap
 
     ap = sub.add_parser(
         "dz", parents=[io],
@@ -969,9 +955,8 @@ def build_parser():
                     "pass through it.")
     _add_base_args(ap)
     ap.set_defaults(func=cmd_dz)
-    parsers["dz"] = ap
 
-    return top, parsers
+    return top, sub.choices
 
 
 # ----------------------------------------------------------------------

@@ -151,7 +151,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
                                  (e0, "stable", +1, "W^s(E0)")):
         shot = manifold_shoot(
             eq, kind, _SHOOT_OFFSET, params, _SHOOT_HORIZON, tol=tol,
-            sections=(SectionEvent(s2, sign, name="split"),), record=False)
+            sections=(SectionEvent(s2, sign, name="split"),))
         if shot.terminal.kind != "crossed-section":
             raise NoCrossingError(
                 f"{name} missed the section at (r0, p) = ({r0}, {p}): "
@@ -478,9 +478,9 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     # reversed, the top-half crossings (original dS/dt < 0) have direction +1
     section = (SectionEvent(s2, +1, name="return"),)
 
-    def return_map(I_value: float, record: bool = False) -> Trajectory:
+    def return_map(I_value: float) -> Trajectory:
         return integrate((s2, I_value), params, _LOOP_HORIZON, tol=tol,
-                         reverse_time=True, sections=section, record=record)
+                         reverse_time=True, sections=section)
 
     def gap(I_value: float) -> float:
         traj = return_map(I_value)
@@ -496,7 +496,7 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
             f"({r0}, {p}): gap {g_bottom:.3e} at I = {bottom:.6g} and "
             f"{g_top:.3e} at I = {top:.6g}")
     I_star, _, _ = _brent(gap, bottom, top, g_bottom, g_top, _RETURN_TOL)
-    loop = return_map(I_star, record=True)
+    loop = return_map(I_star)
     if loop.terminal.kind != "crossed-section":
         raise MislabeledRegionError(
             f"the loop from the cycle's section point I = {I_star!r} does "

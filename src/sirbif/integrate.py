@@ -11,10 +11,9 @@ step in Bernstein form (Lane & Riesenfeld, IEEE PAMI 3, 1981; Hairer,
 Nørsett & Wanner, Solving ODEs I, sec. II.6). A section outside the hull of
 the step's four control ordinates cannot be crossed in the step and is
 skipped after two comparisons; the few steps whose hull straddles a section
-are cut by de Casteljau subdivision, earliest half first, down to the
-earliest root in the section's direction. This finds a grazing pair of
-crossings between two samples of the step too; a pair closer than 2**-30
-of a step is a tangency.
+are cut at the cubic's turning points into pieces monotone in S, and the
+earliest piece whose end values change sign in the section's direction is
+bisected (see _bracket_roots).
 
 Two model-specific behaviours live here:
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .model import ModelParams, _Record
+from .model import ModelParams, _Record, invariant_region_bound
 from . import equilibria as eqmod
 from .equilibria import Equilibrium, StabilityClass
 
@@ -78,12 +77,9 @@ _BETA = 0.04           # memory exponent
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
 _MAX_STEPS = 2_000_000
 
-# event scan (see _hull, _bracket_roots): the hull pad in units of the
-# largest |ordinate|; the depth and the number of pieces after which a piece
-# is judged by its end signs alone
+# the event scan's hull prefilter (see _hull) widens the hull by this, in
+# units of the largest |ordinate|
 _HULL_PAD = 2.0 ** -46
-_SCAN_DEPTH = 30
-_SCAN_PIECES = 256
 
 
 class StepFailure(RuntimeError):
@@ -244,8 +240,7 @@ def _initial_step(f, x0, f0, t_span, atol, rtol):
 
 
 def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
-              reverse_time: bool = False, sections=(),
-              record: bool = True) -> Trajectory:
+              reverse_time: bool = False, sections=()) -> Trajectory:
     """Integrate from x0 over [0, t_end] (elapsed time; the field is negated
     when reverse_time is set).
 
@@ -277,7 +272,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     u = params.removal
     pm = params.p * params.m
     sgn = -1.0 if reverse_time else 1.0
-    bound = 50.0 * max(1.0, A * (u + A) / u)
+    bound = 50.0 * max(1.0, invariant_region_bound(params))
 
     def f(x):
         S, I = x
@@ -296,13 +291,6 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     accepted = rejected = 0
     max_err = 0.0
     armed = tuple(sections) if reverse_time else (_WALL, *sections)
-
-    def push(tv, xv, fv):
-        # record=False keeps only the initial and the running last sample
-        if record or len(ts) < 2:
-            ts.append(tv), xs.append(xv), fs.append(fv)
-        else:
-            ts[-1], xs[-1], fs[-1] = tv, xv, fv
 
     if not on_wall:
         h = _initial_step(f, x, fx, t_end, tol, tol)
@@ -374,7 +362,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         # the earliest crossing in the step, the first section winning a tie;
         # a section outside the hull of the step's S-cubic cannot be crossed
         dt = t_new - t
-        lo, hi, _, _, _ = _hull(x[0], f1[0], x_new[0], f_new[0], dt)
+        lo, hi, _, _ = _hull(x[0], f1[0], x_new[0], f_new[0], dt)
         hit = None
         for sec in armed:
             if lo <= sec.value <= hi:
@@ -387,7 +375,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
                 x = (0.0, max(x_hit[1], 0.0))
                 on_wall = True
                 crossings.append(Crossing("wall", t, x, -1))
-                push(t, x, (0.0, -u * x[1]))
+                ts.append(t), xs.append(x), fs.append((0.0, -u * x[1]))
                 break
             x = x_hit
             fx = f(x)
@@ -397,7 +385,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
             break
 
         t, x, fx = t_new, x_new, f_new
-        push(t, x, fx)
+        ts.append(t), xs.append(x), fs.append(fx)
 
         if max(abs(x[0]), abs(x[1])) > bound:
             terminal = TerminalEvent("left-domain", t, x,
@@ -438,10 +426,10 @@ def _hull(S0, fS0, S1, fS1, h):
     The cubic Hermite S(theta), theta in [0, 1], with ends S0, S1 and slopes
     h*fS0, h*fS1 has the control ordinates S0, c1 = S0 + h*fS0/3,
     c2 = S1 - h*fS1/3 and S1, and lies between their min and max (convex hull
-    property; Lane & Riesenfeld, IEEE PAMI 3, 1981). Returns (lo, hi, pad,
-    c1, c2): the hull widened by pad, 64 ulps of the largest |ordinate|. That
-    is over twice the rounding of c1, c2 and of any computed Hermite value, so
-    a section outside [lo, hi] has every computed sample of the step strictly
+    property; Lane & Riesenfeld, IEEE PAMI 3, 1981). Returns (lo, hi, c1,
+    c2): the hull widened by 64 ulps of the largest |ordinate|. That is over
+    twice the rounding of c1, c2 and of any computed Hermite value, so a
+    section outside [lo, hi] has every computed sample of the step strictly
     on one side of it.
     """
     c1 = S0 + h * fS0 / 3.0
@@ -454,85 +442,78 @@ def _hull(S0, fS0, S1, fS1, h):
     if inner_hi > hi:
         hi = inner_hi
     pad = _HULL_PAD * (hi if hi > -lo else -lo)
-    return lo - pad, hi + pad, pad, c1, c2
+    return lo - pad, hi + pad, c1, c2
 
 
-def _sign_changes(*ordinates):
-    """Sign changes of a Bernstein polygon, zeros dropped: by Descartes' rule
-    a bound on the roots of its cubic inside the piece, of the same parity."""
-    signs = [v > 0.0 for v in ordinates if v != 0.0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def _turning_points(S0, c1, c2, S1):
+    """The turning points inside (0, 1), ascending, of the cubic with the
+    Bernstein ordinates S0, c1, c2, S1: where its slope changes sign.
+
+    The slope is 3 times the quadratic with the Bernstein ordinates
+    d0 = c1 - S0, d1 = c2 - c1 and d2 = S1 - c2, that is
+    d0 + 2(d1 - d0) theta + (d0 - 2 d1 + d2) theta^2, which keeps one sign on
+    [0, 1] when the three do.
+    """
+    d0, d1, d2 = c1 - S0, c2 - c1, S1 - c2
+    if min(d0, d1, d2) >= 0.0 or max(d0, d1, d2) <= 0.0:
+        return ()
+    a, b = d0 - 2.0 * d1 + d2, d1 - d0
+    disc = b * b - a * d0
+    if disc <= 0.0:
+        return ()
+    # the roots q/a and d0/q without cancellation; a = 0 leaves only d0/q
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    roots = sorted((q / a, d0 / q)) if a else (d0 / q,)
+    return tuple(r for r in roots if 0.0 < r < 1.0)
 
 
 def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec):
     """The earliest crossing of S = sec.value in sec.direction inside one
     step, as (t, (S, I), sec), or None.
 
-    The step's S-cubic is cut in halves by de Casteljau subdivision, earliest
-    half first. Each piece carries its Bernstein polygon relative to the
-    section, with the Hermite values g as its end ordinates. A piece whose
-    hull clears the section by pad (see _hull) holds no root and is dropped.
-    From depth 2 (the quarter steps) on, a piece is a leaf once Descartes'
-    rule on its polygon allows no root inside but the one its end signs show
-    (subdivision never adds sign changes, so there are at most a few cut
-    pieces per depth). A leaf whose end values change sign in sec.direction
-    is bisected to |residual| <= 1e-12 (well inside the 1e-10 contract), and
-    any other is dropped; so an ordinary crossing is bisected on the same
-    quarter as by a plain 4-interval sign scan, bit for bit. A piece that may
-    hold more, as a grazing pair with both ends on one side, is cut again.
-    At depth _SCAN_DEPTH, or once _SCAN_PIECES pieces were taken (a cap on
-    what rounding could add to the few cut pieces per depth), a piece is
-    judged by its end signs alone: a pair of crossings within
-    2**-_SCAN_DEPTH of a step of each other counts as a tangency. A start exactly on the section is no crossing, and a root
-    exactly at a cut belongs to the earlier piece.
+    The step's S-cubic is cut at 0, 1 and its turning points
+    (_turning_points) into pieces on each of which S is monotone. On such a
+    piece g = S - value has at most one root, so the signs of g at its ends
+    tell exactly whether it crosses the section, and in which direction: the
+    scan is exact, with no cap. A grazing pair of crossings, both step ends
+    on one side, straddles the turning point between them, so each crossing
+    falls on its own piece. The earliest piece whose end values change sign
+    in sec.direction is bisected to |residual| <= 1e-12 (well inside the
+    1e-10 contract). A start exactly on the section is no crossing, and a
+    root exactly at a cut belongs to the earlier piece.
     """
     value, direction = sec.value, sec.direction
     S0, S1 = x[0], x_new[0]
     fS0, fS1 = fx[0], f_new[0]
-    bottom, top, pad, c1, c2 = _hull(S0, fS0, S1, fS1, h)
+    bottom, top, c1, c2 = _hull(S0, fS0, S1, fS1, h)
     if not bottom <= value <= top:
         return None
 
     def g(theta):
         return _hermite(theta, h, S0, fS0, S1, fS1) - value
 
-    # (depth, theta_lo, theta_hi, polygon g_lo, d1, d2, g_hi); last in, first out
-    pieces = [(0, 0.0, 1.0, g(0.0), c1 - value, c2 - value, g(1.0))]
-    budget = _SCAN_PIECES
-    while pieces:
-        depth, lo, hi, glo, d1, d2, ghi = pieces.pop()
-        budget -= 1
-        if depth < 2:
-            if min(glo, d1, d2, ghi) > pad or max(glo, d1, d2, ghi) < -pad:
-                continue
-        elif (depth == _SCAN_DEPTH or budget <= 0
-              or _sign_changes(glo, d1, d2, ghi)
-              <= (1 if glo != 0.0 and ghi != 0.0 else 0)):
-            if ((glo == 0.0 and lo == 0.0) or glo * ghi > 0.0
-                    or (glo * ghi == 0.0 and ghi != 0.0)
-                    or (-1 if glo > ghi else 1) != direction):
-                continue
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                gm = g(mid)
-                if abs(gm) <= 1e-12:
-                    lo = mid
-                    break
-                if glo * gm <= 0.0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            theta_hit = 0.5 * (lo + hi) if abs(g(lo)) > 1e-12 else lo
-            I_hit = _hermite(theta_hit, h, x[1], fx[1], x_new[1], f_new[1])
-            return (t + theta_hit * h, (g(theta_hit) + value, I_hit), sec)
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        a, b, c = 0.5 * (glo + d1), 0.5 * (d1 + d2), 0.5 * (d2 + ghi)
-        ab, bc = 0.5 * (a + b), 0.5 * (b + c)
-        pieces.append((depth + 1, mid, hi, gm, bc, c, ghi))
-        pieces.append((depth + 1, lo, mid, glo, a, ab, gm))
+    lo, glo = 0.0, g(0.0)
+    for hi in (*_turning_points(S0, c1, c2, S1), 1.0):
+        ghi = g(hi)
+        if ((glo == 0.0 and lo == 0.0) or glo * ghi > 0.0
+                or (glo * ghi == 0.0 and ghi != 0.0)
+                or (-1 if glo > ghi else 1) != direction):
+            lo, glo = hi, ghi
+            continue
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            gm = g(mid)
+            if abs(gm) <= 1e-12:
+                lo = mid
+                break
+            if glo * gm <= 0.0:
+                hi = mid
+            else:
+                lo, glo = mid, gm
+        theta_hit = 0.5 * (lo + hi) if abs(g(lo)) > 1e-12 else lo
+        I_hit = _hermite(theta_hit, h, x[1], fx[1], x_new[1], f_new[1])
+        return (t + theta_hit * h, (g(theta_hit) + value, I_hit), sec)
     return None
-
 
 # ----------------------------------------------------------------------
 # omega-limit estimation
@@ -576,8 +557,7 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
 
 def manifold_shoot(equilibrium: Equilibrium, direction: str, offset: float,
                    params: ModelParams, t_end: float, *,
-                   tol: float = 1e-8, sections=(),
-                   record: bool = True) -> Trajectory:
+                   tol: float = 1e-8, sections=()) -> Trajectory:
     """Launch a trajectory off a saddle along an eigenvector.
 
     The start is location + offset*v with v the unit eigenvector of the
@@ -612,7 +592,7 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str, offset: float,
         x0 = (x0[0], 0.0)
     return integrate(x0, params, t_end, tol=tol,
                      reverse_time=(direction == "stable"),
-                     sections=sections, record=record)
+                     sections=sections)
 
 
 # ----------------------------------------------------------------------

@@ -105,13 +105,13 @@ class Canvas:
             raise ValueError(f"unknown marker kind {kind!r}")
 
     def text(self, wx: float, wy: float, label: str, *, size: int = 11,
-             color: str = PALETTE["axis"], anchor: str = "middle",
-             dx: float = 0.0, dy: float = 0.0, bold: bool = False) -> None:
+             dy: float = 0.0, bold: bool = False) -> None:
         weight = ' font-weight="bold"' if bold else ""
         self._overlay.append(
-            f'<text x="{self._f(self._px(wx) + dx)}" '
+            f'<text x="{self._f(self._px(wx))}" '
             f'y="{self._f(self._py(wy) + dy)}" font-size="{size}" '
-            f'fill="{color}" text-anchor="{anchor}"{weight}>{_esc(label)}</text>')
+            f'fill="{PALETTE["axis"]}" text-anchor="middle"{weight}>'
+            f'{_esc(label)}</text>')
 
     # -- axes / legend --------------------------------------------------------
 
@@ -155,11 +155,11 @@ class Canvas:
                    f'transform="rotate(-90 {f(x0 - 40)} {f((y0 + y1) / 2)})">'
                    f'{_esc(ylabel)}</text>')
 
-    def legend(self, entries, *, x: float = 0.98, y: float = 0.97) -> None:
-        """entries: iterable of (label, color); anchored in axis fractions."""
+    def legend(self, entries) -> None:
+        """entries: iterable of (label, color); in the top right corner."""
         f = self._f
-        px = self._px(self.xmin + x * (self.xmax - self.xmin))
-        py = self._py(self.ymin + y * (self.ymax - self.ymin))
+        px = self._px(self.xmin + 0.98 * (self.xmax - self.xmin))
+        py = self._py(self.ymin + 0.97 * (self.ymax - self.ymin))
         entries = list(entries)
         if not entries:
             return

@@ -28,7 +28,13 @@ from sirbif import (
     reduced_to_params,
     vector_field,
 )
-from sirbif.integrate import IntegrationStats, _bracket_roots, _hermite, _hull
+from sirbif.integrate import (
+    IntegrationStats,
+    _bracket_roots,
+    _hermite,
+    _hull,
+    _turning_points,
+)
 
 
 def dist(a, b):
@@ -178,6 +184,28 @@ def test_grazing_pair_inside_one_step(mirror, direction):
     assert abs((t_hit - t) / h - pair[0 if first else 1]) <= 1e-9
 
 
+def _step_turns(S0, m0, S1, m1):
+    """_turning_points of the step's S-cubic with end slopes m0, m1 in theta."""
+    _, _, c1, c2 = _hull(S0, m0, S1, m1, 1.0)
+    return _turning_points(S0, c1, c2, S1)
+
+
+def test_turning_points():
+    # the grazing test's cubic, P(theta) = (theta - 3/8)^2 (theta + 1) + 1/2:
+    # P' = (theta - 3/8)(3 theta + 13/8) turns at 3/8 in the step, and its
+    # other critical point -13/24 lies outside
+    (turn,) = _step_turns(0.640625, -0.609375, 1.28125, 2.890625)
+    assert abs(turn - 0.375) <= 1e-15
+    # monotone: theta^3 + theta has P' >= 1
+    assert _step_turns(0.0, 1.0, 2.0, 4.0) == ()
+    # S-shaped: P' = 6 (theta - 1/4)(theta - 3/4), both turns, ascending
+    low, high = _step_turns(0.0, 1.125, 0.125, 1.125)
+    assert abs(low - 0.25) <= 1e-15 and abs(high - 0.75) <= 1e-15
+    # a linear slope (quadratic coefficient exactly 0): Bernstein ordinates
+    # of P' 1, 0, -1 give P' = 3 (1 - 2 theta), one turn at 1/2
+    assert _turning_points(0.0, 1.0, 1.0, 0.0) == (0.5,)
+
+
 def _dense_first_root(g, direction, n=4096):
     """The earliest root of g on (0, 1] in direction, from the sign changes
     of n + 1 samples and bisection to the last bit, or None."""
@@ -211,7 +239,7 @@ def test_event_scan_matches_dense_reference(S0, m0, S1, m1, h, value, direction)
         return _hermite(theta, h, S0, fS0, S1, fS1) - value
 
     ref = _dense_first_root(g, direction)
-    lo, hi, _, _, _ = _hull(S0, fS0, S1, fS1, h)
+    lo, hi, _, _ = _hull(S0, fS0, S1, fS1, h)
     if ref is not None:
         assert lo <= value <= hi, "the hull prefilter dropped a crossing step"
     # compare only where the roots are well conditioned: every critical
