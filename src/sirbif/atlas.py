@@ -34,7 +34,6 @@ from .equilibria import (
     _disease_free_S,
     _endemic_location,
     _jacobian_entries,
-    belyakov_r0_zero_p,
     belyakov_roots,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "classify_region",
     "curve_values_at",
     "region_fan",
-    "belyakov_r0_zero_p",
 ]
 
 #: classification within this distance (in p) of any curve returns BOUNDARY
@@ -280,7 +278,8 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
     """
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
-    for value in curve_values_at(r0, base, het).values():
+    values = curve_values_at(r0, base, het)
+    for value in values.values():
         if abs(p - value) <= boundary_tol:
             return RegionLabel.BOUNDARY
 
@@ -315,7 +314,7 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
             raise RegionFlagError(
                 "a heteroclinic curve is required to separate D from E for "
                 f"r0 > 2 (got r0 = {r0}); pass het=...")
-        lo, hi = sorted((p_h(r0, base), float(het(r0))))
+        lo, hi = sorted((values["h"], values["het"]))
         return RegionLabel.E if lo < p < hi else RegionLabel.D
     if e2 is StabilityClass.SOURCE_FOCUS:
         return RegionLabel.F

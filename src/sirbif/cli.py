@@ -82,24 +82,12 @@ class RunConfig(_Record):
                           separators=(",", ":"))
 
 
-def _cell(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return str(value)
-
-
-def _quote(cell: str) -> str:
-    if "," in cell or '"' in cell or "\n" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def _write_csv(path: Path, config: RunConfig, columns, rows) -> None:
     with path.open("w") as fh:
-        fh.write(f"# sirbif {__version__}\n# config {config.compact()}\n"
-                 + ",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_quote(_cell(v)) for v in row) + "\n")
+        fh.write(f"# sirbif {__version__}\n# config {config.compact()}\n")
+        writer = _csvmod.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -231,12 +219,10 @@ def cmd_dz(ns) -> int:
     config = _config_for(ns, "dz", {"base": base.to_dict()})
     cert = dz_point(base)
     r0s, ps = cert.point
-    conc = {
-        "p_sn": p_sn(r0s, base),
-        "dev_t": abs(p_sn(r0s, base) - p_t(r0s, base)),
-        "dev_h": abs(p_sn(r0s, base) - p_h(r0s, base)),
-        "dev_bt2": abs(p_sn(r0s, base) - p_bt2(r0s, base)),
-    }
+    curves = curve_values_at(r0s, base)
+    sn = curves["sn"]
+    conc = {"p_sn": sn, "dev_t": abs(sn - curves["t"]),
+            "dev_h": abs(sn - curves["h"]), "dev_bt2": abs(sn - curves["bt2"])}
     jac = [list(row) for row in cert.jacobian]
     print(f"double-zero point: (R0, p) = ({r0s!r}, {ps!r})")
     print(f"E2 location there: S={cert.location[0]!r} I={cert.location[1]!r}")
@@ -297,19 +283,17 @@ def _region_label_anchors(base: BaseParams, het) -> list:
     ]
 
 
-def _atlas_svg(base: BaseParams, rows, het, config: RunConfig,
+def _atlas_svg(base: BaseParams, curves: dict, het, config: RunConfig,
                window) -> Canvas:
     r0_min, r0_max, p_min, p_max = window
     canvas = Canvas(720, 540, (r0_min, r0_max), (p_min, p_max),
                     title="(R0, p) bifurcation atlas", desc=config.compact())
+    # no bt1: the second node-focus root is negative throughout the window
     names = {"sn": "saddle-node", "t": "transcritical", "h": "Hopf",
              "bt2": "node-focus", "het": "heteroclinic"}
-    for idx, key in enumerate(_CURVE_COLUMNS):
-        if key == "bt1":
-            continue  # second node-focus root is negative throughout the window
-        pts = [(row[0], row[1 + idx]) for row in rows if row[1 + idx] is not None]
+    for key in names:
         dash = "6,3" if key in ("bt2", "het") else ""
-        canvas.polyline(pts, PALETTE[key], width=1.8, dash=dash)
+        canvas.polyline(curves[key], PALETTE[key], width=1.8, dash=dash)
     dz_r0, dz_p = 2.0, p_sn(2.0, base)
     if r0_min <= dz_r0 <= r0_max and p_min <= dz_p <= p_max:
         canvas.marker(dz_r0, dz_p, "filled", PALETTE["axis"], size=5.0)
@@ -322,8 +306,7 @@ def _atlas_svg(base: BaseParams, rows, het, config: RunConfig,
     ticks_p = [t for t in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
                if p_min <= t <= p_max]
     canvas.axes("R0", "p", ticks_r0, ticks_p)
-    canvas.legend([(names[k], PALETTE[k]) for k in
-                   ("sn", "t", "h", "bt2", "het")])
+    canvas.legend([(name, PALETTE[k]) for k, name in names.items()])
     return canvas
 
 
@@ -368,7 +351,7 @@ def cmd_atlas(ns) -> int:
         ("atlas.json", lambda: {"dz": {"r0": 2.0, "p": p_sn(2.0, base)},
                                 "curves": curves}),
         ("atlas.svg", lambda: _atlas_svg(
-            base, rows, het, config,
+            base, curves, het, config,
             (ns.r0_min, ns.r0_max, ns.p_min, ns.p_max))),
     ])
     return 0

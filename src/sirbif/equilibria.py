@@ -30,6 +30,7 @@ __all__ = [
     "disease_free",
     "endemic",
     "delta2_eval",
+    "delta2_scale",
     "belyakov_roots",
     "belyakov_r0_zero_p",
     "BelyakovDomainError",
@@ -97,8 +98,9 @@ def jacobian(x, params: ModelParams) -> tuple:
 def eigenvalues_2x2(matrix) -> tuple:
     """Eigenvalues of a real 2x2 matrix by the quadratic formula.
 
-    Returns a pair sorted by real part, then imaginary part. A negative
-    discriminant yields the conjugate pair (tr/2 -/+ i*sqrt(-disc)/2).
+    Returns a pair ascending by real part, then imaginary part, by
+    construction: the real roots are (tr -/+ root)/2 with root >= 0, and a
+    negative discriminant yields the conjugate pair (tr/2 -/+ i*sqrt(-disc)/2).
     """
     (a, b), (c, d) = matrix
     tr = a + d
@@ -112,8 +114,7 @@ def eigenvalues_2x2(matrix) -> tuple:
         root = math.sqrt(-disc) / 2.0
         lam1 = complex(tr / 2.0, -root)
         lam2 = complex(tr / 2.0, root)
-    pair = sorted((lam1, lam2), key=lambda z: (z.real, z.imag))
-    return (pair[0], pair[1])
+    return (lam1, lam2)
 
 
 def _is_zero(value: float, scale: float) -> bool:

@@ -238,6 +238,11 @@ def test_portrait_region_e_artifacts(tmp_path, capsys):
     assert header == ["traj", "S0", "I0", "outcome", "detail", "t_end",
                       "S_end", "I_end"]
     assert len(rows) == 20
+    assert all(len(r) == 8 for r in rows)
+    # details such as "on the wall, I still decaying" hold a comma, so the
+    # cell only survives the round trip if it is quoted
+    assert [r[4] for r in rows] == [f["detail"] for f in payload["fan"]]
+    assert any("," in r[4] for r in rows)
     outcomes = {r[3] for r in rows}
     assert outcomes <= {"E0", "E1", "E2", "boundary-axis", "undecided"}
     assert "E2" in outcomes

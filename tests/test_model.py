@@ -238,6 +238,20 @@ def test_public_names_resolve(module):
     assert missing == []
 
 
+def test_package_exports_every_module_name():
+    package = importlib.import_module("sirbif")
+    layers = ["model", "equilibria", "atlas", "integrate", "connections"]
+    expected = ["__version__"]
+    for layer in layers:
+        module = importlib.import_module(f"sirbif.{layer}")
+        expected += module.__all__
+        unbound = [name for name in module.__all__
+                   if getattr(package, name, None) is not getattr(module, name)]
+        assert unbound == [], layer
+    assert package.__all__ == expected
+    assert len(set(package.__all__)) == len(package.__all__)
+
+
 # ---------------------------------------------------------------------------
 # the record contract: every value record of the package
 
