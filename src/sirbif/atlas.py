@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 
 from .model import (BaseParams, ModelParams, ReducedPoint, _check_positive,
                     _check_reduced, _Record, invariant_region_bound,
@@ -52,6 +53,7 @@ __all__ = [
     "dz_point",
     "hopf_certificate",
     "classify_region",
+    "classify_column",
     "curve_values_at",
     "region_fan",
 ]
@@ -323,6 +325,42 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
     raise RegionFlagError(
         f"interior equilibrium is {e2.value} away from every "
         f"declared curve at (r0, p) = ({r0}, {p})")
+
+
+def classify_column(r0: float, ps, base: BaseParams, *, het=None,
+                    boundary_tol: float = BOUNDARY_TOL) -> list:
+    """Labels of (r0, p) for the ascending ``ps``: ``classify_region``'s, with
+    RegionFlagError read as BOUNDARY, made once for each run of points between
+    two curve values when the run's first and last points agree."""
+    if r0 <= 0.0:
+        raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
+
+    def label(p):
+        try:
+            return classify_region(r0, p, base, het=het,
+                                   boundary_tol=boundary_tol)
+        except RegionFlagError:
+            return RegionLabel.BOUNDARY
+
+    n, lo = len(ps), 0
+    labels, bands = [RegionLabel.BOUNDARY] * n, [(n, n)]
+    for value in curve_values_at(r0, base, het).values():
+        # fl(p - value) is monotone in p, so the band [j, k) is contiguous
+        j = k = bisect_left(ps, value)
+        while k < n and abs(ps[k] - value) <= boundary_tol:
+            k += 1
+        while j > 0 and abs(ps[j - 1] - value) <= boundary_tol:
+            j -= 1
+        bands.append((j, k))
+    for j, k in sorted(bands):
+        if lo < j:
+            first, last = label(ps[lo]), label(ps[j - 1])
+            if first is last and first is not RegionLabel.BOUNDARY:
+                labels[lo:j] = [first] * (j - lo)
+            else:
+                labels[lo:j] = [label(p) for p in ps[lo:j]]
+        lo = max(lo, k)
+    return labels
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import __version__
 from .atlas import (
     RegionFlagError,
+    classify_column,
     classify_region,
     curve_values_at,
     dz_point,
@@ -255,14 +256,8 @@ def cmd_dz(ns) -> int:
 _CURVE_COLUMNS = ("sn", "t", "h", "bt1", "bt2", "het")
 
 
-def _atlas_rows(base: BaseParams, het, r0_min: float, r0_max: float,
-                n: int) -> list:
-    rows = []
-    for i in range(n):
-        r0 = r0_min + (r0_max - r0_min) * i / (n - 1)
-        vals = curve_values_at(r0, base, het=het)
-        rows.append((r0,) + tuple(vals.get(k) for k in _CURVE_COLUMNS))
-    return rows
+def _axis(lo: float, hi: float, n: int) -> list:
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _region_label_anchors(base: BaseParams, het) -> list:
@@ -325,20 +320,17 @@ def cmd_atlas(ns) -> int:
         "samples": ns.samples, "grid": ns.grid,
     })
 
-    rows = _atlas_rows(base, het, ns.r0_min, ns.r0_max, ns.samples)
+    rows = [(r0, *map(curve_values_at(r0, base, het=het).get, _CURVE_COLUMNS))
+            for r0 in _axis(ns.r0_min, ns.r0_max, ns.samples)]
 
     def regions():
+        # csv.writer writes a float as its repr: format each value once
+        ps = _axis(ns.p_min, ns.p_max, ns.grid)
+        p_txt = [repr(p) for p in ps]
         grid_rows = []
-        for i in range(ns.grid):
-            r0 = ns.r0_min + (ns.r0_max - ns.r0_min) * i / (ns.grid - 1)
-            for j in range(ns.grid):
-                p = ns.p_min + (ns.p_max - ns.p_min) * j / (ns.grid - 1)
-                try:
-                    label = classify_region(r0, p, base, het=het).value
-                except RegionFlagError:
-                    # corner cases sitting exactly on a degenerate locus
-                    label = "boundary"
-                grid_rows.append((r0, p, label))
+        for r0 in _axis(ns.r0_min, ns.r0_max, ns.grid):
+            labels = [x.value for x in classify_column(r0, ps, base, het=het)]
+            grid_rows += zip([repr(r0)] * ns.grid, p_txt, labels)
         return ("r0", "p", "label"), grid_rows
 
     curves = {key: [[row[0], row[1 + idx]] for row in rows

@@ -252,7 +252,8 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     the wall, or if it starts there, it takes no more steps and ends with a
     'time-horizon' sample at t_end, (0, I_w exp(-(sigma+g)(t_end - t_w))).
     The run ends with 'left-domain' once max(|S|, |I|) exceeds 50 times the
-    invariant-region height, which only reversed runs ever reach.
+    invariant-region height, which only reversed runs ever reach, or at
+    t = 0 with no step taken when the start already lies beyond it.
 
     The step size underflowing 1e-14*max(1, t) yields a 'step-failure'
     terminal rather than an exception.
@@ -279,8 +280,10 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         return (sgn * (S * (A - S) - beta * I * S - pm),
                 sgn * (beta * I * S - u * I))
 
+    # a start beyond the bound ends there: its first error norm can overflow
+    far = max(abs(S0), abs(I0)) > bound
     # only a forward run meets the wall: reversed, S' = +pm >= 0 at S = 0
-    on_wall = not reverse_time and (
+    on_wall = not (far or reverse_time) and (
         S0 == 0.0 or (S0 < WALL_CLAMP and f((S0, I0))[0] < 0.0))
     t, x = 0.0, ((0.0, I0) if on_wall else (S0, I0))
     fx = (0.0, -u * I0) if on_wall else f(x)
@@ -292,12 +295,15 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     max_err = 0.0
     armed = tuple(sections) if reverse_time else (_WALL, *sections)
 
-    if not on_wall:
+    if far:
+        terminal = TerminalEvent("left-domain", t, x,
+                                 detail=f"|x| exceeded {bound:g}")
+    elif not on_wall:
         h = _initial_step(f, x, fx, t_end, tol, tol)
         evals += 1
     facold = 1e-4
 
-    while not on_wall:
+    while terminal is None and not on_wall:
         if accepted + rejected > _MAX_STEPS:
             raise StepFailure(f"step budget exhausted ({_MAX_STEPS}) at t={t}")
         if h < 1e-14 * max(1.0, abs(t)):

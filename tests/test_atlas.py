@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sirbif import (
     REFERENCE_BASE,
+    BaseParams,
     CurveDomainError,
     ModelParams,
     RegionFlagError,
@@ -15,6 +16,7 @@ from sirbif import (
     ReducedPoint,
     StabilityClass,
     curve_values_at,
+    classify_column,
     classify_region,
     disease_free,
     dz_point,
@@ -33,6 +35,7 @@ from sirbif import (
     region_fan,
 )
 from sirbif.atlas import BOUNDARY_TOL
+from sirbif.cli import main
 
 from conftest import assert_close
 
@@ -367,6 +370,81 @@ def test_curve_set_and_values(base, het):
     assert vals["h"] < vals["t"] < vals["sn"]
     assert vals["het"] == pytest.approx(het(2.6))
     assert vals["bt1"] == pytest.approx(p_bt1(2.6, base))
+
+
+# ---------------------------------------------------------------------------
+# column classification
+
+
+def _per_point(r0, ps, base, het, tol=BOUNDARY_TOL):
+    labels = []
+    for p in ps:
+        try:
+            labels.append(classify_region(r0, p, base, het=het,
+                                          boundary_tol=tol))
+        except RegionFlagError:
+            labels.append(RegionLabel.BOUNDARY)
+    return labels
+
+
+bases = st.builds(BaseParams, A=st.floats(0.5, 1.5), m=st.floats(0.2, 0.5),
+                  mu=st.floats(0.05, 0.3), d=st.floats(0.05, 0.3),
+                  g=st.floats(0.1, 0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases, st.floats(0.2, 4.5), st.sampled_from((2, 3, 60)),
+       st.booleans(), st.sampled_from(_CURVES), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.booleans(),
+       st.sampled_from((BOUNDARY_TOL, 0.0)))
+def test_classify_column_matches_classify_region(het, base, r0, n, narrow,
+                                                 name, lo, width, with_het,
+                                                 tol):
+    # ``base`` is drawn here, not the reference fixture
+    curve = het if with_het else None
+    if narrow:
+        # narrower than 100 tolerances, straddling a curve value
+        values = curve_values_at(r0, base, curve)
+        assume(name in values and 0.0 <= values[name] <= 1.0)
+        span = 100 * BOUNDARY_TOL * max(width, 1e-3)
+        p_min = min(max(values[name] - lo * span, 0.0), 1.0)
+        p_max = min(p_min + span, 1.0)
+    else:
+        p_min = 0.9 * lo
+        p_max = p_min + (1.0 - p_min) * max(width, 1e-3)
+    ps = [p_min + (p_max - p_min) * j / (n - 1) for j in range(n)]
+    assert classify_column(r0, ps, base, het=curve, boundary_tol=tol) == \
+        _per_point(r0, ps, base, curve, tol)
+
+
+def test_classify_column_checks_the_far_end_of_a_run(base):
+    # without the band, one float below p_t(1.25) E2 sits on E1 and no
+    # region matches, while the rest of the run [0, p_t) is C
+    top = math.nextafter(p_t(1.25, base), 0.0)
+    assert classify_column(1.25, [0.1, 0.3, top], base, boundary_tol=0.0) \
+        == [RegionLabel.C, RegionLabel.C, RegionLabel.BOUNDARY]
+
+
+def test_classify_column_splits_a_run_whose_ends_disagree(base, het):
+    # p = 0 lies on p_t(1) = 0, a curve curve_values_at omits at r0 = 1, so
+    # the run [0, p_sn) has a flagless end and is classified point by point
+    with pytest.raises(RegionFlagError):
+        classify_region(1.0, 0.0, base, het=het)
+    assert classify_column(1.0, [0.0, 0.5, 0.9], base, het=het) == [
+        RegionLabel.BOUNDARY, RegionLabel.B, RegionLabel.A]
+
+
+def test_atlas_classifies_runs_not_points(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify_region(*args, **kwargs)
+
+    monkeypatch.setattr("sirbif.atlas.classify_region", counted)
+    assert main(["atlas", "--format", "csv", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 2500      # of the 200 x 200 grid points
 
 
 def test_region_fan_layouts(base):

@@ -221,6 +221,28 @@ def test_atlas_artifacts(tmp_path, capsys):
     assert "<desc>" in svg
 
 
+def test_atlas_regions_match_per_point_classification(tmp_path, capsys):
+    # the window holds r0 = 1, where p = 0 lies on p_t(1) = 0
+    assert run(["atlas", "--r0-min", "0.5", "--r0-max", "1.5", "--p-min",
+                "0.05", "--grid", "41", "--format", "csv",
+                "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, _, rows = read_csv(tmp_path / "atlas_regions.csv")
+    het = sirbif.fit_reference_curve()
+    want = []
+    for i in range(41):
+        r0 = 0.5 + (1.5 - 0.5) * i / 40
+        for j in range(41):
+            p = 0.05 + (1.0 - 0.05) * j / 40
+            try:
+                label = sirbif.classify_region(r0, p, REFERENCE_BASE,
+                                               het=het).value
+            except sirbif.RegionFlagError:
+                label = "boundary"
+            want.append([repr(r0), repr(p), label])
+    assert rows == want
+
+
 # ---------------------------------------------------------------------------
 # portraits
 

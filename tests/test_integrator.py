@@ -271,6 +271,24 @@ def test_left_domain_terminal():
     assert max(abs(traj.terminal.state[0]), abs(traj.terminal.state[1])) > bound
 
 
+@pytest.mark.parametrize("x0", [(1e6, 0.2), (1e50, 0.2), (1e150, 0.2),
+                                (1e100, 1e300)])
+def test_start_beyond_the_bound_ends_at_once(x0):
+    # so far out that one step's error norm can overflow or underflow
+    params = reduced_to_params(ReducedPoint(2.6, 0.3, REFERENCE_BASE))
+    traj = integrate(x0, params, 5.0, tol=1e-8)
+    assert traj.terminal.kind == "left-domain"
+    assert traj.terminal.t == 0.0 and traj.terminal.state == x0
+    assert traj.t == (0.0,) and traj.states == (x0,)
+    assert traj.stats.steps_accepted == traj.stats.steps_rejected == 0
+
+
+def test_start_inside_the_bound_integrates():
+    params = reduced_to_params(ReducedPoint(2.6, 0.3, REFERENCE_BASE))
+    traj = integrate((100.0, 0.2), params, 5.0, tol=1e-8)
+    assert traj.terminal.kind == "time-horizon" and traj.t[-1] == 5.0
+
+
 # ---------------------------------------------------------------------------
 # wall handoff (S = 0)
 
