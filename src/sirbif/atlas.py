@@ -327,18 +327,18 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
         f"declared curve at (r0, p) = ({r0}, {p})")
 
 
-def classify_column(r0: float, ps, base: BaseParams, *, het=None,
-                    boundary_tol: float = BOUNDARY_TOL) -> list:
-    """Labels of (r0, p) for the ascending ``ps``: ``classify_region``'s, with
-    RegionFlagError read as BOUNDARY, made once for each run of points between
-    two curve values when the run's first and last points agree."""
+def classify_column(r0: float, ps, base: BaseParams, *, het) -> list:
+    """Labels of (r0, p) for the ascending ``ps`` as ``classify_region`` gives
+    them, RegionFlagError read as BOUNDARY, made once per run of points between
+    two curve values whose ends agree. ``het`` may be None only for r0 <= 2."""
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
+    if het is None and r0 > 2.0:
+        raise RegionFlagError(f"classify_column needs het for r0 = {r0} > 2")
 
     def label(p):
         try:
-            return classify_region(r0, p, base, het=het,
-                                   boundary_tol=boundary_tol)
+            return classify_region(r0, p, base, het=het)
         except RegionFlagError:
             return RegionLabel.BOUNDARY
 
@@ -347,9 +347,9 @@ def classify_column(r0: float, ps, base: BaseParams, *, het=None,
     for value in curve_values_at(r0, base, het).values():
         # fl(p - value) is monotone in p, so the band [j, k) is contiguous
         j = k = bisect_left(ps, value)
-        while k < n and abs(ps[k] - value) <= boundary_tol:
+        while k < n and abs(ps[k] - value) <= BOUNDARY_TOL:
             k += 1
-        while j > 0 and abs(ps[j - 1] - value) <= boundary_tol:
+        while j > 0 and abs(ps[j - 1] - value) <= BOUNDARY_TOL:
             j -= 1
         bands.append((j, k))
     for j, k in sorted(bands):

@@ -253,7 +253,8 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     'time-horizon' sample at t_end, (0, I_w exp(-(sigma+g)(t_end - t_w))).
     The run ends with 'left-domain' once max(|S|, |I|) exceeds 50 times the
     invariant-region height, which only reversed runs ever reach, or at
-    t = 0 with no step taken when the start already lies beyond it.
+    t = 0 with no step taken when a start off the wall already lies beyond
+    it.
 
     The step size underflowing 1e-14*max(1, t) yields a 'step-failure'
     terminal rather than an exception.
@@ -280,11 +281,12 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         return (sgn * (S * (A - S) - beta * I * S - pm),
                 sgn * (beta * I * S - u * I))
 
-    # a start beyond the bound ends there: its first error norm can overflow
-    far = max(abs(S0), abs(I0)) > bound
     # only a forward run meets the wall: reversed, S' = +pm >= 0 at S = 0
-    on_wall = not (far or reverse_time) and (
+    on_wall = not reverse_time and (
         S0 == 0.0 or (S0 < WALL_CLAMP and f((S0, I0))[0] < 0.0))
+    # any other start beyond the bound ends there: its first error norm
+    # can overflow
+    far = not on_wall and max(abs(S0), abs(I0)) > bound
     t, x = 0.0, ((0.0, I0) if on_wall else (S0, I0))
     fx = (0.0, -u * I0) if on_wall else f(x)
     evals = 0 if on_wall else 1

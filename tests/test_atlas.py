@@ -376,12 +376,11 @@ def test_curve_set_and_values(base, het):
 # column classification
 
 
-def _per_point(r0, ps, base, het, tol=BOUNDARY_TOL):
+def _per_point(r0, ps, base, het):
     labels = []
     for p in ps:
         try:
-            labels.append(classify_region(r0, p, base, het=het,
-                                          boundary_tol=tol))
+            labels.append(classify_region(r0, p, base, het=het))
         except RegionFlagError:
             labels.append(RegionLabel.BOUNDARY)
     return labels
@@ -395,11 +394,9 @@ bases = st.builds(BaseParams, A=st.floats(0.5, 1.5), m=st.floats(0.2, 0.5),
 @settings(max_examples=200, deadline=None)
 @given(bases, st.floats(0.2, 4.5), st.sampled_from((2, 3, 60)),
        st.booleans(), st.sampled_from(_CURVES), st.floats(0.0, 1.0),
-       st.floats(0.0, 1.0), st.booleans(),
-       st.sampled_from((BOUNDARY_TOL, 0.0)))
+       st.floats(0.0, 1.0), st.booleans())
 def test_classify_column_matches_classify_region(het, base, r0, n, narrow,
-                                                 name, lo, width, with_het,
-                                                 tol):
+                                                 name, lo, width, with_het):
     # ``base`` is drawn here, not the reference fixture
     curve = het if with_het else None
     if narrow:
@@ -413,16 +410,26 @@ def test_classify_column_matches_classify_region(het, base, r0, n, narrow,
         p_min = 0.9 * lo
         p_max = p_min + (1.0 - p_min) * max(width, 1e-3)
     ps = [p_min + (p_max - p_min) * j / (n - 1) for j in range(n)]
-    assert classify_column(r0, ps, base, het=curve, boundary_tol=tol) == \
-        _per_point(r0, ps, base, curve, tol)
+    if curve is None and r0 > 2.0:
+        # per point, only the D/E test raises; the column refuses up front
+        with pytest.raises(RegionFlagError, match="needs het"):
+            classify_column(r0, ps, base, het=curve)
+    else:
+        assert classify_column(r0, ps, base, het=curve) == \
+            _per_point(r0, ps, base, curve)
 
 
-def test_classify_column_checks_the_far_end_of_a_run(base):
-    # without the band, one float below p_t(1.25) E2 sits on E1 and no
-    # region matches, while the rest of the run [0, p_t) is C
-    top = math.nextafter(p_t(1.25, base), 0.0)
-    assert classify_column(1.25, [0.1, 0.3, top], base, boundary_tol=0.0) \
-        == [RegionLabel.C, RegionLabel.C, RegionLabel.BOUNDARY]
+def test_classify_column_checks_the_far_end_of_a_run(base, monkeypatch):
+    # a run whose last point alone is flagged is classified point by point
+    def flag_top(r0, p, base, *, het=None):
+        if p == 0.3:
+            raise RegionFlagError("no region matches")
+        return RegionLabel.C
+
+    assert p_t(1.25, base) > 0.3 + BOUNDARY_TOL   # one run: no curve inside
+    monkeypatch.setattr("sirbif.atlas.classify_region", flag_top)
+    assert classify_column(1.25, [0.1, 0.2, 0.3], base, het=None) == [
+        RegionLabel.C, RegionLabel.C, RegionLabel.BOUNDARY]
 
 
 def test_classify_column_splits_a_run_whose_ends_disagree(base, het):

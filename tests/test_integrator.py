@@ -283,6 +283,13 @@ def test_start_beyond_the_bound_ends_at_once(x0):
     assert traj.stats.steps_accepted == traj.stats.steps_rejected == 0
 
 
+def test_wall_start_beyond_the_bound_decays_on_the_wall():
+    params = reduced_to_params(ReducedPoint(2.6, 0.3, REFERENCE_BASE))
+    traj = integrate((0.0, 1e6), params, 5.0, tol=1e-8)
+    assert traj.terminal.kind == "time-horizon" and traj.t == (0.0, 5.0)
+    assert traj.states[-1] == (0.0, 1e6 * math.exp(-params.removal * 5.0))
+
+
 def test_start_inside_the_bound_integrates():
     params = reduced_to_params(ReducedPoint(2.6, 0.3, REFERENCE_BASE))
     traj = integrate((100.0, 0.2), params, 5.0, tol=1e-8)
