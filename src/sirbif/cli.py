@@ -409,19 +409,19 @@ def _phase_figure(params: ModelParams, title: str, config: RunConfig, paths,
                   *, start=None, labels: bool = True) -> Canvas:
     """(S, I) phase plane: the dashed invariant wedge, every path of
     ``paths`` as ``(path, sample cap, colour, width, opacity)``, an optional
-    open start marker, the equilibrium markers (named when ``labels``) and
-    the axes."""
+    open start marker (left out when the start lies outside the frame), the
+    equilibrium markers (named when ``labels``) and the axes."""
     A, bound = params.A, invariant_region_bound(params)
-    canvas = Canvas(560, 520, (-0.02 * A, 1.04 * A),
-                    (-0.02 * bound, 1.02 * bound), title=title,
-                    desc=config.compact())
+    xlim, ylim = (-0.02 * A, 1.04 * A), (-0.02 * bound, 1.02 * bound)
+    canvas = Canvas(560, 520, xlim, ylim, title=title, desc=config.compact())
     canvas.polyline([(0.0, 0.0), (A, 0.0), (A, bound - A), (0.0, bound),
                      (0.0, 0.0)], PALETTE["boundary"], width=1.0, dash="4,3")
     for path, cap, color, width, opacity in paths:
         idx = _downsample(len(path.t), cap)
         canvas.polyline([path.states[i] for i in idx],
                         color, width=width, opacity=opacity)
-    if start is not None:
+    if (start is not None and xlim[0] <= start[0] <= xlim[1]
+            and ylim[0] <= start[1] <= ylim[1]):
         canvas.marker(*start, "open", PALETTE["axis"], size=3.5)
     for eq in [*disease_free(params), endemic(params)]:
         if eq.stability is StabilityClass.NONEXISTENT:

@@ -167,7 +167,8 @@ class HetResult(_Record):
     iterations: int
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple:
+def _brent(f, a: float, b: float, fa: float, fb: float, tol: float,
+           stop=None) -> tuple:
     """Brent's zeroin on a bracket with fa*fb < 0 (Brent 1973, ch. 4).
 
     Each step takes inverse quadratic interpolation through the last three
@@ -176,7 +177,8 @@ def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple:
     bracket always holds the root and convergence is superlinear on a
     smooth f. Stops once the root is bracketed to ``tol`` (the relative
     term of Brent's stopping test is below 1e-15 for arguments of order 1
-    and is left out); returns the best iterate b, f(b) and the number of
+    and is left out), or earlier once ``stop(b, fb, c, fc)`` is true of the
+    bracket [b, c]; returns the best iterate b, f(b) and the number of
     evaluations of f.
     """
     tol1 = 0.5 * tol
@@ -191,7 +193,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple:
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
+        if abs(xm) <= tol1 or fb == 0.0 or (stop and stop(b, fb, c, fc)):
             return b, fb, iterations
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
@@ -455,8 +457,11 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
 
     The loop from I* is integrated once more to give the period and
     ``return_residual`` = |P(I*) - I*|. Below the connection the gap jumps
-    over zero without a root and Brent closes in on the jump, so a residual
-    above 10 times the bracket raises MislabeledRegionError too. The
+    over zero without a root, so a residual above 10 times the bracket
+    raises MislabeledRegionError too. Brent stops closing in on such a jump
+    once the return from its lower end lies above its escaping upper end by
+    more than that bound: P is increasing, so no point left in the bracket
+    can close. The
     Floquet multiplier is exp of the loop integral of div f (Liouville's
     formula for a planar cycle), exact on the recorded Hermite steps
     because div f is linear in the state.
@@ -495,7 +500,17 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
             f"reversed return map does not bracket a cycle at (r0, p) = "
             f"({r0}, {p}): gap {g_bottom:.3e} at I = {bottom:.6g} and "
             f"{g_top:.3e} at I = {top:.6g}")
-    I_star, _, _ = _brent(gap, bottom, top, g_bottom, g_top, _RETURN_TOL)
+
+    def no_cycle_left(b, fb, c, fc):
+        # P is increasing (orbits in the plane do not cross), so any J above
+        # the positive end lo that returns has a gap above P(lo) - J. Once
+        # P(lo) lies beyond an escaping end by more than the closing gate's
+        # tolerance, no iterate left in the bracket can pass the gate.
+        lo, g_lo, hi, g_hi = (b, fb, c, fc) if fb > 0.0 else (c, fc, b, fb)
+        return g_hi == -headroom and lo + g_lo - hi > _CLOSE_TOL
+
+    I_star, _, _ = _brent(gap, bottom, top, g_bottom, g_top, _RETURN_TOL,
+                          stop=no_cycle_left)
     loop = return_map(I_star)
     if loop.terminal.kind != "crossed-section":
         raise MislabeledRegionError(

@@ -6,6 +6,15 @@ norm, err_i / (atol + rtol*|x_i|) with atol = rtol = tol. Dense output is
 cubic Hermite on each accepted step and is used to localise the section
 crossing that stops a run to |residual| <= 1e-10.
 
+The step runs as one fused kernel on scalar locals: each stage evaluates
+the same field expressions as the closure f, inline, and the error norm,
+the step clamp and the controller of an accepted step compare floats
+instead of calling max, min and abs.
+Every float operation keeps its order, so the result is bit-identical to
+calling f on a tuple per stage; those calls and tuples cost about a third
+of a step. f itself serves the cold paths: the first step, the wall test at
+the start, the I clamp and the state at a section hit.
+
 Every section lies on S, so the event scan works on the S-cubic of each
 step in Bernstein form (Lane & Riesenfeld, IEEE PAMI 3, 1981; Hairer,
 Nørsett & Wanner, Solving ODEs I, sec. II.6). A section outside the hull of
@@ -304,45 +313,61 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         h = _initial_step(f, x, fx, t_end, tol, tol)
         evals += 1
     facold = 1e-4
+    t_last = t_end - 1e-14 * max(1.0, t_end)
 
     while terminal is None and not on_wall:
         if accepted + rejected > _MAX_STEPS:
             raise StepFailure(f"step budget exhausted ({_MAX_STEPS}) at t={t}")
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < 1e-14 * (t if t > 1.0 else 1.0):
             terminal = TerminalEvent("step-failure", t, x,
                                      detail=f"step size underflow h={h:.3e}")
             break
-        h = min(h, t_end - t)
-        last = t + h >= t_end - 1e-14 * max(1.0, t_end)
+        rest = t_end - t
+        if rest < h:
+            h = rest
+        last = t + h >= t_last
 
         S, I = x
-        f1 = fx
-        k2 = f((S + h * _A21 * f1[0], I + h * _A21 * f1[1]))
-        k3 = f((S + h * (_A31 * f1[0] + _A32 * k2[0]),
-                I + h * (_A31 * f1[1] + _A32 * k2[1])))
-        k4 = f((S + h * (_A41 * f1[0] + _A42 * k2[0] + _A43 * k3[0]),
-                I + h * (_A41 * f1[1] + _A42 * k2[1] + _A43 * k3[1])))
-        k5 = f((S + h * (_A51 * f1[0] + _A52 * k2[0] + _A53 * k3[0]
-                         + _A54 * k4[0]),
-                I + h * (_A51 * f1[1] + _A52 * k2[1] + _A53 * k3[1]
-                         + _A54 * k4[1])))
-        k6 = f((S + h * (_A61 * f1[0] + _A62 * k2[0] + _A63 * k3[0]
-                         + _A64 * k4[0] + _A65 * k5[0]),
-                I + h * (_A61 * f1[1] + _A62 * k2[1] + _A63 * k3[1]
-                         + _A64 * k4[1] + _A65 * k5[1])))
-        Sn = S + h * (_B1 * f1[0] + _B3 * k3[0] + _B4 * k4[0] + _B5 * k5[0]
-                      + _B6 * k6[0])
-        In = I + h * (_B1 * f1[1] + _B3 * k3[1] + _B4 * k4[1] + _B5 * k5[1]
-                      + _B6 * k6[1])
-        k7 = f((Sn, In))
+        k1S, k1I = fx
+        Sa = S + h * _A21 * k1S
+        Ia = I + h * _A21 * k1I
+        k2S = sgn * (Sa * (A - Sa) - beta * Ia * Sa - pm)
+        k2I = sgn * (beta * Ia * Sa - u * Ia)
+        Sa = S + h * (_A31 * k1S + _A32 * k2S)
+        Ia = I + h * (_A31 * k1I + _A32 * k2I)
+        k3S = sgn * (Sa * (A - Sa) - beta * Ia * Sa - pm)
+        k3I = sgn * (beta * Ia * Sa - u * Ia)
+        Sa = S + h * (_A41 * k1S + _A42 * k2S + _A43 * k3S)
+        Ia = I + h * (_A41 * k1I + _A42 * k2I + _A43 * k3I)
+        k4S = sgn * (Sa * (A - Sa) - beta * Ia * Sa - pm)
+        k4I = sgn * (beta * Ia * Sa - u * Ia)
+        Sa = S + h * (_A51 * k1S + _A52 * k2S + _A53 * k3S + _A54 * k4S)
+        Ia = I + h * (_A51 * k1I + _A52 * k2I + _A53 * k3I + _A54 * k4I)
+        k5S = sgn * (Sa * (A - Sa) - beta * Ia * Sa - pm)
+        k5I = sgn * (beta * Ia * Sa - u * Ia)
+        Sa = S + h * (_A61 * k1S + _A62 * k2S + _A63 * k3S + _A64 * k4S
+                      + _A65 * k5S)
+        Ia = I + h * (_A61 * k1I + _A62 * k2I + _A63 * k3I + _A64 * k4I
+                      + _A65 * k5I)
+        k6S = sgn * (Sa * (A - Sa) - beta * Ia * Sa - pm)
+        k6I = sgn * (beta * Ia * Sa - u * Ia)
+        Sn = S + h * (_B1 * k1S + _B3 * k3S + _B4 * k4S + _B5 * k5S
+                      + _B6 * k6S)
+        In = I + h * (_B1 * k1I + _B3 * k3I + _B4 * k4I + _B5 * k5I
+                      + _B6 * k6I)
+        k7 = (sgn * (Sn * (A - Sn) - beta * In * Sn - pm),
+              sgn * (beta * In * Sn - u * In))
         evals += 6
 
-        eS = h * (_E1 * f1[0] + _E3 * k3[0] + _E4 * k4[0] + _E5 * k5[0]
-                  + _E6 * k6[0] + _E7 * k7[0])
-        eI = h * (_E1 * f1[1] + _E3 * k3[1] + _E4 * k4[1] + _E5 * k5[1]
-                  + _E6 * k6[1] + _E7 * k7[1])
-        wS = tol + tol * max(abs(S), abs(Sn))
-        wI = tol + tol * max(abs(I), abs(In))
+        eS = h * (_E1 * k1S + _E3 * k3S + _E4 * k4S + _E5 * k5S
+                  + _E6 * k6S + _E7 * k7[0])
+        eI = h * (_E1 * k1I + _E3 * k3I + _E4 * k4I + _E5 * k5I
+                  + _E6 * k6I + _E7 * k7[1])
+        # abs and max by comparisons; max(a, b) is b if b > a else a
+        aS, aSn = (-S if S < 0.0 else S), (-Sn if Sn < 0.0 else Sn)
+        aI, aIn = (-I if I < 0.0 else I), (-In if In < 0.0 else In)
+        wS = tol + tol * (aSn if aSn > aS else aS)
+        wI = tol + tol * (aIn if aIn > aI else aI)
         err = math.sqrt(((eS / wS) ** 2 + (eI / wI) ** 2) / 2.0)
 
         if err > 1.0:
@@ -351,7 +376,8 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
             continue
 
         accepted += 1
-        max_err = max(max_err, err)
+        if err > max_err:
+            max_err = err
         t_new = t_end if last else t + h
         x_new = (Sn, In)
         f_new = k7
@@ -370,11 +396,11 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         # the earliest crossing in the step, the first section winning a tie;
         # a section outside the hull of the step's S-cubic cannot be crossed
         dt = t_new - t
-        lo, hi, _, _ = _hull(x[0], f1[0], x_new[0], f_new[0], dt)
+        lo, hi, _, _ = _hull(S, k1S, Sn, f_new[0], dt)
         hit = None
         for sec in armed:
             if lo <= sec.value <= hi:
-                found = _bracket_roots(t, x, f1, t_new, x_new, f_new, dt, sec)
+                found = _bracket_roots(t, x, fx, t_new, x_new, f_new, dt, sec)
                 if found and (hit is None or found[0] < hit[0]):
                     hit = found
         if hit:
@@ -395,7 +421,7 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         t, x, fx = t_new, x_new, f_new
         ts.append(t), xs.append(x), fs.append(fx)
 
-        if max(abs(x[0]), abs(x[1])) > bound:
+        if (aIn if aIn > aSn else aSn) > bound:
             terminal = TerminalEvent("left-domain", t, x,
                                      detail=f"|x| exceeded {bound:g}")
             break
@@ -404,8 +430,9 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
             break
 
         fac = _SAFETY * err ** (-_ALPHA) * facold ** _BETA if err > 0.0 else _FAC_MAX
-        h *= min(_FAC_MAX, max(_FAC_MIN, fac))
-        facold = max(err, 1e-4)
+        fac = fac if fac > _FAC_MIN else _FAC_MIN
+        h *= fac if fac < _FAC_MAX else _FAC_MAX
+        facold = 1e-4 if 1e-4 > err else err
 
     if on_wall:
         # the wall is absorbing: S' = 0 and I' = -(sigma+g)I for the rest of

@@ -309,6 +309,19 @@ def test_simulate_artifacts_and_recovered_series(tmp_path, capsys):
     assert payload["terminal"]["kind"] == "time-horizon"
 
 
+def test_simulate_far_start_draws_no_huge_coordinate(tmp_path, capsys):
+    # a start outside the frame gets no marker, so every number is short
+    assert run(["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "1e150",
+                "--I0", "0.2", "--t-end", "5", "--format", "svg",
+                "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # the embedded config echoes the inputs at full precision; skip it
+    svg = re.sub(r"<desc>.*?</desc>", "",
+                 (tmp_path / "trajectory.svg").read_text(), flags=re.S)
+    numbers = re.findall(r"[-+]?[0-9][0-9.e+-]*", svg)
+    assert numbers and max(map(len, numbers)) <= 10, max(numbers, key=len)
+
+
 # ---------------------------------------------------------------------------
 # heteroclinic table and fit
 

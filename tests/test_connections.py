@@ -442,7 +442,7 @@ def test_periodic_orbit_rejects_outside_band(base):
 
 
 @pytest.mark.parametrize("r0", [2.1, 2.6, 3.0, 3.5])
-def test_periodic_orbit_certifies_band(base, r0):
+def test_periodic_orbit_certifies_band(base, r0, integrate_calls):
     # no heteroclinic value goes in: the E2 class, the bracket and the
     # closing residual place the band's lower edge at the model's connection
     het = find_het_p(r0, base).p_het
@@ -453,8 +453,12 @@ def test_periodic_orbit_certifies_band(base, r0):
         assert orbit.floquet > 1.0, (r0, p)
         assert orbit.return_residual <= 1e-9, (r0, p)
     for offset in (1e-5, 1e-4, 1e-3, 0.03):
+        integrate_calls.clear()
         with pytest.raises(MislabeledRegionError, match="misses its start"):
             find_periodic_orbit(r0, het - offset, base)
+        # the search stops once no point left in its bracket can close, so a
+        # refusal costs no more than a success
+        assert len(integrate_calls) <= 40, (r0, offset)
 
 
 def _dop853_cycle_multiplier(r0, p, base):

@@ -33,6 +33,7 @@ from sirbif.integrate import (
     _bracket_roots,
     _hermite,
     _hull,
+    _initial_step,
     _turning_points,
 )
 
@@ -120,6 +121,80 @@ def test_dense_output_matches_fine_solution(p_zero):
     mid = len(coarse.t) // 2
     at_node = coarse.interpolate(float(coarse.t[mid]))
     assert dist(at_node, tuple(coarse.states[mid])) <= 1e-12
+
+
+def _reference_dp5(x0, params, t_end, tol, reverse_time):
+    """The DP5(4) pair in its plain form, for runs that cross no section:
+    the field as a closure on tuples, one tuple per stage, the same error
+    norm and PI controller, and the stop beyond the domain bound."""
+    A, beta, u = params.A, params.beta, params.removal
+    pm = params.p * params.m
+    sgn = -1.0 if reverse_time else 1.0
+    bound = 50.0 * max(1.0, invariant_region_bound(params))
+
+    def f(x):
+        S, I = x
+        return (sgn * (S * (A - S) - beta * I * S - pm),
+                sgn * (beta * I * S - u * I))
+
+    t, x = 0.0, (float(x0[0]), float(x0[1]))
+    fx = f(x)
+    h = _initial_step(f, x, fx, t_end, tol, tol)
+    ts, xs, fs = [t], [x], [fx]
+    accepted = rejected = 0
+    evals, max_err, facold = 2, 0.0, 1e-4
+    while True:
+        h = min(h, t_end - t)
+        last = t + h >= t_end - 1e-14 * max(1.0, t_end)
+        (S, I), k1 = x, fx
+        k2 = f((S + h * (1 / 5) * k1[0], I + h * (1 / 5) * k1[1]))
+        k3 = f(tuple(x[i] + h * (3 / 40 * k1[i] + 9 / 40 * k2[i])
+                     for i in (0, 1)))
+        k4 = f(tuple(x[i] + h * (44 / 45 * k1[i] - 56 / 15 * k2[i]
+                                 + 32 / 9 * k3[i]) for i in (0, 1)))
+        k5 = f(tuple(x[i] + h * (19372 / 6561 * k1[i] - 25360 / 2187 * k2[i]
+                                 + 64448 / 6561 * k3[i] - 212 / 729 * k4[i])
+                     for i in (0, 1)))
+        k6 = f(tuple(x[i] + h * (9017 / 3168 * k1[i] - 355 / 33 * k2[i]
+                                 + 46732 / 5247 * k3[i] + 49 / 176 * k4[i]
+                                 - 5103 / 18656 * k5[i]) for i in (0, 1)))
+        xn = tuple(x[i] + h * (35 / 384 * k1[i] + 500 / 1113 * k3[i]
+                               + 125 / 192 * k4[i] - 2187 / 6784 * k5[i]
+                               + 11 / 84 * k6[i]) for i in (0, 1))
+        k7 = f(xn)
+        evals += 6
+        e = [h * (71 / 57600 * k1[i] - 71 / 16695 * k3[i] + 71 / 1920 * k4[i]
+                  - 17253 / 339200 * k5[i] + 22 / 525 * k6[i] - 1 / 40 * k7[i])
+             / (tol + tol * max(abs(x[i]), abs(xn[i]))) for i in (0, 1)]
+        err = math.sqrt((e[0] ** 2 + e[1] ** 2) / 2.0)
+        if err > 1.0:
+            rejected += 1
+            h *= max(0.2, min(1.0, 0.9 * err ** -0.17))
+            continue
+        accepted += 1
+        max_err = max(max_err, err)
+        t = t_end if last else t + h
+        x, fx = xn, k7
+        ts.append(t), xs.append(x), fs.append(fx)
+        if last or max(abs(x[0]), abs(x[1])) > bound:
+            break
+        fac = 0.9 * err ** -0.17 * facold ** 0.04 if err > 0.0 else 5.0
+        h *= min(5.0, max(0.2, fac))
+        facold = max(err, 1e-4)
+    return (tuple(ts), tuple(xs), tuple(fs),
+            IntegrationStats(accepted, rejected, max_err, evals))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-5])
+@pytest.mark.parametrize("reverse_time", [False, True])
+def test_step_kernel_matches_the_plain_loop(tol, reverse_time):
+    # bit for bit: the fused kernel keeps every float operation in order
+    params = reduced_to_params(ReducedPoint(2.6, 0.3, REFERENCE_BASE))
+    traj = integrate((0.5, 0.1), params, 40.0, tol=tol,
+                     reverse_time=reverse_time)
+    assert traj.crossings == ()
+    ref = _reference_dp5((0.5, 0.1), params, 40.0, tol, reverse_time)
+    assert (traj.t, traj.states, traj.derivs, traj.stats) == ref
 
 
 # ---------------------------------------------------------------------------
