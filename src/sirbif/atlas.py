@@ -248,8 +248,8 @@ def _stability(S: float, I: float, A: float, b: float, u: float) -> StabilityCla
     return eq.classify(eq.eigenvalues_2x2(_jacobian_entries(S, I, A, b, u)))
 
 
-def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
-                    boundary_tol: float = BOUNDARY_TOL) -> RegionLabel:
+def classify_region(r0: float, p: float, base: BaseParams, *,
+                    het=None) -> RegionLabel:
     """Label the open region containing (r0, p), or BOUNDARY near a curve.
 
     The label is read off computed flags:
@@ -282,7 +282,7 @@ def classify_region(r0: float, p: float, base: BaseParams, *, het=None,
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
     values = curve_values_at(r0, base, het)
     for value in values.values():
-        if abs(p - value) <= boundary_tol:
+        if abs(p - value) <= BOUNDARY_TOL:
             return RegionLabel.BOUNDARY
 
     _check_reduced(r0, p)

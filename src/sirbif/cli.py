@@ -68,36 +68,26 @@ _REGION_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H", "het")
 # run configuration and artifact writers
 
 
-class RunConfig(_Record):
-    """Resolved settings of one subcommand invocation."""
-
-    command: str
-    settings: dict
-
-    def to_json_dict(self) -> dict:
-        return {"command": self.command, "tool": "sirbif",
-                "version": __version__, "settings": self.settings}
-
-    def compact(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
+def _compact(config: dict) -> str:
+    """The run's configuration on one line, as echoed into CSV and SVG."""
+    return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
-def _write_csv(path: Path, config: RunConfig, columns, rows) -> None:
+def _write_csv(path: Path, config: dict, columns, rows) -> None:
     with path.open("w") as fh:
-        fh.write(f"# sirbif {__version__}\n# config {config.compact()}\n")
+        fh.write(f"# sirbif {__version__}\n# config {_compact(config)}\n")
         writer = _csvmod.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
 
 
-def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
+def _write_json(path: Path, config: dict, payload: dict) -> None:
     doc = dict(payload)
-    doc["config"] = config.to_json_dict()
+    doc["config"] = config
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _emit(ns, config: RunConfig, artifacts) -> None:
+def _emit(ns, config: dict, artifacts) -> None:
     """Write the artifacts whose format was selected, in the given order.
 
     ``artifacts`` holds ``(file name, producer)`` pairs and the file suffix
@@ -149,13 +139,14 @@ def _effective_tol(ns, default: float) -> float:
     return default if ns.tol is None else ns.tol
 
 
-def _config_for(ns, command: str, extra: dict, tol=None) -> RunConfig:
-    """The run's settings, with ``tol`` only if the run integrates."""
+def _config_for(ns, command: str, extra: dict, tol=None) -> dict:
+    """The run's configuration; ``tol`` is set only if the run integrates."""
     settings = {"jobs": ns.jobs, "formats": list(_formats(ns))}
     if tol is not None:
         settings["tol"] = tol
     settings.update(extra)
-    return RunConfig(command, settings)
+    return {"command": command, "tool": "sirbif", "version": __version__,
+            "settings": settings}
 
 
 # ----------------------------------------------------------------------
@@ -278,11 +269,11 @@ def _region_label_anchors(base: BaseParams, het) -> list:
     ]
 
 
-def _atlas_svg(base: BaseParams, curves: dict, het, config: RunConfig,
+def _atlas_svg(base: BaseParams, curves: dict, het, config: dict,
                window) -> Canvas:
     r0_min, r0_max, p_min, p_max = window
     canvas = Canvas(720, 540, (r0_min, r0_max), (p_min, p_max),
-                    title="(R0, p) bifurcation atlas", desc=config.compact())
+                    title="(R0, p) bifurcation atlas", desc=_compact(config))
     # no bt1: the second node-focus root is negative throughout the window
     names = {"sn": "saddle-node", "t": "transcritical", "h": "Hopf",
              "bt2": "node-focus", "het": "heteroclinic"}
@@ -405,7 +396,7 @@ def _downsample(n: int, limit: int) -> list:
     return idx
 
 
-def _phase_figure(params: ModelParams, title: str, config: RunConfig, paths,
+def _phase_figure(params: ModelParams, title: str, config: dict, paths,
                   *, start=None, labels: bool = True) -> Canvas:
     """(S, I) phase plane: the dashed invariant wedge, every path of
     ``paths`` as ``(path, sample cap, colour, width, opacity)``, an optional
@@ -413,7 +404,7 @@ def _phase_figure(params: ModelParams, title: str, config: RunConfig, paths,
     equilibrium markers (named when ``labels``) and the axes."""
     A, bound = params.A, invariant_region_bound(params)
     xlim, ylim = (-0.02 * A, 1.04 * A), (-0.02 * bound, 1.02 * bound)
-    canvas = Canvas(560, 520, xlim, ylim, title=title, desc=config.compact())
+    canvas = Canvas(560, 520, xlim, ylim, title=title, desc=_compact(config))
     canvas.polyline([(0.0, 0.0), (A, 0.0), (A, bound - A), (0.0, bound),
                      (0.0, 0.0)], PALETTE["boundary"], width=1.0, dash="4,3")
     for path, cap, color, width, opacity in paths:

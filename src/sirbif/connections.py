@@ -29,7 +29,6 @@ from . import equilibria as eqmod
 from .equilibria import StabilityClass
 from .integrate import (
     SectionEvent,
-    Trajectory,
     integrate,
     manifold_shoot,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "FitSingularError",
     "FitNonConvergence",
     "HetResult",
-    "HetRow",
     "PowerFit",
     "PeriodicOrbit",
     "splitting",
@@ -162,9 +160,10 @@ def splitting(r0: float, p: float, base: BaseParams, *,
 
 class HetResult(_Record):
     r0: float
-    p_het: float
+    p_het: float               # nan when a table row failed
     splitting_residual: float
     iterations: int
+    error: str = ""
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float, tol: float,
@@ -247,20 +246,12 @@ def find_het_p(r0: float, base: BaseParams, *,
     return HetResult(r0, p_het, abs(s_het), iterations)
 
 
-class HetRow(_Record):
-    r0: float
-    p_het: float               # nan when the row failed
-    splitting_residual: float
-    error: str = ""
-
-
-def _het_worker(args) -> HetRow:
+def _het_worker(args) -> HetResult:
     r0, base, tol = args
     try:
-        res = find_het_p(r0, base, tol=tol)
-        return HetRow(r0, res.p_het, res.splitting_residual)
+        return find_het_p(r0, base, tol=tol)
     except (NoCrossingError, ValueError) as exc:
-        return HetRow(r0, float("nan"), float("nan"), error=str(exc))
+        return HetResult(r0, float("nan"), float("nan"), 0, error=str(exc))
 
 
 def build_het_table(r0_list, base: BaseParams, *, jobs: int = 1,
@@ -269,9 +260,7 @@ def build_het_table(r0_list, base: BaseParams, *, jobs: int = 1,
     with NaN and an error message rather than aborting the sweep. With
     jobs > 1 rows are solved in separate processes."""
     tasks = [(float(r0), base, tol) for r0 in r0_list]
-    if not tasks:
-        return []
-    if jobs <= 1 or len(tasks) == 1:
+    if jobs <= 1 or len(tasks) <= 1:
         return [_het_worker(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -455,16 +444,15 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     escape counts as -h, which may slow a Brent step but cannot lose the
     sign change. Without that sign change MislabeledRegionError is raised.
 
-    The loop from I* is integrated once more to give the period and
-    ``return_residual`` = |P(I*) - I*|. Below the connection the gap jumps
-    over zero without a root, so a residual above 10 times the bracket
-    raises MislabeledRegionError too. Brent stops closing in on such a jump
-    once the return from its lower end lies above its escaping upper end by
-    more than that bound: P is increasing, so no point left in the bracket
-    can close. The
-    Floquet multiplier is exp of the loop integral of div f (Liouville's
-    formula for a planar cycle), exact on the recorded Hermite steps
-    because div f is linear in the state.
+    The period and ``return_residual`` = |P(I*) - I*| are read from the run
+    Brent made at I*. Below the connection the gap jumps over zero without a
+    root, so a residual above 10 times the bracket raises
+    MislabeledRegionError too. Brent stops closing in on such a jump once
+    the return from its lower end lies above its escaping upper end by more
+    than that bound: P is increasing, so no point left in the bracket can
+    close. The Floquet multiplier is exp of the loop integral of div f
+    (Liouville's formula for a planar cycle), exact on the recorded Hermite
+    steps because div f is linear in the state.
     """
     if not r0 > 2.0:
         raise NotInRegionEError(
@@ -483,12 +471,12 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     # reversed, the top-half crossings (original dS/dt < 0) have direction +1
     section = (SectionEvent(s2, +1, name="return"),)
 
-    def return_map(I_value: float) -> Trajectory:
-        return integrate((s2, I_value), params, _LOOP_HORIZON, tol=tol,
-                         reverse_time=True, sections=section)
+    runs = {}                    # the return map's run from each start
 
     def gap(I_value: float) -> float:
-        traj = return_map(I_value)
+        traj = runs[I_value] = integrate(
+            (s2, I_value), params, _LOOP_HORIZON, tol=tol, reverse_time=True,
+            sections=section)
         if traj.terminal.kind != "crossed-section":
             return -headroom     # escaped: the start lies outside the cycle
         return traj.terminal.state[1] - I_value
@@ -509,14 +497,14 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
         lo, g_lo, hi, g_hi = (b, fb, c, fc) if fb > 0.0 else (c, fc, b, fb)
         return g_hi == -headroom and lo + g_lo - hi > _CLOSE_TOL
 
-    I_star, _, _ = _brent(gap, bottom, top, g_bottom, g_top, _RETURN_TOL,
-                          stop=no_cycle_left)
-    loop = return_map(I_star)
+    I_star, g_star, _ = _brent(gap, bottom, top, g_bottom, g_top,
+                               _RETURN_TOL, stop=no_cycle_left)
+    loop = runs[I_star]
     if loop.terminal.kind != "crossed-section":
         raise MislabeledRegionError(
             f"the loop from the cycle's section point I = {I_star!r} does "
             f"not return at (r0, p) = ({r0}, {p}): {loop.terminal.kind}")
-    residual = abs(loop.terminal.state[1] - I_star)
+    residual = abs(g_star)
     if residual > _CLOSE_TOL:
         raise MislabeledRegionError(
             f"no cycle at (r0, p) = ({r0}, {p}): the loop from I = "

@@ -140,7 +140,7 @@ def classify(eigenvalues) -> StabilityClass:
 
 def _make(ident: str, S: float, I: float, params: ModelParams) -> Equilibrium:
     eigs = eigenvalues_2x2(_jacobian_entries(S, I, params.A, params.beta,
-                                             params.sigma + params.g))
+                                             params.removal))
     return Equilibrium(ident, S, I, eigs, classify(eigs))
 
 
@@ -180,7 +180,7 @@ def endemic(params: ModelParams) -> Equilibrium:
     stability NONEXISTENT and the formal location attached for diagnostics.
     """
     b = params.beta
-    u = params.sigma + params.g
+    u = params.removal
     S2, I2 = _endemic_location(params.A, params.p, params.m, b, u)
     if I2 > 0.0:
         return _make("E2", S2, I2, params)
@@ -197,7 +197,7 @@ def delta2_eval(p: float, params) -> float:
     ignored). E2 has real eigenvalues iff delta2 >= 0.
     """
     b = params.beta
-    u = params.sigma + params.g
+    u = params.removal
     m = params.m
     return (m * m * b**4 * p * p
             + 2.0 * m * b * b * (2.0 * b - 1.0) * u * u * p
@@ -208,7 +208,7 @@ def delta2_eval(p: float, params) -> float:
 def delta2_scale(params) -> float:
     """Magnitude scale of delta2's coefficients, for zero tests."""
     b = params.beta
-    u = params.sigma + params.g
+    u = params.removal
     m = params.m
     return (m * m * b**4
             + 2.0 * m * b * b * abs(2.0 * b - 1.0) * u * u

@@ -92,7 +92,9 @@ _HULL_PAD = 2.0 ** -46
 
 
 class StepFailure(RuntimeError):
-    """Raised internally; surfaced to callers as a 'step-failure' terminal."""
+    """Raised when ``integrate`` exhausts its step budget, and when
+    ``omega_limit_estimate`` meets a 'step-failure' terminal (a step-size
+    underflow or I undershooting the axis), which only ends other runs."""
 
 
 class SectionEvent(_Record):
@@ -210,12 +212,7 @@ class Trajectory(_Record):
                 for c in self.crossings
             ],
             "terminal": self.terminal.to_json_dict(),
-            "stats": {
-                "steps_accepted": self.stats.steps_accepted,
-                "steps_rejected": self.stats.steps_rejected,
-                "max_error_estimate": self.stats.max_error_estimate,
-                "field_evals": self.stats.field_evals,
-            },
+            "stats": dict(vars(self.stats)),
             "reversed_time": self.reversed_time,
             "tol": self.tol,
             "params": self.params.to_dict(),
@@ -396,11 +393,11 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         # the earliest crossing in the step, the first section winning a tie;
         # a section outside the hull of the step's S-cubic cannot be crossed
         dt = t_new - t
-        lo, hi, _, _ = _hull(S, k1S, Sn, f_new[0], dt)
+        lo, hi, c1, c2 = _hull(S, k1S, Sn, f_new[0], dt)
         hit = None
         for sec in armed:
             if lo <= sec.value <= hi:
-                found = _bracket_roots(t, x, fx, t_new, x_new, f_new, dt, sec)
+                found = _bracket_roots(t, x, fx, x_new, f_new, dt, c1, c2, sec)
                 if found and (hit is None or found[0] < hit[0]):
                     hit = found
         if hit:
@@ -502,27 +499,26 @@ def _turning_points(S0, c1, c2, S1):
     return tuple(r for r in roots if 0.0 < r < 1.0)
 
 
-def _bracket_roots(t, x, fx, t_new, x_new, f_new, h, sec):
+def _bracket_roots(t, x, fx, x_new, f_new, h, c1, c2, sec):
     """The earliest crossing of S = sec.value in sec.direction inside one
     step, as (t, (S, I), sec), or None.
 
-    The step's S-cubic is cut at 0, 1 and its turning points
-    (_turning_points) into pieces on each of which S is monotone. On such a
-    piece g = S - value has at most one root, so the signs of g at its ends
-    tell exactly whether it crosses the section, and in which direction: the
-    scan is exact, with no cap. A grazing pair of crossings, both step ends
-    on one side, straddles the turning point between them, so each crossing
-    falls on its own piece. The earliest piece whose end values change sign
-    in sec.direction is bisected to |residual| <= 1e-12 (well inside the
-    1e-10 contract). A start exactly on the section is no crossing, and a
-    root exactly at a cut belongs to the earlier piece.
+    c1, c2 are the inner Bernstein ordinates of the step's S-cubic, from the
+    _hull call whose range the caller found to hold the section. The cubic
+    is cut at 0, 1 and its turning points (_turning_points) into pieces on
+    each of which S is monotone. On such a piece g = S - value has at most
+    one root, so the signs of g at its ends tell exactly whether it crosses
+    the section, and in which direction: the scan is exact, with no cap. A
+    grazing pair of crossings, both step ends on one side, straddles the
+    turning point between them, so each crossing falls on its own piece. The
+    earliest piece whose end values change sign in sec.direction is bisected
+    to |residual| <= 1e-12 (well inside the 1e-10 contract). A start exactly
+    on the section is no crossing, and a root exactly at a cut belongs to
+    the earlier piece.
     """
     value, direction = sec.value, sec.direction
     S0, S1 = x[0], x_new[0]
     fS0, fS1 = fx[0], f_new[0]
-    bottom, top, c1, c2 = _hull(S0, fS0, S1, fS1, h)
-    if not bottom <= value <= top:
-        return None
 
     def g(theta):
         return _hermite(theta, h, S0, fS0, S1, fS1) - value

@@ -197,13 +197,13 @@ def vector_field(x, params: ModelParams):
     if not (math.isfinite(S) and math.isfinite(I)):
         raise ValueError(f"non-finite state components: {x!r}")
     dS = S * (params.A - S) - params.beta * I * S - params.p * params.m
-    dI = params.beta * I * S - (params.sigma + params.g) * I
+    dI = params.beta * I * S - params.removal * I
     return (dS, dI)
 
 
 def r0_of(params: ModelParams) -> float:
     """Basic reproduction number r0 = A*beta/(sigma + g)."""
-    return params.A * params.beta / (params.sigma + params.g)
+    return params.A * params.beta / params.removal
 
 
 def reduced_to_params(point: ReducedPoint) -> ModelParams:

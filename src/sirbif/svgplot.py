@@ -69,18 +69,42 @@ class Canvas:
 
     def polyline(self, points, color: str, *, width: float = 1.3,
                  dash: str = "", opacity: float = 1.0) -> None:
-        pts = [(x, y) for x, y in points
-               if math.isfinite(x) and math.isfinite(y)]
-        if len(pts) < 2:
-            return
-        coords = " ".join(f"{self._f(self._px(x))},{self._f(self._py(y))}"
-                          for x, y in pts)
+        pts = [(self._px(x), self._py(y)) for x, y in points]
+        pts = [q for q in pts if math.isfinite(q[0]) and math.isfinite(q[1])]
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         if opacity != 1.0:
             extra += f' stroke-opacity="{opacity:.2f}"'
-        self._body.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{width:.2f}"{extra}/>')
+        for line in self._clipped(pts):
+            coords = " ".join(f"{self._f(x)},{self._f(y)}" for x, y in line)
+            self._body.append(
+                f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                f'stroke-width="{width:.2f}"{extra}/>')
+
+    def _clipped(self, pts) -> list:
+        """The pieces of the line through the pixel points pts in the square
+        of ten canvas sides around the canvas (Liang-Barsky), points inside
+        kept as given: the clip path hides each cut; numbers stay short."""
+        side = max(self.width, self.height)
+        lo, hi = -10.0 * side, 11.0 * side
+        if all(lo <= x <= hi and lo <= y <= hi for x, y in pts):
+            return [pts] if len(pts) > 1 else []
+        lines: list = []
+        for a, b in zip(pts, pts[1:]):
+            t0, t1 = 0.0, 1.0
+            for u, v in zip(a, b):
+                if u != v:
+                    ta, tb = sorted(((lo - u) / (v - u), (hi - u) / (v - u)))
+                    t0, t1 = max(t0, ta), min(t1, tb)
+                elif not lo <= u <= hi:
+                    t0 = 2.0             # parallel to the square, outside it
+            if t0 <= t1:
+                start, end = (a if t == 0.0 else b if t == 1.0 else (
+                    a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+                    for t in (t0, t1))
+                if not lines or lines[-1][-1] != start:
+                    lines.append([start])
+                lines[-1].append(end)
+        return lines
 
     def marker(self, wx: float, wy: float, kind: str, color: str,
                *, size: float = 4.5) -> None:

@@ -1,6 +1,7 @@
 """Bifurcation curves, certificates, region classification, and sampling."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,6 +35,7 @@ from sirbif import (
     reduced_to_params,
     region_fan,
 )
+from sirbif import atlas
 from sirbif.atlas import BOUNDARY_TOL
 from sirbif.cli import main
 
@@ -181,14 +183,14 @@ _STABLE = (StabilityClass.SINK_NODE, StabilityClass.SINK_FOCUS)
 _SOURCE = (StabilityClass.SOURCE_NODE, StabilityClass.SOURCE_FOCUS)
 
 
-def _label_from_flags(r0, p, base, het=None, boundary_tol=BOUNDARY_TOL):
+def _label_from_flags(r0, p, base, het=None):
     """Reference classifier built from the public equilibrium objects: a
     validated ModelParams, disease_free, endemic and the sorted Hopf/het
     band. classify_region must agree with it label for label."""
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
     for value in curve_values_at(r0, base, het).values():
-        if abs(p - value) <= boundary_tol:
+        if abs(p - value) <= atlas.BOUNDARY_TOL:
             return RegionLabel.BOUNDARY
     params = reduced_to_params(ReducedPoint(r0, p, base))
     dfe = disease_free(params)
@@ -224,18 +226,24 @@ def _label_from_flags(r0, p, base, het=None, boundary_tol=BOUNDARY_TOL):
         f"declared curve at (r0, p) = ({r0}, {p})")
 
 
-def _outcome(classifier, r0, p, base, het, boundary_tol):
+def _outcome(classifier, r0, p, base, het):
     """The label, or the type and message of the exception raised instead."""
     try:
-        return classifier(r0, p, base, het=het, boundary_tol=boundary_tol)
+        return classifier(r0, p, base, het=het)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         return type(exc), str(exc)
 
 
-def _assert_parity(r0, p, base, het, boundary_tol=BOUNDARY_TOL):
-    got = _outcome(classify_region, r0, p, base, het, boundary_tol)
-    want = _outcome(_label_from_flags, r0, p, base, het, boundary_tol)
-    assert got == want, f"(r0, p) = ({r0!r}, {p!r}), tol {boundary_tol}"
+def _assert_parity(r0, p, base, het):
+    got = _outcome(classify_region, r0, p, base, het)
+    want = _outcome(_label_from_flags, r0, p, base, het)
+    assert got == want, f"(r0, p) = ({r0!r}, {p!r}), tol {atlas.BOUNDARY_TOL}"
+
+
+def _without_band():
+    """No boundary band for the duration: points next to a curve keep the
+    label their flags give."""
+    return mock.patch.object(atlas, "BOUNDARY_TOL", 0.0)
 
 
 @pytest.mark.parametrize("with_het", [True, False])
@@ -249,7 +257,7 @@ def test_classify_region_matches_flag_oracle_on_grid(base, het, with_het):
         for j in range(n):
             p = j / (n - 1)
             _assert_parity(r0, p, base, curve)
-            seen.add(_outcome(classify_region, r0, p, base, curve, BOUNDARY_TOL))
+            seen.add(_outcome(classify_region, r0, p, base, curve))
     if with_het:
         assert set(RegionLabel) <= seen
 
@@ -285,7 +293,8 @@ def test_classify_region_matches_flag_oracle_on_curves(base, het, r0, name,
     # without the boundary band the degenerate loci themselves are labelled:
     # the coincident disease-free pair, non-hyperbolic E2, RegionFlagError
     p = _near_curve(base, het, r0, name, sign * factor * BOUNDARY_TOL, ulps)
-    _assert_parity(r0, p, base, het, boundary_tol=0.0)
+    with _without_band():
+        _assert_parity(r0, p, base, het)
 
 
 @pytest.mark.parametrize("r0,curve", [(1.5, p_sn), (3.0, p_h), (2.6, p_h)])
@@ -293,9 +302,10 @@ def test_classify_region_degenerate_loci_without_band(base, het, r0, curve):
     # one float off the fold the pair is coincident and non-hyperbolic; one
     # float off Hopf E2 is non-hyperbolic (exactly on a curve is BOUNDARY)
     p = math.nextafter(curve(r0, base), 0.0)
-    with pytest.raises(RegionFlagError):
-        classify_region(r0, p, base, het=het, boundary_tol=0.0)
-    _assert_parity(r0, p, base, het, boundary_tol=0.0)
+    with _without_band():
+        with pytest.raises(RegionFlagError):
+            classify_region(r0, p, base, het=het)
+        _assert_parity(r0, p, base, het)
 
 
 def test_classify_region_e2_on_the_axis_is_not_interior(base, het):
@@ -304,9 +314,10 @@ def test_classify_region_e2_on_the_axis_is_not_interior(base, het):
     r0 = 1.25
     p = math.nextafter(p_t(r0, base), 0.0)
     assert endemic(reduced_to_params(ReducedPoint(r0, p, base))).I == 0.0
-    with pytest.raises(RegionFlagError, match="disease-free pair"):
-        classify_region(r0, p, base, het=het, boundary_tol=0.0)
-    _assert_parity(r0, p, base, het, boundary_tol=0.0)
+    with _without_band():
+        with pytest.raises(RegionFlagError, match="disease-free pair"):
+            classify_region(r0, p, base, het=het)
+        _assert_parity(r0, p, base, het)
 
 
 @pytest.mark.parametrize("r0,p,exc,message", [

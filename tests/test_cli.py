@@ -18,6 +18,7 @@ import sirbif
 import sirbif.cli as cli
 from sirbif import REFERENCE_BASE, __version__, find_periodic_orbit
 from sirbif.cli import main
+from sirbif.svgplot import Canvas
 
 FORMAT_DOC = Path(__file__).resolve().parents[1] / "FORMAT.md"
 
@@ -310,16 +311,34 @@ def test_simulate_artifacts_and_recovered_series(tmp_path, capsys):
 
 
 def test_simulate_far_start_draws_no_huge_coordinate(tmp_path, capsys):
-    # a start outside the frame gets no marker, so every number is short
-    assert run(["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "1e150",
-                "--I0", "0.2", "--t-end", "5", "--format", "svg",
-                "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    # the embedded config echoes the inputs at full precision; skip it
-    svg = re.sub(r"<desc>.*?</desc>", "",
-                 (tmp_path / "trajectory.svg").read_text(), flags=re.S)
-    numbers = re.findall(r"[-+]?[0-9][0-9.e+-]*", svg)
-    assert numbers and max(map(len, numbers)) <= 10, max(numbers, key=len)
+    # a start outside the frame gets no marker and the path is clipped near
+    # it, so every number is short: a start beyond the domain bound, and a
+    # wall start that decays on the wall far above the frame
+    for S0, I0 in (("1e150", "0.2"), ("0", "1e300")):
+        assert run(["simulate", "--r0", "2.6", "--p", "0.3", "--S0", S0,
+                    "--I0", I0, "--t-end", "5", "--format", "svg",
+                    "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        # the embedded config echoes the inputs at full precision; skip it
+        svg = re.sub(r"<desc>.*?</desc>", "",
+                     (tmp_path / "trajectory.svg").read_text(), flags=re.S)
+        numbers = re.findall(r"[-+]?[0-9][0-9.e+-]*", svg)
+        longest = max(numbers, key=len, default="")
+        assert numbers and len(longest) <= 10, (I0, longest)
+
+
+def test_polyline_is_clipped_ten_canvas_sides_out():
+    # a 100 x 100 canvas whose frame maps x in [0, 1] to pixels 56..84 and
+    # y in [0, 1] to 56..16: the clipping square reaches ten canvas sides
+    # beyond it, from -1000 to 1100. A path that leaves the square and comes
+    # back is cut there into two lines; the points inside keep their own
+    # coordinates.
+    canvas = Canvas(100, 100, (0.0, 1.0), (0.0, 1.0))
+    canvas.polyline([(0.0, 0.0), (1e6, 0.0), (1e6, 1.0), (0.0, 1.0)], "#000")
+    canvas.polyline([(0.0, 0.0), (1.0, 1.0)], "#000")
+    lines = re.findall(r'<polyline points="([^"]*)"', canvas.render())
+    assert lines == ["56.00,56.00 1100.00,56.00", "1100.00,16.00 56.00,16.00",
+                     "56.00,56.00 84.00,16.00"]
 
 
 # ---------------------------------------------------------------------------

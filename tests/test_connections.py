@@ -367,7 +367,7 @@ def integrate_calls(monkeypatch):
 
 def test_periodic_orbit_reference(base, integrate_calls):
     orbit = find_periodic_orbit(2.6, 0.48, base)
-    # two bracket ends, the Brent iterates and the recorded loop, nothing else
+    # two bracket ends and the Brent iterates, nothing else
     assert len(integrate_calls) <= 20
     params = reduced_to_params(ReducedPoint(2.6, 0.48, base))
     e2 = endemic(params)
@@ -385,6 +385,14 @@ def test_periodic_orbit_reference(base, integrate_calls):
     gap = math.hypot(orbit.states[0][0] - orbit.states[-1][0],
                      orbit.states[0][1] - orbit.states[-1][1])
     assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("r0, p", [(2.6, 0.48), (3.0, 0.305)])
+def test_periodic_orbit_integrates_each_start_once(base, r0, p, integrate_calls):
+    # the cycle is read from the run Brent made at its section point, so no
+    # start is integrated twice: two bracket ends and 17 Brent iterates
+    find_periodic_orbit(r0, p, base)
+    assert len(set(integrate_calls)) == len(integrate_calls) == 19
 
 
 @pytest.mark.parametrize("r0, frac", [

@@ -242,8 +242,9 @@ def test_grazing_pair_inside_one_step(mirror, direction):
     assert all(mirror * (_hermite(th, h, S0, fS0, S1, fS1) - value) > 0.018
                for th in (0.0, 0.25, 0.5, 0.75, 1.0))
     sec = SectionEvent(value, direction, name="graze")
-    hit = _bracket_roots(t, (S0, 0.1), (fS0, 0.0), t + h, (S1, 0.1), (fS1, 0.0),
-                         h, sec)
+    _, _, c1, c2 = _hull(S0, fS0, S1, fS1, h)
+    hit = _bracket_roots(t, (S0, 0.1), (fS0, 0.0), (S1, 0.1), (fS1, 0.0),
+                         h, c1, c2, sec)
     assert hit, "the crossing between two quarter samples was missed"
     t_hit, (S_hit, I_hit), found = hit
     assert found is sec and abs(I_hit - 0.1) <= 1e-15
@@ -314,7 +315,7 @@ def test_event_scan_matches_dense_reference(S0, m0, S1, m1, h, value, direction)
         return _hermite(theta, h, S0, fS0, S1, fS1) - value
 
     ref = _dense_first_root(g, direction)
-    lo, hi, _, _ = _hull(S0, fS0, S1, fS1, h)
+    lo, hi, c1, c2 = _hull(S0, fS0, S1, fS1, h)
     if ref is not None:
         assert lo <= value <= hi, "the hull prefilter dropped a crossing step"
     # compare only where the roots are well conditioned: every critical
@@ -327,8 +328,8 @@ def test_event_scan_matches_dense_reference(S0, m0, S1, m1, h, value, direction)
     assume(ref is None or abs(dg(ref)) > 0.05)
     t = 7.0
     sec = SectionEvent(value, direction)
-    hit = _bracket_roots(t, (S0, 0.0), (fS0, 0.0), t + h, (S1, 0.0), (fS1, 0.0),
-                         h, sec)
+    hit = _bracket_roots(t, (S0, 0.0), (fS0, 0.0), (S1, 0.0), (fS1, 0.0),
+                         h, c1, c2, sec)
     if ref is None:
         assert not hit
     else:

@@ -24,8 +24,8 @@ from sirbif import (
 )
 
 from sirbif.atlas import DZCertificate, HopfCertificate
-from sirbif.cli import PortraitPack, RunConfig
-from sirbif.connections import HetResult, HetRow, PeriodicOrbit, PowerFit
+from sirbif.cli import PortraitPack
+from sirbif.connections import HetResult, PeriodicOrbit, PowerFit
 from sirbif.equilibria import Equilibrium, StabilityClass
 from sirbif.integrate import (Crossing, IntegrationStats, OmegaLimitResult,
                               SectionEvent, TerminalEvent, Trajectory)
@@ -295,16 +295,13 @@ RECORDS = [
     (OmegaLimitResult, dict(outcome="E2", trajectory=_TRAJECTORY,
                             detail="near"), dict(detail="")),
     (HetResult, dict(r0=2.6, p_het=0.446, splitting_residual=1e-9,
-                     iterations=8), {}),
-    (HetRow, dict(r0=2.6, p_het=0.446, splitting_residual=1e-9,
-                  error="bad"), dict(error="")),
+                     iterations=8, error="bad"), dict(error="")),
     (PowerFit, dict(a=4.5, b=-2.3, c=-0.04, rss=8e-7, corr=0.99,
                     iterations=22, grad_norm=7e-14), {}),
     (PeriodicOrbit, dict(r0=2.6, p=0.48, section_S=0.27, section_I=0.4,
                          period=17.25, floquet=1.736, return_residual=1e-10,
                          t=(0.0, 17.25), states=((0.27, 0.4), (0.27, 0.4))),
      {}),
-    (RunConfig, dict(command="dz", settings={"formats": ["json"]}), {}),
     (PortraitPack, dict(region="E", params=_PARAMS, n_boundary=12, n_ring=8,
                         note="focus"), {}),
 ]
