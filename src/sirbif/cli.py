@@ -450,10 +450,8 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
     legs = []
     if pack.region == "het":
         e0, e1 = disease_free(params)
-        legs.append(manifold_shoot(e1, "unstable", 1e-6, params,
-                                   ns.horizon, tol=tol))
-        legs.append(manifold_shoot(e0, "stable", 1e-6, params,
-                                   ns.horizon, tol=tol))
+        legs.append(manifold_shoot(e1, "unstable", params, ns.horizon, tol=tol))
+        legs.append(manifold_shoot(e0, "stable", params, ns.horizon, tol=tol))
 
     outcome_rows = []
     for k, (x0, res) in enumerate(zip(fan, results)):

@@ -72,7 +72,6 @@ REFERENCE_HET_POINTS = (
     (3.6667, 0.183883),
 )
 
-_SHOOT_OFFSET = 1e-6
 _SHOOT_TOL = 1e-10
 _SHOOT_HORIZON = 900.0
 _SOLVE_TOL = 1e-7          # Brent stops once its bracket is this narrow
@@ -148,7 +147,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     for eq, kind, sign, name in ((e1, "unstable", -1, "W^u(E1)"),
                                  (e0, "stable", +1, "W^s(E0)")):
         shot = manifold_shoot(
-            eq, kind, _SHOOT_OFFSET, params, _SHOOT_HORIZON, tol=tol,
+            eq, kind, params, _SHOOT_HORIZON, tol=tol,
             sections=(SectionEvent(s2, sign, name="split"),))
         if shot.terminal.kind != "crossed-section":
             raise NoCrossingError(
@@ -471,7 +470,7 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     # reversed, the top-half crossings (original dS/dt < 0) have direction +1
     section = (SectionEvent(s2, +1, name="return"),)
 
-    runs = {}                    # the return map's run from each start
+    runs = {}                    # the return map's run from each live start
 
     def gap(I_value: float) -> float:
         traj = runs[I_value] = integrate(
@@ -490,6 +489,10 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
             f"{g_top:.3e} at I = {top:.6g}")
 
     def no_cycle_left(b, fb, c, fc):
+        # every later bracket end, the returned I* among them, is b, c or a
+        # point not yet evaluated, so no other run can still be read
+        for I_value in runs.keys() - {b, c}:
+            del runs[I_value]
         # P is increasing (orbits in the plane do not cross), so any J above
         # the positive end lo that returns has a gap above P(lo) - J. Once
         # P(lo) lies beyond an escaping end by more than the closing gate's

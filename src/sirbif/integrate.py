@@ -31,8 +31,9 @@ Two model-specific behaviours live here:
   to the crossing, S is clamped to 0, and the rest of the run is the closed
   form of the wall flow dS/dt = 0, dI/dt = -(sigma+g)I, one sample at t_end.
   The wall is scanned like any other section, ahead of the caller's.
-* eigenvector-offset shooting from a saddle, forward along the unstable
-  direction or in reversed time (field negated) along the stable one.
+* shooting from a saddle off a series parameterization of its manifold,
+  forward along the unstable one or in reversed time (field negated) along
+  the stable one.
 
 Trajectories are immutable once returned; independent integrations share
 nothing and may run concurrently.
@@ -585,30 +586,51 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
 # ----------------------------------------------------------------------
 # invariant-manifold shooting
 
+#: order N of the manifold series a shot starts on
+_SERIES_ORDER = 12
 
-def manifold_shoot(equilibrium: Equilibrium, direction: str, offset: float,
+
+def manifold_shoot(equilibrium: Equilibrium, direction: str,
                    params: ModelParams, t_end: float, *,
                    tol: float = 1e-8, sections=()) -> Trajectory:
-    """Launch a trajectory off a saddle along an eigenvector.
+    """Launch a trajectory off a saddle along its invariant manifold.
 
-    The start is location + offset*v with v the unit eigenvector of the
-    unstable (positive) or stable (negative) eigenvalue; 'stable' shots run
-    in reversed time, tracing the stable manifold backwards out of the
-    saddle. v is oriented to positive I-component (falling back to
-    positive S when the I-component vanishes, as on the axis equilibria).
+    The start is W(s) on the series of order _SERIES_ORDER of the unstable
+    (positive eigenvalue) or stable (negative) manifold, see
+    _manifold_series, with s from _series_start; 'stable' shots run in
+    reversed time, tracing the stable manifold backwards out of the saddle.
     """
     if equilibrium.stability is not StabilityClass.SADDLE:
         raise ValueError(
             f"{equilibrium.ident} is {equilibrium.stability.value}, not a saddle")
-    if not 1e-8 <= offset <= 1e-4:
-        raise ValueError(f"offset must lie in [1e-8, 1e-4], got {offset}")
     if direction not in ("stable", "unstable"):
         raise ValueError(f"direction must be 'stable' or 'unstable', got {direction!r}")
-
-    jac = eqmod.jacobian(equilibrium.location, params)
     lam_s, lam_u = equilibrium.eigenvalues
     lam = lam_u.real if direction == "unstable" else lam_s.real
-    (a, b), (c, d) = jac
+    coeffs = _manifold_series(equilibrium, lam, params, _SERIES_ORDER)
+    x0 = _series_point(equilibrium.location, coeffs, _series_start(coeffs))
+    if x0[1] < 0.0:
+        x0 = (x0[0], 0.0)
+    return integrate(x0, params, t_end, tol=tol,
+                     reverse_time=(direction == "stable"),
+                     sections=sections)
+
+
+def _manifold_series(equilibrium: Equilibrium, lam: float,
+                     params: ModelParams, order: int) -> list:
+    """Taylor coefficients a_1..a_order of W(s) = x* + sum a_k s^k, the
+    parameterization of the saddle's manifold with eigenvalue lam that
+    solves f(W(s)) = lam s W'(s) (Cabre, Fontich & de la Llave, Indiana
+    Univ. Math. J. 52, 2003).
+
+    a_1 = v is the unit eigenvector, oriented to positive I-component
+    (falling back to positive S when the I-component vanishes, as on the
+    axis equilibria). About x* the field is J y + Q(y, y) with the symmetric
+    Q(y, z) = (-yS zS - h, h), h = beta (yS zI + yI zS)/2, so order k is the
+    2x2 solve (J - k lam I) a_k = -sum_{i+j=k} Q(a_i, a_j), never singular
+    on a planar saddle (k lam_u > lam_u > 0 > lam_s > k lam_s).
+    """
+    (a, b), (c, d) = eqmod.jacobian(equilibrium.location, params)
     v = (b, lam - a)
     if math.hypot(*v) <= 1e-13 * (1.0 + abs(lam)):
         v = (lam - d, c)
@@ -618,12 +640,33 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str, offset: float,
     v = (v[0] / norm, v[1] / norm)
     if v[1] < 0.0 or (v[1] == 0.0 and v[0] < 0.0):
         v = (-v[0], -v[1])
-    x0 = (equilibrium.S + offset * v[0], equilibrium.I + offset * v[1])
-    if x0[1] < 0.0:
-        x0 = (x0[0], 0.0)
-    return integrate(x0, params, t_end, tol=tol,
-                     reverse_time=(direction == "stable"),
-                     sections=sections)
+    coeffs = [v]
+    for k in range(2, order + 1):
+        qs = qi = 0.0
+        for i in range(1, k):
+            (ys, yi), (zs, zi) = coeffs[i - 1], coeffs[k - i - 1]
+            h = 0.5 * params.beta * (ys * zi + yi * zs)
+            qs -= ys * zs + h
+            qi += h
+        a11, a22 = a - k * lam, d - k * lam
+        det = a11 * a22 - b * c
+        coeffs.append(((-qs * a22 + qi * b) / det, (-qi * a11 + qs * c) / det))
+    return coeffs
+
+
+def _series_start(coeffs: list) -> float:
+    """The parameter s at which the series' last term |a_N| s^N is 1e-17,
+    about the size of the tail it leaves out, but at most 0.05."""
+    top = math.hypot(*coeffs[-1])
+    return min(0.05, (1e-17 / top) ** (1.0 / len(coeffs))) if top else 0.05
+
+
+def _series_point(x, coeffs: list, s: float) -> tuple:
+    """W(s) = x + sum a_k s^k by Horner's rule."""
+    ws = wi = 0.0
+    for cs, ci in reversed(coeffs):
+        ws, wi = (ws + cs) * s, (wi + ci) * s
+    return (x[0] + ws, x[1] + wi)
 
 
 # ----------------------------------------------------------------------

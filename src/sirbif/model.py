@@ -128,10 +128,6 @@ class ModelParams(_Record):
             raise ValueError(f"vaccination fraction p must lie in [0, 1], got {p!r}")
 
     @property
-    def sigma(self) -> float:
-        return self.mu + self.d
-
-    @property
     def removal(self) -> float:
         """Total exit rate from the infective class, sigma + g."""
         return (self.mu + self.d) + self.g
@@ -157,10 +153,6 @@ class BaseParams(_Record):
     def __post_init__(self):
         for key in ("A", "m", "mu", "d", "g"):
             _check_positive(key, getattr(self, key))
-
-    @property
-    def sigma(self) -> float:
-        return self.mu + self.d
 
     @property
     def removal(self) -> float:

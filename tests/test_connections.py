@@ -1,7 +1,9 @@
 """Heteroclinic location by shooting, the power-law fit, and the unstable
 periodic orbit."""
 
+import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -98,10 +100,11 @@ def test_find_het_reference_slice(base, het26):
     assert abs(res.p_het - 0.453994) / 0.453994 < 0.02
 
 
-def test_find_het_offset_robustness(base, het26, monkeypatch):
-    monkeypatch.setattr(connections, "_SHOOT_OFFSET", 1e-7)
+def test_find_het_series_order_robustness(base, het26, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("sirbif.integrate"),
+                        "_SERIES_ORDER", 8)
     alt = find_het_p(2.6, base)
-    assert abs(alt.p_het - het26.p_het) <= 1e-5
+    assert abs(alt.p_het - het26.p_het) <= 1e-7
 
 
 def _dop853_splitting(r0, p, base):
@@ -393,6 +396,24 @@ def test_periodic_orbit_integrates_each_start_once(base, r0, p, integrate_calls)
     # start is integrated twice: two bracket ends and 17 Brent iterates
     find_periodic_orbit(r0, p, base)
     assert len(set(integrate_calls)) == len(integrate_calls) == 19
+
+
+@pytest.mark.parametrize("r0, p", [(2.6, 0.48), (3.0, 0.305)])
+def test_periodic_orbit_keeps_at_most_three_runs(base, r0, p, monkeypatch):
+    # the search drops each return-map run once Brent's bracket has left it
+    live, most = weakref.WeakSet(), []
+    real = connections.integrate
+
+    def tracked(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        live.add(traj)
+        most.append(len(live))
+        return traj
+
+    monkeypatch.setattr(connections, "integrate", tracked)
+    orbit = find_periodic_orbit(r0, p, base)
+    assert len(most) == 19 and max(most) <= 3
+    assert orbit.return_residual <= 1e-9
 
 
 @pytest.mark.parametrize("r0, frac", [

@@ -34,6 +34,9 @@ from sirbif.integrate import (
     _hermite,
     _hull,
     _initial_step,
+    _manifold_series,
+    _series_point,
+    _series_start,
     _turning_points,
 )
 
@@ -510,7 +513,7 @@ def test_omega_limit_escape_from_unstable_focus(base):
 
 def test_unstable_shot_enters_interior(p_zero):
     _, e1 = disease_free(p_zero)
-    traj = manifold_shoot(e1, "unstable", 1e-6, p_zero, 30.0)
+    traj = manifold_shoot(e1, "unstable", p_zero, 30.0)
     assert not traj.reversed_time
     assert np.asarray(traj.states)[0, 1] > 0.0
     assert np.asarray(traj.states)[1, 1] > np.asarray(traj.states)[0, 1]
@@ -521,33 +524,43 @@ def test_stable_shot_traces_backward(base):
     params = reduced_to_params(
         ReducedPoint(1.5, p_t(1.5, base) - 0.02, base))
     e0 = disease_free(params)[0]
-    traj = manifold_shoot(e0, "stable", 1e-6, params, 30.0)
+    traj = manifold_shoot(e0, "stable", params, 30.0)
     assert traj.reversed_time
     assert np.asarray(traj.states)[0, 1] > 0.0
-    assert np.asarray(traj.states)[-1, 1] > np.asarray(traj.states)[0, 1]
+    # reversed, the stable manifold leads away from the saddle
+    assert dist(traj.states[-1], e0.location) > dist(traj.states[0], e0.location)
 
 
-def test_offset_scaling_is_linear(p_zero):
-    _, e1 = disease_free(p_zero)
-    d_full = dist(tuple(manifold_shoot(e1, "unstable", 1e-5, p_zero,
-                                       1.0).states[0]), e1.location)
-    d_half = dist(tuple(manifold_shoot(e1, "unstable", 5e-6, p_zero,
-                                       1.0).states[0]), e1.location)
-    assert d_full == pytest.approx(1e-5, rel=1e-9)
-    assert d_full / d_half == pytest.approx(2.0, rel=1e-9)
+@pytest.mark.parametrize("r0", [2.6, 1.5])
+@pytest.mark.parametrize("order", [8, 12])
+def test_series_start_lies_on_the_manifold(base, r0, order):
+    # f(W(s)) = lam s W'(s) at the chosen s, for both manifolds of both
+    # saddles, to rounding
+    params = reduced_to_params(ReducedPoint(r0, p_t(r0, base) - 0.02, base))
+    for eq in disease_free(params):
+        assert eq.stability is StabilityClass.SADDLE
+        for lam in (z.real for z in eq.eigenvalues):
+            coeffs = _manifold_series(eq, lam, params, order)
+            s = _series_start(coeffs)
+            assert 0.0 < s <= 0.05
+            w = _series_point(eq.location, coeffs, s)
+            dw = [sum(k * a[i] * s ** (k - 1) for k, a in enumerate(coeffs, 1))
+                  for i in (0, 1)]
+            f = vector_field(w, params)
+            assert dist(f, (lam * s * dw[0], lam * s * dw[1])) <= 1e-15
+    _, e1 = disease_free(params)
+    coeffs = _manifold_series(e1, e1.eigenvalues[1].real, params, 12)
+    start = _series_point(e1.location, coeffs, _series_start(coeffs))
+    assert manifold_shoot(e1, "unstable", params, 1.0).states[0] == start
 
 
 def test_shoot_validation(p_zero):
     e2 = endemic(p_zero)          # a sink, not a saddle
     _, e1 = disease_free(p_zero)
     with pytest.raises(ValueError, match="saddle"):
-        manifold_shoot(e2, "unstable", 1e-6, p_zero, 1.0)
+        manifold_shoot(e2, "unstable", p_zero, 1.0)
     with pytest.raises(ValueError, match="direction"):
-        manifold_shoot(e1, "sideways", 1e-6, p_zero, 1.0)
-    with pytest.raises(ValueError, match="offset"):
-        manifold_shoot(e1, "unstable", 1e-9, p_zero, 1.0)
-    with pytest.raises(ValueError, match="offset"):
-        manifold_shoot(e1, "unstable", 1e-3, p_zero, 1.0)
+        manifold_shoot(e1, "sideways", p_zero, 1.0)
 
 
 # ---------------------------------------------------------------------------

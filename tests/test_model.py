@@ -54,14 +54,13 @@ def test_reference_base_values(base):
     assert base.mu == 0.175
     assert base.d == 0.175
     assert base.g == 0.35
-    assert_close(base.sigma, 0.35, label="sigma")
     assert_close(base.removal, 0.7, label="removal")
 
 
 def test_params_derived_rates(figure_params):
     params = figure_params(p=0.5)
-    assert_close(params.sigma, params.mu + params.d, label="sigma")
-    assert_close(params.removal, params.sigma + params.g, label="removal")
+    assert_close(params.removal, params.mu + params.d + params.g,
+                 label="removal")
     assert_close(r0_of(params), 1.1 * 1.3 / 0.7, label="r0")
 
 
