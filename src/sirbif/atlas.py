@@ -249,7 +249,7 @@ def _stability(S: float, I: float, A: float, b: float, u: float) -> StabilityCla
 
 
 def classify_region(r0: float, p: float, base: BaseParams, *,
-                    het=None) -> RegionLabel:
+                    het=None, values=None) -> RegionLabel:
     """Label the open region containing (r0, p), or BOUNDARY near a curve.
 
     The label is read off computed flags:
@@ -277,10 +277,15 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
     periodic orbit lives between those two curves whichever is lower). For
     r0 > 2 an attached heteroclinic curve is required to split D from E;
     pass ``het`` (callable r0 -> p) or a fitted interpolant.
+
+    ``values`` is ``curve_values_at(r0, base, het)`` when a caller already
+    holds it for this r0 (``classify_column`` does, once per column);
+    ``None`` computes it here.
     """
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
-    values = curve_values_at(r0, base, het)
+    if values is None:
+        values = curve_values_at(r0, base, het)
     for value in values.values():
         if abs(p - value) <= BOUNDARY_TOL:
             return RegionLabel.BOUNDARY
@@ -330,21 +335,24 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
 def classify_column(r0: float, ps, base: BaseParams, *, het) -> list:
     """Labels of (r0, p) for the ascending ``ps`` as ``classify_region`` gives
     them, RegionFlagError read as BOUNDARY, made once per run of points between
-    two curve values whose ends agree. ``het`` may be None only for r0 <= 2."""
+    two curve values whose ends agree. ``het`` may be None only for r0 <= 2.
+    The column's curve values are computed once and handed to every call."""
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
     if het is None and r0 > 2.0:
         raise RegionFlagError(f"classify_column needs het for r0 = {r0} > 2")
 
+    values = curve_values_at(r0, base, het)
+
     def label(p):
         try:
-            return classify_region(r0, p, base, het=het)
+            return classify_region(r0, p, base, het=het, values=values)
         except RegionFlagError:
             return RegionLabel.BOUNDARY
 
     n, lo = len(ps), 0
     labels, bands = [RegionLabel.BOUNDARY] * n, [(n, n)]
-    for value in curve_values_at(r0, base, het).values():
+    for value in values.values():
         # fl(p - value) is monotone in p, so the band [j, k) is contiguous
         j = k = bisect_left(ps, value)
         while k < n and abs(ps[k] - value) <= BOUNDARY_TOL:

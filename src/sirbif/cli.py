@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv as _csvmod
+import io
 import json
 import math
 import sys
+from itertools import groupby, islice
 from pathlib import Path
 
 from . import __version__
@@ -73,12 +75,26 @@ def _compact(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
-def _write_csv(path: Path, config: dict, columns, rows) -> None:
+def _csv_text(rows):
+    """Text of ``rows`` (any iterable of tuples) as ``csv.writer`` writes
+    them, lines ended by LF, in chunks of 512 rows: no file is held whole."""
+    buf = io.StringIO()
+    writer = _csvmod.writer(buf, lineterminator="\n")
+    rows = iter(rows)
+    while batch := list(islice(rows, 512)):
+        writer.writerows(batch)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _write_csv(path: Path, config: dict, columns, body) -> None:
+    """The ``# sirbif`` and ``# config`` lines, the header row, then
+    ``body``: the data rows as text chunks, written as they come."""
     with path.open("w") as fh:
         fh.write(f"# sirbif {__version__}\n# config {_compact(config)}\n")
-        writer = _csvmod.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.writelines(_csv_text([columns]))
+        fh.writelines(body)
 
 
 def _write_json(path: Path, config: dict, payload: dict) -> None:
@@ -91,8 +107,9 @@ def _emit(ns, config: dict, artifacts) -> None:
     """Write the artifacts whose format was selected, in the given order.
 
     ``artifacts`` holds ``(file name, producer)`` pairs and the file suffix
-    picks the writer: a ``.csv`` producer returns ``(columns, rows)``, a
-    ``.json`` producer the payload and an ``.svg`` producer a Canvas.  The
+    picks the writer: a ``.csv`` producer returns ``(columns, body)``, the
+    body being the data rows as text chunks (``_csv_text`` of tuple rows),
+    a ``.json`` producer the payload and an ``.svg`` producer a Canvas.  The
     producer of a file that is not written never runs.
     """
     fmts = _formats(ns)
@@ -193,7 +210,8 @@ def cmd_equilibria(ns) -> int:
     if ns.out is not None:
         _emit(ns, config, [
             ("equilibria.csv", lambda: (("id", "S", "I", "eig1_re", "eig1_im",
-                                         "eig2_re", "eig2_im", "class"), rows)),
+                                         "eig2_re", "eig2_im", "class"),
+                                        _csv_text(rows))),
             ("equilibria.json", lambda: {
                 "r0": r0_of(params),
                 "equilibria": [eq.to_json_dict() for eq in [*dfe, e2]],
@@ -315,22 +333,26 @@ def cmd_atlas(ns) -> int:
             for r0 in _axis(ns.r0_min, ns.r0_max, ns.samples)]
 
     def regions():
-        # csv.writer writes a float as its repr: format each value once
+        # the rows csv.writer would write: a float as its repr, no cell
+        # quoted; one join per run of equal labels, one chunk per column
         ps = _axis(ns.p_min, ns.p_max, ns.grid)
         p_txt = [repr(p) for p in ps]
-        grid_rows = []
         for r0 in _axis(ns.r0_min, ns.r0_max, ns.grid):
-            labels = [x.value for x in classify_column(r0, ps, base, het=het)]
-            grid_rows += zip([repr(r0)] * ns.grid, p_txt, labels)
-        return ("r0", "p", "label"), grid_rows
+            head, j, runs = repr(r0) + ",", 0, []
+            for label, run in groupby(classify_column(r0, ps, base, het=het)):
+                k = j + len(list(run))
+                tail = "," + label.value + "\n"
+                runs.append(head + (tail + head).join(p_txt[j:k]) + tail)
+                j = k
+            yield "".join(runs)
 
     curves = {key: [[row[0], row[1 + idx]] for row in rows
                     if row[1 + idx] is not None]
               for idx, key in enumerate(_CURVE_COLUMNS)}
     _emit(ns, config, [
         ("atlas_curves.csv", lambda: (("r0", "p_sn", "p_t", "p_h", "p_bt1",
-                                       "p_bt2", "p_het"), rows)),
-        ("atlas_regions.csv", regions),
+                                       "p_bt2", "p_het"), _csv_text(rows))),
+        ("atlas_regions.csv", lambda: (("r0", "p", "label"), regions())),
         ("atlas.json", lambda: {"dz": {"r0": 2.0, "p": p_sn(2.0, base)},
                                 "curves": curves}),
         ("atlas.svg", lambda: _atlas_svg(
@@ -342,6 +364,10 @@ def cmd_atlas(ns) -> int:
 
 # ----------------------------------------------------------------------
 # portraits
+
+
+#: the het pack's legs run for this many periods 2*pi/omega of E2's focus
+_HET_LEG_TURNS = 8
 
 
 class PortraitPack(_Record):
@@ -449,9 +475,13 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
 
     legs = []
     if pack.region == "het":
+        # past a few turns of E2's focus the W^s(E0) leg only circles the
+        # unstable cycle again
         e0, e1 = disease_free(params)
-        legs.append(manifold_shoot(e1, "unstable", params, ns.horizon, tol=tol))
-        legs.append(manifold_shoot(e0, "stable", params, ns.horizon, tol=tol))
+        omega = abs(endemic(params).eigenvalues[0].imag)
+        t_leg = min(ns.horizon, _HET_LEG_TURNS * 2.0 * math.pi / omega)
+        legs.append(manifold_shoot(e1, "unstable", params, t_leg, tol=tol))
+        legs.append(manifold_shoot(e0, "stable", params, t_leg, tol=tol))
 
     outcome_rows = []
     for k, (x0, res) in enumerate(zip(fan, results)):
@@ -463,12 +493,10 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
         counts[res.outcome] = counts.get(res.outcome, 0) + 1
 
     def samples():
-        rows = []
-        for k, res in enumerate(results):
-            traj = res.trajectory
-            for i in _downsample(len(traj.t), ns.max_samples):
-                rows.append((k, traj.t[i], *traj.states[i]))
-        return ("traj", "t", "S", "I"), rows
+        return ("traj", "t", "S", "I"), _csv_text(
+            (k, res.trajectory.t[i], *res.trajectory.states[i])
+            for k, res in enumerate(results)
+            for i in _downsample(len(res.trajectory.t), ns.max_samples))
 
     payload = {
         "region": pack.region, "note": pack.note, "r0": r0,
@@ -495,7 +523,7 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
         (f"{stem}.csv", samples),
         (f"{stem}_outcomes.csv", lambda: (
             ("traj", "S0", "I0", "outcome", "detail", "t_end", "S_end",
-             "I_end"), outcome_rows)),
+             "I_end"), _csv_text(outcome_rows))),
         (f"{stem}.json", lambda: payload),
         (f"{stem}.svg", lambda: _phase_figure(
             params, f"region {pack.region}: R0={r0:.4g}, p={params.p:.4g}",
@@ -564,9 +592,9 @@ def cmd_simulate(ns) -> int:
           f"terminal: {term.kind}" + (f" [{term.detail}]" if term.detail else ""))
 
     _emit(ns, config, [
-        ("trajectory.csv", lambda: (("t", "S", "I", "R"), [
+        ("trajectory.csv", lambda: (("t", "S", "I", "R"), _csv_text(
             (t, S, I, R) for t, (S, I), R
-            in zip(traj.t, traj.states, recovered)])),
+            in zip(traj.t, traj.states, recovered)))),
         ("trajectory.json", lambda: {**traj.to_json_dict(), "R": recovered}),
         ("trajectory.svg", lambda: _phase_figure(
             params, f"trajectory from ({ns.S0:g}, {ns.I0:g})", config,
@@ -635,7 +663,7 @@ def cmd_het_table(ns) -> int:
     columns = ("r0", "p_het", "splitting_residual", "delta_vs_reference",
                "error")
     _emit(ns, config, [
-        ("het_table.csv", lambda: (columns, rows)),
+        ("het_table.csv", lambda: (columns, _csv_text(rows))),
         ("het_table.json", lambda: {
             "rows": [dict(zip(columns, row)) for row in rows]}),
     ])
@@ -704,7 +732,8 @@ def cmd_het_fit(ns) -> int:
                "grad_norm": grad_norm, "n_points": len(points)}
     _emit(ns, config, [
         ("het_fit.json", lambda: {"fit": payload}),
-        ("het_fit.csv", lambda: (tuple(payload), [tuple(payload.values())])),
+        ("het_fit.csv", lambda: (tuple(payload),
+                                 _csv_text([tuple(payload.values())]))),
     ])
     return 0
 
@@ -731,7 +760,7 @@ def cmd_cycle(ns) -> int:
                              config, [(orbit, 1200, PALETTE["cycle"], 2.0, 1.0)])
 
     _emit(ns, config, [
-        ("cycle.csv", lambda: (("t", "S", "I"), (
+        ("cycle.csv", lambda: (("t", "S", "I"), _csv_text(
             (t, S, I) for t, (S, I) in zip(orbit.t, orbit.states)))),
         ("cycle.json", orbit.to_json_dict),
         ("cycle.svg", figure),

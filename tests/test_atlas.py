@@ -432,7 +432,7 @@ def test_classify_column_matches_classify_region(het, base, r0, n, narrow,
 
 def test_classify_column_checks_the_far_end_of_a_run(base, monkeypatch):
     # a run whose last point alone is flagged is classified point by point
-    def flag_top(r0, p, base, *, het=None):
+    def flag_top(r0, p, base, *, het=None, values=None):
         if p == 0.3:
             raise RegionFlagError("no region matches")
         return RegionLabel.C
@@ -450,6 +450,20 @@ def test_classify_column_splits_a_run_whose_ends_disagree(base, het):
         classify_region(1.0, 0.0, base, het=het)
     assert classify_column(1.0, [0.0, 0.5, 0.9], base, het=het) == [
         RegionLabel.BOUNDARY, RegionLabel.B, RegionLabel.A]
+
+
+def test_classify_column_reads_the_curves_once(base, het, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return curve_values_at(*args, **kwargs)
+
+    ps = [i / 199 for i in range(200)]
+    want = classify_column(2.6, ps, base, het=het)
+    monkeypatch.setattr("sirbif.atlas.curve_values_at", counted)
+    assert classify_column(2.6, ps, base, het=het) == want
+    assert calls == [2.6]
 
 
 def test_atlas_classifies_runs_not_points(tmp_path, monkeypatch, capsys):

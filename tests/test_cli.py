@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -222,26 +223,63 @@ def test_atlas_artifacts(tmp_path, capsys):
     assert "<desc>" in svg
 
 
-def test_atlas_regions_match_per_point_classification(tmp_path, capsys):
-    # the window holds r0 = 1, where p = 0 lies on p_t(1) = 0
-    assert run(["atlas", "--r0-min", "0.5", "--r0-max", "1.5", "--p-min",
-                "0.05", "--grid", "41", "--format", "csv",
-                "--out", str(tmp_path)]) == 0
+def csv_file_text(config, columns, rows):
+    """What a sirbif CSV holds: the two comment lines, then ``columns`` and
+    ``rows`` as csv.writer writes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    compact = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return f"# sirbif {__version__}\n# config {compact}\n" + buf.getvalue()
+
+
+@pytest.mark.parametrize("args", [
+    ["--grid", "200"],
+    ["--grid", "2"],
+    ["--r0-min", "0.5", "--r0-max", "1.5", "--grid", "3"],
+    ["--A", "1.0", "--grid", "57"],
+    # holds r0 = 1, where p = 0 lies on p_t(1) = 0
+    ["--r0-min", "0.5", "--r0-max", "1.5", "--p-min", "0.05", "--grid", "41"],
+], ids=["default", "grid-2", "corner", "A-1", "r0-1"])
+def test_atlas_regions_bytes(tmp_path, capsys, args):
+    # per point, byte for byte, so a lost final newline or a bad join at the
+    # edge of a label run shows
+    assert run(["atlas", *args, "--format", "csv", "--out",
+                str(tmp_path)]) == 0
     capsys.readouterr()
-    _, _, rows = read_csv(tmp_path / "atlas_regions.csv")
+    text = (tmp_path / "atlas_regions.csv").read_text()
+    config, _, _ = read_csv(tmp_path / "atlas_regions.csv")
+    settings = config["settings"]
+    r0_min, r0_max, p_min, p_max = settings["window"]
+    n = settings["grid"]
+    base = sirbif.BaseParams(**settings["base"])
     het = sirbif.fit_reference_curve()
-    want = []
-    for i in range(41):
-        r0 = 0.5 + (1.5 - 0.5) * i / 40
-        for j in range(41):
-            p = 0.05 + (1.0 - 0.05) * j / 40
+    rows = []
+    for i in range(n):
+        r0 = r0_min + (r0_max - r0_min) * i / (n - 1)
+        for j in range(n):
+            p = p_min + (p_max - p_min) * j / (n - 1)
             try:
-                label = sirbif.classify_region(r0, p, REFERENCE_BASE,
-                                               het=het).value
+                label = sirbif.classify_region(r0, p, base, het=het).value
             except sirbif.RegionFlagError:
                 label = "boundary"
-            want.append([repr(r0), repr(p), label])
-    assert rows == want
+            rows.append((repr(r0), repr(p), label))
+    assert text == csv_file_text(config, ("r0", "p", "label"), rows)
+
+
+def test_atlas_grid_memory_stays_small(tmp_path, capsys):
+    # the grid is written one column at a time, never held whole
+    argv = ["atlas", "--format", "csv", "--out", str(tmp_path)]
+    assert run(argv) == 0          # warm the fitted curve and the imports
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 1.5e6
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +513,41 @@ def test_cycle_csv_has_one_header(tmp_path, capsys):
     orbit = find_periodic_orbit(2.6, 0.48, REFERENCE_BASE, tol=1e-10)
     assert len(rows) == len(orbit.t)
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+def test_csv_text_joins_its_chunks_exactly():
+    rows = [(k, k / 7, None, "a, \"b\"") for k in range(1300)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    chunks = list(cli._csv_text(iter(rows)))
+    assert len(chunks) > 2
+    assert "".join(chunks) == buf.getvalue()
+
+
+def test_csv_cells_as_csv_writer_writes_them(tmp_path, capsys):
+    # a detail holding a comma is quoted; generator rows (cycle.csv) and list
+    # rows (het_table.csv) give csv.writer's bytes
+    assert run(["portraits", "--region", "H", "--format", "csv",
+                "--out", str(tmp_path)]) == 0
+    assert run(["cycle", "--format", "csv", "--out", str(tmp_path)]) == 0
+    assert run(["het-table", "--format", "csv", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    path = tmp_path / "portrait_H_outcomes.csv"
+    config, header, rows = read_csv(path)
+    assert all(len(row) == 8 for row in rows)
+    assert "on the wall, I still decaying" in {row[4] for row in rows}
+    assert path.read_text() == csv_file_text(config, header, rows)
+
+    config, header, _ = read_csv(tmp_path / "cycle.csv")
+    orbit = find_periodic_orbit(2.6, 0.48, REFERENCE_BASE, tol=1e-10)
+    assert (tmp_path / "cycle.csv").read_text() == csv_file_text(
+        config, header, [(t, S, I) for t, (S, I) in zip(orbit.t, orbit.states)])
+
+    config, header, _ = read_csv(tmp_path / "het_table.csv")
+    assert (tmp_path / "het_table.csv").read_text() == csv_file_text(
+        config, header,
+        [(r0, p, None, None, "") for r0, p in sirbif.REFERENCE_HET_POINTS])
 
 
 def test_cycle_outside_band_is_validation_error(capsys):
