@@ -441,7 +441,9 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     positive at the bottom (E2 repels in reversed time) and negative at the
     top (outside the cycle a reversed orbit returns lower or escapes); an
     escape counts as -h, which may slow a Brent step but cannot lose the
-    sign change. Without that sign change MislabeledRegionError is raised.
+    sign change. A reversed run escapes when it crosses S = A, since it can
+    never return into the forward-invariant region, or when it leaves the
+    domain. Without that sign change MislabeledRegionError is raised.
 
     The period and ``return_residual`` = |P(I*) - I*| are read from the run
     Brent made at I*. Below the connection the gap jumps over zero without a
@@ -467,16 +469,19 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     if headroom <= 0.0:
         raise MislabeledRegionError("no interior headroom above E2")
 
-    # reversed, the top-half crossings (original dS/dt < 0) have direction +1
-    section = (SectionEvent(s2, +1, name="return"),)
+    # reversed, the top-half crossings (original dS/dt < 0) have direction +1;
+    # the invariant region M = {0 <= S <= A, S + I <= bound} is forward
+    # invariant, so a reversed run that leaves it across S = A never returns
+    sections = (SectionEvent(s2, +1, name="return"),
+                SectionEvent(params.A, +1, name="escape"))
 
     runs = {}                    # the return map's run from each live start
 
     def gap(I_value: float) -> float:
         traj = runs[I_value] = integrate(
             (s2, I_value), params, _LOOP_HORIZON, tol=tol, reverse_time=True,
-            sections=section)
-        if traj.terminal.kind != "crossed-section":
+            sections=sections)
+        if traj.terminal.section != "return":
             return -headroom     # escaped: the start lies outside the cycle
         return traj.terminal.state[1] - I_value
 
@@ -503,10 +508,11 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     I_star, g_star, _ = _brent(gap, bottom, top, g_bottom, g_top,
                                _RETURN_TOL, stop=no_cycle_left)
     loop = runs[I_star]
-    if loop.terminal.kind != "crossed-section":
+    if loop.terminal.section != "return":
         raise MislabeledRegionError(
             f"the loop from the cycle's section point I = {I_star!r} does "
-            f"not return at (r0, p) = ({r0}, {p}): {loop.terminal.kind}")
+            f"not return at (r0, p) = ({r0}, {p}): "
+            f"{loop.terminal.section or loop.terminal.kind}")
     residual = abs(g_star)
     if residual > _CLOSE_TOL:
         raise MislabeledRegionError(

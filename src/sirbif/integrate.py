@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import lru_cache
 
 from .model import ModelParams, _Record, invariant_region_bound
 from . import equilibria as eqmod
-from .equilibria import Equilibrium, StabilityClass
+from .equilibria import Equilibrium, StabilityClass, _jacobian_entries
 
 __all__ = [
     "SectionEvent",
@@ -126,7 +127,7 @@ class Crossing(_Record):
 
 
 class TerminalEvent(_Record):
-    kind: str                    # time-horizon | crossed-section |
+    kind: str                    # time-horizon | crossed-section | trapped |
                                  # left-domain | step-failure
     t: float
     state: tuple
@@ -247,7 +248,7 @@ def _initial_step(f, x0, f0, t_span, atol, rtol):
 
 
 def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
-              reverse_time: bool = False, sections=()) -> Trajectory:
+              reverse_time: bool = False, sections=(), traps=()) -> Trajectory:
     """Integrate from x0 over [0, t_end] (elapsed time; the field is negated
     when reverse_time is set).
 
@@ -262,6 +263,14 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     invariant-region height, which only reversed runs ever reach, or at
     t = 0 with no step taken when a start off the wall already lies beyond
     it.
+
+    traps holds ellipses (centre, P, level), centre an (S, I) pair and P a
+    symmetric 2x2 ((pSS, pSI), (pSI, pII)). The run ends with 'trapped' as
+    soon as its state x, at a start off the wall or after an accepted step
+    that crossed no section, has (x - centre)^T P (x - centre) < level for
+    one of them; that state is its last sample. omega_limit_estimate arms
+    the Lyapunov ellipses of the sinks, which a run never leaves once
+    inside.
 
     The step size underflowing 1e-14*max(1, t) yields a 'step-failure'
     terminal rather than an exception.
@@ -307,6 +316,8 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
     if far:
         terminal = TerminalEvent("left-domain", t, x,
                                  detail=f"|x| exceeded {bound:g}")
+    elif not on_wall and traps and any(_in_trap(trap, x) for trap in traps):
+        terminal = TerminalEvent("trapped", t, x)
     elif not on_wall:
         h = _initial_step(f, x, fx, t_end, tol, tol)
         evals += 1
@@ -423,6 +434,9 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
             terminal = TerminalEvent("left-domain", t, x,
                                      detail=f"|x| exceeded {bound:g}")
             break
+        if traps and any(_in_trap(trap, x) for trap in traps):
+            terminal = TerminalEvent("trapped", t, x)
+            break
         if last:
             terminal = TerminalEvent("time-horizon", t, x)
             break
@@ -451,6 +465,13 @@ def integrate(x0, params: ModelParams, t_end: float, *, tol: float = 1e-8,
         reversed_time=reverse_time,
         tol=tol,
     )
+
+
+def _in_trap(trap, x) -> bool:
+    """Whether x lies inside the ellipse trap = (centre, P, level)."""
+    (cS, cI), ((pSS, pSI), (_, pII)), level = trap
+    yS, yI = x[0] - cS, x[1] - cI
+    return pSS * yS * yS + 2.0 * pSI * yS * yI + pII * yI * yI < level
 
 
 def _hull(S0, fS0, S1, fS1, h):
@@ -557,30 +578,102 @@ class OmegaLimitResult(_Record):
     detail: str = ""
 
 
+_SINKS = (StabilityClass.SINK_NODE, StabilityClass.SINK_FOCUS)
+
+#: a trap's level is this fraction of the certified lambda_min(P) r^2, a
+#: margin for the rounding of P and of V
+_TRAP_SAFETY = 0.9
+
+
 def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
                          tol: float = 1e-8) -> OmegaLimitResult:
-    """Estimate the forward limit set of the trajectory through x0 from the
-    end of one run over the horizon: 'undecided' if it left the domain,
-    'boundary-axis' on the S = 0 wall, else the admissible equilibrium within
-    1e-3 of the end state (a sink, or a saddle reached along its stable
-    manifold, as on I = 0), or 'undecided'. No cycle: the Hopf one is unstable.
+    """Estimate the forward limit set of the trajectory through x0 from one
+    run over the horizon, ended early once the run enters a sink's
+    Lyapunov ellipse. No cycle: the Hopf one is unstable.
+
+    The verdict is the sink whose ellipse the run entered, with the detail
+    "entered the Lyapunov ellipse of E2 at t = ..."; else 'undecided' if it
+    left the domain, 'boundary-axis' on the S = 0 wall, else the admissible
+    equilibrium within 1e-3 of the end state (a sink on I = 0, which has no
+    ellipse, a sink whose ellipse the run did not enter, or a saddle reached
+    along its stable manifold, as on I = 0), or 'undecided'.
+
+    The ellipse certifies its verdict (Khalil, Nonlinear Systems, 3rd ed.,
+    2002, secs. 4.3 and 8.2). About a hyperbolic sink x*, with y = x - x*,
+    the field is exactly f = J y + Q(y), with
+    Q(y) = (-yS^2 - beta yS yI, beta yS yI), so
+    |Q(y)|^2 = yS^2 ((yS + beta yI)^2 + beta^2 yI^2) <= (1 + 2 beta^2) |y|^4.
+    P solves J^T P + P J = -I (in closed form, see _lyapunov_trap), so
+    V = y^T P y has
+    dV/dt = -|y|^2 + 2 y^T P Q(y) <= -|y|^2 (1 - 2 lmax(P) s |y|),
+    s = sqrt(1 + 2 beta^2), which is negative on 0 < |y| < r with
+    r = 1 / (2 lmax(P) s). The ellipse V < lmin(P) r^2 lies in that ball, so
+    a run that enters it never leaves and converges to x*. r is capped at
+    x*'s distance to the S = 0 wall and to I = 0, so the ellipse lies in the
+    open quadrant, clear of the wall; a sink on I = 0 gets no ellipse and
+    keeps the horizon rule. The level is _TRAP_SAFETY times lmin(P) r^2.
     """
-    traj = integrate(x0, params, horizon, tol=tol)
+    equilibria, sinks = _limit_sets(params)
+    traj = integrate(x0, params, horizon, tol=tol,
+                     traps=[trap for _, trap in sinks])
     term = traj.terminal
     if term.kind == "step-failure":
         raise StepFailure(term.detail)
+    if term.kind == "trapped":
+        ident = next(eq.ident for eq, trap in sinks
+                     if _in_trap(trap, term.state))
+        return OmegaLimitResult(ident, traj, detail=(
+            f"entered the Lyapunov ellipse of {ident} at t = {term.t:.6g}"))
     if term.kind == "left-domain":
         return OmegaLimitResult("undecided", traj, detail="left the domain")
     if traj.on_wall:
         return OmegaLimitResult("boundary-axis", traj,
                                 detail="on the wall, I still decaying")
     xf = traj.final_state
-    for eq in (*eqmod.disease_free(params), eqmod.endemic(params)):
+    for eq in equilibria:
         if (eq.stability is not StabilityClass.NONEXISTENT
                 and math.hypot(xf[0] - eq.S, xf[1] - eq.I) < 1e-3):
             return OmegaLimitResult(eq.ident, traj,
                                     detail="within 1e-3 at horizon end")
     return OmegaLimitResult("undecided", traj)
+
+
+@lru_cache(maxsize=16)
+def _limit_sets(params: ModelParams) -> tuple:
+    """(equilibria, sinks) at params: E0, E1 and E2 as the horizon rule
+    reads them, and (sink, Lyapunov ellipse) for each hyperbolic sink that
+    has one. Cached, because a fan asks at every start for the same
+    params."""
+    equilibria = (*eqmod.disease_free(params), eqmod.endemic(params))
+    sinks = tuple((eq, trap) for eq in equilibria
+                  if eq.stability in _SINKS
+                  and (trap := _lyapunov_trap(eq, params)) is not None)
+    return equilibria, sinks
+
+
+def _lyapunov_trap(eq: Equilibrium, params: ModelParams):
+    """The Lyapunov ellipse (centre, P, level) of the hyperbolic sink eq, as
+    derived in omega_limit_estimate, or None when its radius is zero.
+
+    For J = ((a, b), (c, d)) with trace tr < 0 < det, the solution of
+    J^T P + P J = -I is P = k ((det + c^2 + d^2, -(ac + bd)),
+    (-(ac + bd), det + a^2 + b^2)), k = -1 / (2 tr det) > 0.
+    """
+    beta = params.beta
+    (a, b), (c, d) = _jacobian_entries(eq.S, eq.I, params.A, beta,
+                                       params.removal)
+    tr, det = a + d, a * d - b * c
+    k = -1.0 / (2.0 * tr * det)
+    pSS = k * (det + c * c + d * d)
+    pSI = -k * (a * c + b * d)
+    pII = k * (det + a * a + b * b)
+    mean, rad = 0.5 * (pSS + pII), math.hypot(0.5 * (pSS - pII), pSI)
+    r = min(1.0 / (2.0 * (mean + rad) * math.sqrt(1.0 + 2.0 * beta * beta)),
+            eq.S, eq.I)
+    if not r > 0.0:
+        return None
+    return ((eq.S, eq.I), ((pSS, pSI), (pSI, pII)),
+            _TRAP_SAFETY * (mean - rad) * r * r)
 
 
 # ----------------------------------------------------------------------

@@ -416,6 +416,41 @@ def test_periodic_orbit_keeps_at_most_three_runs(base, r0, p, monkeypatch):
     assert orbit.return_residual <= 1e-9
 
 
+def _cycle_or_refusal(r0, p, base):
+    try:
+        return find_periodic_orbit(r0, p, base)
+    except MislabeledRegionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("r0, p", [
+    (2.6171, 0.483462), (2.6, 0.48), (2.3, 0.64),
+    (3.0, 0.29),       # below the connection: refused
+])
+def test_escape_section_keeps_the_cycle(base, r0, p, monkeypatch):
+    # M = {0 <= S <= A, S + I <= bound} is forward invariant, so a reversed
+    # run that crosses S = A never returns; ending it there changes no gap
+    # value. A search whose gap arms only the return section finds the same
+    # orbit, or refuses with the same message.
+    real = connections.integrate
+    ends = []
+
+    def recorded(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        ends.append(traj.terminal.section)
+        return traj
+
+    def return_only(*args, sections=(), **kwargs):
+        kept = tuple(sec for sec in sections if sec.name == "return")
+        return real(*args, sections=kept, **kwargs)
+
+    monkeypatch.setattr(connections, "integrate", recorded)
+    got = _cycle_or_refusal(r0, p, base)
+    assert "escape" in ends
+    monkeypatch.setattr(connections, "integrate", return_only)
+    assert got == _cycle_or_refusal(r0, p, base)
+
+
 @pytest.mark.parametrize("r0, frac", [
     (2.1, 0.5),        # mid-band
     (2.6, 0.98),       # next to the Hopf value, where the map is nearly flat

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sirbif import (
     REFERENCE_BASE,
+    BaseParams,
     ModelParams,
     ReducedPoint,
     SectionEvent,
@@ -21,19 +22,26 @@ from sirbif import (
     find_periodic_orbit,
     integrate,
     invariant_region_bound,
+    jacobian,
     manifold_shoot,
     omega_limit_estimate,
+    p_h,
     p_t,
     recover_recovered,
+    region_fan,
     reduced_to_params,
     vector_field,
 )
+from sirbif.cli import _builtin_packs
 from sirbif.integrate import (
     IntegrationStats,
+    _SINKS,
     _bracket_roots,
     _hermite,
     _hull,
+    _in_trap,
     _initial_step,
+    _limit_sets,
     _manifold_series,
     _series_point,
     _series_start,
@@ -505,6 +513,110 @@ def test_omega_limit_escape_from_unstable_focus(base):
     e2 = endemic(params)
     res = omega_limit_estimate((e2.S + 1e-3, e2.I), params)
     assert res.outcome == "boundary-axis"
+
+
+# ---------------------------------------------------------------------------
+# Lyapunov ellipses of the sinks
+
+def _lyapunov_value(trap, x):
+    (cS, cI), ((pSS, pSI), (_, pII)), _ = trap
+    yS, yI = x[0] - cS, x[1] - cI
+    return pSS * yS * yS + 2.0 * pSI * yS * yI + pII * yI * yI
+
+
+@settings(max_examples=60)
+@given(base=st.sampled_from([REFERENCE_BASE,
+                             BaseParams(A=1.0, m=0.35, mu=0.25, d=0.25,
+                                        g=0.5)]),
+       r0=st.floats(1.05, 3.5), frac=st.floats(0.01, 0.99),
+       angle=st.floats(0.0, 2.0 * math.pi), depth=st.floats(0.0, 0.999))
+def test_run_inside_the_ellipse_stays_and_ends_at_once(base, r0, frac, angle,
+                                                       depth):
+    # E2 is a stable node or focus in the bands C, D and E: below p_t, and
+    # below p_h past r0 = 2
+    top = p_h(r0, base) if r0 > 2.0 else p_t(r0, base)
+    params = reduced_to_params(ReducedPoint(r0, frac * top, base))
+    e2 = endemic(params)
+    assume(e2.stability in _SINKS)
+    (sink, trap), = _limit_sets(params)[1]
+    assert sink == e2
+    (cS, cI), P, level = trap
+    # P solves J^T P + P J = -I and is positive definite
+    J, P = np.array(jacobian(e2.location, params)), np.array(P)
+    assert np.allclose(J.T @ P + P @ J, -np.eye(2), atol=1e-9 * np.abs(P).max())
+    lmin = np.linalg.eigvalsh(P)[0]
+    assert lmin > 0.0 and level > 0.0
+    # the ellipse lies in the open quadrant
+    assert math.sqrt(level / lmin) < min(cS, cI)
+    u = np.array([math.cos(angle), math.sin(angle)])
+    reach = math.sqrt(level / (u @ P @ u))
+    x0 = (cS + depth * reach * u[0], cI + depth * reach * u[1])
+    assert _in_trap(trap, x0)
+
+    trapped = integrate(x0, params, 50.0, traps=[trap])
+    assert trapped.terminal.kind == "trapped"
+    assert trapped.t == (0.0,) and trapped.states == (x0,)
+    assert trapped.stats.steps_accepted == 0
+
+    free = integrate(x0, params, 30.0, tol=1e-10)
+    values = [_lyapunov_value(trap, x) for x in free.states]
+    assert all(v < level for v in values)
+    assert all(b <= a + 1e-12 * level for a, b in zip(values, values[1:]))
+
+
+def _horizon_verdict(x0, params):
+    """The verdict before the ellipses: one run to the horizon 800, then the
+    admissible equilibrium within 1e-3 of its end."""
+    traj = integrate(x0, params, 800.0)
+    if traj.terminal.kind == "left-domain":
+        return "undecided"
+    if traj.on_wall:
+        return "boundary-axis"
+    for eq in (*disease_free(params), endemic(params)):
+        if (eq.stability is not StabilityClass.NONEXISTENT
+                and dist(traj.final_state, eq.location) < 1e-3):
+            return eq.ident
+    return "undecided"
+
+
+@pytest.mark.parametrize("region", ["C", "D", "E", "het"])
+def test_trapped_verdicts_match_the_horizon_rule(region):
+    pack = _builtin_packs()[region]
+    params = pack.params
+    fan = region_fan(params, n_boundary=pack.n_boundary, n_ring=pack.n_ring)
+    verdicts = []
+    for x0 in fan:
+        res = omega_limit_estimate(x0, params, horizon=800.0)
+        assert res.outcome == _horizon_verdict(x0, params), x0
+        verdicts.append(res.outcome)
+        if res.outcome == "E2":
+            term = res.trajectory.terminal
+            assert term.kind == "trapped" and term.t < 800.0
+            assert res.detail == ("entered the Lyapunov ellipse of E2 at "
+                                  f"t = {term.t:.6g}")
+    assert "E2" in verdicts
+
+
+def test_traps_end_a_run_only_inside(p_zero):
+    # a sink on I = 0 gets no ellipse: the cap at its distance to I = 0
+    # leaves no radius
+    region_b = ModelParams(A=1.0, beta=1.3, m=0.35, mu=0.25, d=0.25, g=0.50,
+                           p=0.61)
+    assert disease_free(region_b)[1].stability in _SINKS
+    assert _limit_sets(region_b)[1] == ()
+    # an ellipse the run never meets changes nothing
+    far = ((0.2, 0.2), ((1.0, 0.0), (0.0, 1.0)), 1e-6)
+    plain = integrate((0.5, 0.1), p_zero, 10.0)
+    assert integrate((0.5, 0.1), p_zero, 10.0, traps=[far]) == plain
+    # the run ends at the first accepted step inside, which is its last
+    sixth = (plain.states[5], ((1.0, 0.0), (0.0, 1.0)), 1e-30)
+    cut = integrate((0.5, 0.1), p_zero, 10.0, traps=[far, sixth])
+    assert cut.terminal.kind == "trapped"
+    assert cut.t == plain.t[:6] and cut.states == plain.states[:6]
+    # a wall start decays on the wall whatever the traps
+    on_wall = ((0.0, 0.3), ((1.0, 0.0), (0.0, 1.0)), 1.0)
+    assert integrate((0.0, 0.3), p_zero, 5.0,
+                     traps=[on_wall]).terminal.kind == "time-horizon"
 
 
 # ---------------------------------------------------------------------------

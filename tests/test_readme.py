@@ -17,3 +17,5 @@ def test_readme_quick_start_runs(capsys):
     assert abs(period - 17.25) < 0.01 and abs(floquet - 1.736) < 1e-3
     # (0.9, 0.05) lies outside the unstable cycle, so it escapes to the wall
     assert printed[1].split()[0] == "boundary-axis"
+    # a start inside it ends in E2's Lyapunov ellipse
+    assert printed[2].startswith("E2 entered the Lyapunov ellipse of E2 at t = ")
