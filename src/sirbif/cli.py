@@ -22,35 +22,11 @@ from itertools import groupby, islice
 from pathlib import Path
 
 from . import __version__
-from .atlas import (
-    RegionFlagError,
-    classify_column,
-    classify_region,
-    curve_values_at,
-    dz_point,
-    p_bt2,
-    p_h,
-    p_sn,
-    p_t,
-    region_fan,
-)
-from .connections import (
-    REFERENCE_HET_POINTS,
-    build_het_table,
-    find_periodic_orbit,
-    fit_reference_curve,
-    power_fit,
-)
-from .equilibria import StabilityClass, disease_free, endemic
-from .integrate import (
-    TOL_RANGE,
-    integrate,
-    manifold_shoot,
-    omega_limit_estimate,
-    recover_recovered,
-)
+# the layers are imported by the commands that run them, so that start-up,
+# --help and flag errors load only the model
 from .model import (
     REFERENCE_BASE,
+    TOL_RANGE,
     BaseParams,
     ModelParams,
     ReducedPoint,
@@ -60,7 +36,6 @@ from .model import (
     r0_of,
     reduced_to_params,
 )
-from .svgplot import PALETTE, Canvas
 
 _FORMATS = ("csv", "json", "svg")
 _REGION_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H", "het")
@@ -182,6 +157,9 @@ def _eig_text(eq) -> str:
 
 
 def cmd_equilibria(ns) -> int:
+    from .atlas import p_sn
+    from .equilibria import StabilityClass, disease_free, endemic
+
     params = _resolve_params(ns)
     base = params_to_reduced(params).base
     config = _config_for(ns, "equilibria", {"params": params.to_dict()})
@@ -225,6 +203,8 @@ def cmd_equilibria(ns) -> int:
 
 
 def cmd_dz(ns) -> int:
+    from .atlas import curve_values_at, dz_point
+
     base = _resolve_base(ns)
     config = _config_for(ns, "dz", {"base": base.to_dict()})
     cert = dz_point(base)
@@ -272,6 +252,8 @@ def _axis(lo: float, hi: float, n: int) -> list:
 def _region_label_anchors(base: BaseParams, het) -> list:
     """(label, r0, p) anchors for the open regions, computed from the curves
     so they stay inside their bands under any base."""
+    from .atlas import p_bt2, p_h, p_sn, p_t
+
     def mid(lo, hi):
         return 0.5 * (lo + hi)
 
@@ -289,6 +271,9 @@ def _region_label_anchors(base: BaseParams, het) -> list:
 
 def _atlas_svg(base: BaseParams, curves: dict, het, config: dict,
                window) -> Canvas:
+    from .atlas import p_sn
+    from .svgplot import PALETTE, Canvas
+
     r0_min, r0_max, p_min, p_max = window
     canvas = Canvas(720, 540, (r0_min, r0_max), (p_min, p_max),
                     title="(R0, p) bifurcation atlas", desc=_compact(config))
@@ -315,6 +300,9 @@ def _atlas_svg(base: BaseParams, curves: dict, het, config: dict,
 
 
 def cmd_atlas(ns) -> int:
+    from .atlas import classify_column, curve_values_at, p_sn
+    from .connections import fit_reference_curve
+
     base = _resolve_base(ns)
     if not (0.0 < ns.r0_min < ns.r0_max < math.inf
             and 0.0 <= ns.p_min < ns.p_max <= 1.0):
@@ -379,6 +367,8 @@ class PortraitPack(_Record):
 
 
 def _builtin_packs() -> dict:
+    from .connections import fit_reference_curve
+
     base = REFERENCE_BASE
     het = fit_reference_curve()
 
@@ -407,6 +397,8 @@ def _builtin_packs() -> dict:
 
 
 def _marker_kind(eq) -> str:
+    from .equilibria import StabilityClass
+
     if eq.stability in (StabilityClass.SINK_NODE, StabilityClass.SINK_FOCUS):
         return "filled"
     if eq.stability is StabilityClass.SADDLE:
@@ -428,6 +420,9 @@ def _phase_figure(params: ModelParams, title: str, config: dict, paths,
     ``paths`` as ``(path, sample cap, colour, width, opacity)``, an optional
     open start marker (left out when the start lies outside the frame), the
     equilibrium markers (named when ``labels``) and the axes."""
+    from .equilibria import StabilityClass, disease_free, endemic
+    from .svgplot import PALETTE, Canvas
+
     A, bound = params.A, invariant_region_bound(params)
     xlim, ylim = (-0.02 * A, 1.04 * A), (-0.02 * bound, 1.02 * bound)
     canvas = Canvas(560, 520, xlim, ylim, title=title, desc=_compact(config))
@@ -453,6 +448,12 @@ def _phase_figure(params: ModelParams, title: str, config: dict, paths,
 
 
 def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
+    from .atlas import region_fan
+    from .connections import find_periodic_orbit
+    from .equilibria import disease_free, endemic
+    from .integrate import manifold_shoot, omega_limit_estimate
+    from .svgplot import PALETTE
+
     params = pack.params
     point = params_to_reduced(params)
     r0, base = point.r0, point.base
@@ -538,6 +539,9 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
 
 
 def cmd_portraits(ns) -> int:
+    from .atlas import RegionFlagError, classify_region
+    from .connections import fit_reference_curve
+
     tol = _effective_tol(ns, 1e-8)
     if ns.max_samples < 1:
         raise ValueError("--max-samples must be at least 1")
@@ -574,6 +578,9 @@ def cmd_portraits(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
+    from .integrate import integrate, recover_recovered
+    from .svgplot import PALETTE
+
     params = _resolve_params(ns)
     if ns.t_end <= 0.0:
         raise ValueError("--t-end must be positive")
@@ -629,12 +636,14 @@ def _shoot_tol(ns) -> float | None:
 
 
 def cmd_het_table(ns) -> int:
+    from .connections import REFERENCE_HET_POINTS, build_het_table
+
     base = _resolve_base(ns)
-    if ns.r0_list and not ns.shoot:
+    if ns.r0_list is not None and not ns.shoot:
         raise ValueError("--r0-list only makes sense with --shoot; "
                          "the embedded table has fixed abscissae")
     tol = _shoot_tol(ns)
-    abscissae = (_parse_r0_list(ns.r0_list) if ns.r0_list
+    abscissae = (_parse_r0_list(ns.r0_list) if ns.r0_list is not None
                  else [r0 for r0, _ in REFERENCE_HET_POINTS])
     config = _config_for(ns, "het-table", {
         "base": base.to_dict(), "shoot": bool(ns.shoot),
@@ -697,6 +706,8 @@ def _read_points_csv(path: Path) -> list:
 
 
 def cmd_het_fit(ns) -> int:
+    from .connections import REFERENCE_HET_POINTS, build_het_table, power_fit
+
     base = _resolve_base(ns)
     if ns.table and ns.shoot:
         raise ValueError("--table and --shoot are mutually exclusive")
@@ -743,6 +754,9 @@ def cmd_het_fit(ns) -> int:
 
 
 def cmd_cycle(ns) -> int:
+    from .connections import find_periodic_orbit
+    from .svgplot import PALETTE
+
     base = _resolve_base(ns)
     tol = _effective_tol(ns, 1e-10)
     config = _config_for(ns, "cycle", {"base": base.to_dict(), "r0": ns.r0,

@@ -44,7 +44,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 
-from .model import ModelParams, _Record, invariant_region_bound
+from .model import TOL_RANGE, ModelParams, _Record, invariant_region_bound
 from . import equilibria as eqmod
 from .equilibria import Equilibrium, StabilityClass, _jacobian_entries
 
@@ -66,9 +66,6 @@ __all__ = [
 
 #: S below this, going down in forward time, is clamped to the wall
 WALL_CLAMP = 1e-12
-
-#: the closed range of integration tolerances integrate accepts
-TOL_RANGE = (1e-13, 1e-3)
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is f at the endpoint).
 _A21 = 1 / 5

@@ -166,6 +166,11 @@ class BaseParams(_Record):
 #: A=1.1, m=0.35, sigma=0.35 (split evenly between mu and d), g=0.35.
 REFERENCE_BASE = BaseParams(A=1.1, m=0.35, mu=0.175, d=0.175, g=0.35)
 
+#: the closed range of integration tolerances integrate accepts; public as
+#: a name of ``sirbif.integrate``, declared here so that the CLI's flag
+#: check needs no integrator
+TOL_RANGE = (1e-13, 1e-3)
+
 
 class ReducedPoint(_Record):
     """(r0, p) plus the fixed base that makes the map to ModelParams exact."""

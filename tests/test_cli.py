@@ -109,6 +109,12 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         assert run(["het-table", "--shoot", "--r0-list", r0_list,
                     "--out", str(tmp_path)]) == 2
         assert "--r0-list entries must be finite" in capsys.readouterr().err
+    # an empty list is given, not absent
+    assert run(["het-table", "--shoot", "--r0-list", "",
+                "--out", str(tmp_path)]) == 2
+    assert "--r0-list is empty" in capsys.readouterr().err
+    assert run(["het-table", "--r0-list", "", "--out", str(tmp_path)]) == 2
+    assert "--r0-list only makes sense with --shoot" in capsys.readouterr().err
     # fewer than one worker
     for jobs in ("0", "-2"):
         assert run(["het-table", "--shoot", "--r0-list", "2.6",
@@ -133,7 +139,7 @@ def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise RuntimeError("synthetic solver breakdown")
 
-    monkeypatch.setattr(cli, "find_periodic_orbit", explode)
+    monkeypatch.setattr(sirbif.connections, "find_periodic_orbit", explode)
     assert run(["cycle", "--out", str(tmp_path)]) == 3
     assert "synthetic solver breakdown" in capsys.readouterr().err
 
@@ -809,4 +815,80 @@ def test_subcommand_runs_without_dataclasses(tmp_path, argv):
     # the records generate no code, so neither module is needed at start-up
     proc = run_child(_WITHOUT_DATACLASSES, *argv, "--jobs", "1",
                      "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+_SIRBIF_MODULES = """
+import sys
+import sirbif.cli
+code = 0
+if sys.argv[1:]:
+    code = sirbif.cli.main()
+else:
+    sirbif.cli.build_parser()
+print(*sorted(name for name in sys.modules if name.startswith("sirbif")))
+sys.exit(code)
+"""
+
+_START_UP = ["sirbif", "sirbif.cli", "sirbif.model"]
+
+
+def loaded_modules(*argv, code=0):
+    """The ``sirbif`` modules a fresh child holds after running ``argv``
+    (after only building the parser, without ``argv``)."""
+    proc = run_child(_SIRBIF_MODULES, *argv)
+    assert proc.returncode == code, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_start_up_loads_only_the_model():
+    assert loaded_modules() == _START_UP
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["atlas", "--nope"], 2),
+    (["cycle", "--tol", "-1"], 2),
+], ids=["version", "help", "unknown-flag", "bad-tol"])
+def test_version_and_flag_errors_load_no_layer(argv, code):
+    assert loaded_modules(*argv, code=code) == _START_UP
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["het-table", "--shoot", "--r0-list", "2.6"], {"sirbif.svgplot"}),
+    (["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.5", "--I0", "0.1"],
+     {"sirbif.atlas", "sirbif.connections"}),
+], ids=["het-table", "simulate"])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, absent):
+    loaded = loaded_modules(*argv, "--out", str(tmp_path))
+    assert "sirbif.integrate" in loaded
+    assert absent.isdisjoint(loaded)
+
+
+_PACKAGE_NAMESPACE = """
+import sys
+if sys.argv[1] == "connections":
+    import sirbif.connections
+else:
+    import sirbif.cli
+    if sirbif.cli.main(sys.argv[2:]) != 0:
+        sys.exit("the portrait failed")
+import sirbif
+if sirbif.integrate is not sys.modules["sirbif.integrate"].integrate:
+    sys.exit(f"sirbif.integrate is {sirbif.integrate!r}")
+star = {}
+exec("from sirbif import *", star)
+del star["__builtins__"]
+if sorted(star) != sorted(sirbif.__all__):
+    sys.exit(f"the star import bound {sorted(star)}")
+"""
+
+
+@pytest.mark.parametrize("first", ["connections", "portrait"])
+def test_package_namespace_after_any_first_import(tmp_path, first):
+    # a layer imported first binds the submodule onto the package; the
+    # package still gives the function under the name ``integrate``
+    proc = run_child(_PACKAGE_NAMESPACE, first, "portraits", "--region", "H",
+                     "--format", "json", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
