@@ -49,7 +49,6 @@ __all__ = [
     "p_h",
     "p_bt1",
     "p_bt2",
-    "e2_trace",
     "dz_point",
     "hopf_certificate",
     "classify_region",
@@ -118,15 +117,6 @@ def p_bt2(r0: float, base: BaseParams) -> float:
     return belyakov_roots(r0, base)[1]
 
 
-def e2_trace(r0: float, p: float, base: BaseParams) -> float:
-    """Trace of the Jacobian at E2 in reduced coordinates.
-
-    trace = p*m*r0/A - A/r0; it vanishes exactly on p_h and is increasing
-    in p, so E2 is spectrally stable below the Hopf curve and unstable above.
-    """
-    return p * base.m * r0 / base.A - base.A / r0
-
-
 # ----------------------------------------------------------------------
 # degeneracy certificates
 
@@ -153,7 +143,7 @@ def dz_point(base: BaseParams) -> DZCertificate:
     """
     A = base.A
     u = base.removal
-    p_star = A * A / (4.0 * base.m)
+    p_star = p_sn(2.0, base)
     # jacobian() never reads p, so a clamped placeholder is safe when the
     # collision value lies above the admissible vaccination range.
     params = reduced_to_params(ReducedPoint(2.0, min(p_star, 1.0), base))
@@ -187,7 +177,6 @@ class HopfCertificate(_Record):
     omega: float                 # imaginary part of the eigenvalue pair
     determinant: float           # > 0: genuinely a centre-type linearisation
     transversality: float        # A/(2 r0^2), the conventional reported rate
-    dre_dr0: float               # A/r0^2, full d(Re lambda)/dr0 at fixed p
     ok: bool
 
 
@@ -196,9 +185,8 @@ def hopf_certificate(r0: float, base: BaseParams) -> HopfCertificate:
 
     ``transversality`` is the closed form A/(2 r0^2) (the rate left after the
     criticality substitution freezes the p-term of the trace); the complete
-    derivative of Re(lambda) in r0 at fixed p is twice that, A/r0^2, exposed
-    as ``dre_dr0``. Both are positive together, which is what the bifurcation
-    argument needs.
+    derivative of Re(lambda) in r0 at fixed p is twice that, A/r0^2, so both
+    are positive together, which is what the bifurcation argument needs.
     """
     if r0 < 2.0:
         raise CurveDomainError(f"hopf certificate needs r0 >= 2, got {r0}")
@@ -211,8 +199,7 @@ def hopf_certificate(r0: float, base: BaseParams) -> HopfCertificate:
     omega = abs(e2.eigenvalues[0].imag)
     transversality = base.A / (2.0 * r0 * r0)
     ok = abs(trace) <= 1e-10 and det > 0.0 and omega > 0.0
-    return HopfCertificate(r0, p, trace, omega, det, transversality,
-                           2.0 * transversality, ok)
+    return HopfCertificate(r0, p, trace, omega, det, transversality, ok)
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .model import (
 )
 
 _FORMATS = ("csv", "json", "svg")
-_REGION_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H", "het")
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +309,17 @@ def cmd_atlas(ns) -> int:
                          "(finite) and 0 <= p-min < p-max <= 1")
     if ns.samples < 2 or ns.grid < 2:
         raise ValueError("--samples and --grid must be at least 2")
+    # the curves square A, and E2's I2 divides by beta^2 (sigma+g) with
+    # beta = r0 (sigma+g)/A: each must stay a finite nonzero float
+    if not math.isfinite(p_sn(2.0, base)):
+        raise ValueError(f"--A {base.A!r} is too large for --m {base.m!r}: "
+                         "the saddle-node value A^2/(4m) overflows")
+    for flag, r0 in (("--r0-min", ns.r0_min), ("--r0-max", ns.r0_max)):
+        beta = r0 * base.removal / base.A
+        if not 0.0 < beta * beta * base.removal < math.inf:
+            raise ValueError(f"{flag} {r0!r} puts beta = r0 (sigma+g)/A = "
+                             f"{beta!r} out of range: beta^2 (sigma+g) "
+                             "underflows or overflows")
     het = fit_reference_curve()
     config = _config_for(ns, "atlas", {
         "base": base.to_dict(),
@@ -561,11 +571,11 @@ def cmd_portraits(ns) -> int:
         builtin = _builtin_packs()
         wanted = ns.region or ["all"]
         if "all" in wanted:
-            wanted = list(_REGION_NAMES)
+            wanted = list(builtin)
         for name in wanted:
             if name not in builtin:
                 raise ValueError(f"unknown region {name!r}; choose from "
-                                 f"{', '.join(_REGION_NAMES)} or 'all'")
+                                 f"{', '.join(builtin)} or 'all'")
         packs = [builtin[name] for name in dict.fromkeys(wanted)]
 
     for pack in packs:
@@ -709,6 +719,8 @@ def cmd_het_fit(ns) -> int:
     from .connections import REFERENCE_HET_POINTS, build_het_table, power_fit
 
     base = _resolve_base(ns)
+    if ns.table == "":
+        raise ValueError("--table is empty")
     if ns.table and ns.shoot:
         raise ValueError("--table and --shoot are mutually exclusive")
     tol = _shoot_tol(ns)

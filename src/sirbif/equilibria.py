@@ -29,8 +29,6 @@ __all__ = [
     "classify",
     "disease_free",
     "endemic",
-    "delta2_eval",
-    "delta2_scale",
     "belyakov_roots",
     "belyakov_r0_zero_p",
     "BelyakovDomainError",
@@ -188,36 +186,9 @@ def endemic(params: ModelParams) -> Equilibrium:
     return Equilibrium("E2", S2, I2, eigs, StabilityClass.NONEXISTENT)
 
 
-def delta2_eval(p: float, params) -> float:
-    """Discriminant of the E2 eigenvalue quadratic, as a polynomial in p.
-
-    delta2(p) = m^2 b^4 p^2 + 2 m b^2 (2b - 1) u^2 p + (4b + 1) u^4 - 4 A u^3 b^2
-
-    with b = beta and u = sigma + g taken from ``params`` (its own p is
-    ignored). E2 has real eigenvalues iff delta2 >= 0.
-    """
-    b = params.beta
-    u = params.removal
-    m = params.m
-    return (m * m * b**4 * p * p
-            + 2.0 * m * b * b * (2.0 * b - 1.0) * u * u * p
-            + (4.0 * b + 1.0) * u**4
-            - 4.0 * params.A * u**3 * b * b)
-
-
-def delta2_scale(params) -> float:
-    """Magnitude scale of delta2's coefficients, for zero tests."""
-    b = params.beta
-    u = params.removal
-    m = params.m
-    return (m * m * b**4
-            + 2.0 * m * b * b * abs(2.0 * b - 1.0) * u * u
-            + (4.0 * b + 1.0) * u**4
-            + 4.0 * params.A * u**3 * b * b)
-
-
 def belyakov_roots(r0: float, base: BaseParams) -> tuple:
-    """Roots (p1, p2) of delta2(p) = 0 along the r0-slice, p1 <= p2.
+    """Roots (p1, p2) in p of E2's eigenvalue discriminant tr^2 - 4*det
+    along the r0-slice, p1 <= p2; E2's eigenvalues are complex strictly between them.
 
     p_{1,2} = (-2b + 1 -/+ 2*sqrt(b*(r0 + b - 2))) * A^2 / (m * r0^2),
     b = r0*(sigma+g)/A. Requires b*(r0 + b - 2) >= 0, i.e. b > 2 - r0;

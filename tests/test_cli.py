@@ -98,6 +98,16 @@ def test_validation_errors_exit_two(tmp_path, capsys):
                    ["--r0-max", "inf"]):
         assert run(["atlas", *window, "--out", str(tmp_path)]) == 2
         assert "atlas window" in capsys.readouterr().err
+    # a base whose A^2 overflows, a window whose beta^2 underflows or
+    # overflows
+    for flags, message in (
+            (["--A", "1e300"], "--A 1e+300 is too large for --m 0.35"),
+            (["--r0-min", "1e-300", "--r0-max", "1e-299"],
+             "--r0-min 1e-300 puts beta = r0 (sigma+g)/A"),
+            (["--r0-max", "1e300"], "--r0-max 1e+300 puts beta")):
+        assert run(["atlas", *flags, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
     # a non-finite removed-class start
     for value in ("nan", "inf"):
         assert run(["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.5",
@@ -453,6 +463,11 @@ def test_het_fit_rejects_bad_table(tmp_path, capsys):
     bad.write_text("x,y\n1,2\n3,4\n5,6\n")
     assert run(["het-fit", "--table", str(bad)]) == 2
     capsys.readouterr()
+    # an empty path is given, not absent
+    out = tmp_path / "fitout"
+    assert run(["het-fit", "--table", "", "--out", str(out)]) == 2
+    assert "--table is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cell, message", [

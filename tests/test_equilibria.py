@@ -18,8 +18,6 @@ from sirbif import (
     belyakov_r0_zero_p,
     belyakov_roots,
     classify,
-    delta2_eval,
-    delta2_scale,
     disease_free,
     eigenvalues_2x2,
     endemic,
@@ -27,8 +25,6 @@ from sirbif import (
     reduced_to_params,
     vector_field,
 )
-
-from conftest import assert_close
 
 r0s = st.floats(min_value=1.05, max_value=6.0, allow_nan=False)
 ps = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -178,29 +174,30 @@ def test_endemic_json_dict_round_keys(r0, p):
 # node/focus discriminant
 
 
+def e2_discriminant(params):
+    """E2's eigenvalue discriminant tr^2 - 4 det and its zero-test scale
+    tr^2 + 4 |det|, both from the Jacobian at E2."""
+    J = jacobian(endemic(params).location, params)
+    tr = J[0][0] + J[1][1]
+    det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+    return tr * tr - 4.0 * det, tr * tr + 4.0 * abs(det)
+
+
 @given(r0s, ps)
 def test_delta2_sign_decides_real_vs_complex(r0, p):
     params = at(r0, p)
     e2 = endemic(params)
     assume(e2.interior)
-    val = delta2_eval(p, params)
-    scale = delta2_scale(params)
-    assume(abs(val) > 1e-8 * scale)  # away from the transition itself
+    disc, scale = e2_discriminant(params)
+    assume(abs(disc) > 1e-8 * scale)  # away from the transition itself
     has_imag = any(abs(z.imag) > 0.0 for z in e2.eigenvalues)
-    assert has_imag == (val < 0.0)
-
-
-@given(r0s, ps)
-def test_delta2_matches_jacobian_discriminant(r0, p):
-    params = at(r0, p)
-    e2 = endemic(params)
-    assume(e2.interior)
-    J = jacobian(e2.location, params)
-    tr = float(J[0][0] + J[1][1])
-    det = float(J[0][0] * J[1][1] - J[0][1] * J[1][0])
-    want = (params.beta * params.removal) ** 2 * (tr * tr - 4.0 * det)
-    assert_close(delta2_eval(p, params), want, rel=1e-9,
-                 abs_=1e-9 * delta2_scale(params), label="delta2 identity")
+    assert has_imag == (disc < 0.0)
+    # the closed-form Belyakov roots bracket the complex (focus) interval
+    try:
+        p1, p2 = belyakov_roots(r0, REFERENCE_BASE)
+    except BelyakovDomainError:
+        p1 = p2 = -math.inf
+    assert has_imag == (p1 < p < p2)
 
 
 def test_belyakov_roots_reference(base):
@@ -208,9 +205,9 @@ def test_belyakov_roots_reference(base):
     assert p1 == pytest.approx(-3.1563616429252344, rel=1e-12)
     assert p2 == pytest.approx(0.794569588825488, rel=1e-12)
     assert p1 < p2
-    # both roots annihilate the discriminant polynomial
-    params = reduced_to_params(ReducedPoint(2.6, min(max(p2, 0.0), 1.0), base))
-    assert abs(delta2_eval(p2, params)) <= 1e-9 * delta2_scale(params)
+    # the upper root annihilates E2's discriminant
+    disc, scale = e2_discriminant(reduced_to_params(ReducedPoint(2.6, p2, base)))
+    assert abs(disc) <= 1e-12 * scale
 
 
 def test_belyakov_domain_error(base):

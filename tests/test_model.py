@@ -278,7 +278,7 @@ RECORDS = [
                          endemic_location_error=None, ok=True), {}),
     (HopfCertificate, dict(r0=2.6, p=0.51, trace=0.0, omega=0.3,
                            determinant=0.09, transversality=0.08,
-                           dre_dr0=0.16, ok=True), {}),
+                           ok=True), {}),
     (SectionEvent, dict(value=0.5, direction=-1, name="split"),
      dict(name="section")),
     (Crossing, dict(name="wall", t=1.5, state=(0.0, 0.2), direction=-1), {}),
