@@ -25,9 +25,8 @@ import enum
 import math
 from bisect import bisect_left
 
-from .model import (BaseParams, ModelParams, ReducedPoint, _check_positive,
-                    _check_reduced, _Record, invariant_region_bound,
-                    reduced_to_params)
+from .model import (BaseParams, ModelParams, _check_positive, _check_reduced,
+                    _Record, invariant_region_bound, reduced_to_params)
 from . import equilibria as eq
 from .equilibria import (
     BelyakovDomainError,
@@ -146,7 +145,7 @@ def dz_point(base: BaseParams) -> DZCertificate:
     p_star = p_sn(2.0, base)
     # jacobian() never reads p, so a clamped placeholder is safe when the
     # collision value lies above the admissible vaccination range.
-    params = reduced_to_params(ReducedPoint(2.0, min(p_star, 1.0), base))
+    params = reduced_to_params(2.0, min(p_star, 1.0), base)
     S_star = A * 0.5
     jac = eq.jacobian((S_star, 0.0), params)
     expected = ((0.0, -u), (0.0, 0.0))
@@ -155,7 +154,7 @@ def dz_point(base: BaseParams) -> DZCertificate:
     moduli = (abs(eigs[0]), abs(eigs[1]))
     endemic_err = None
     if p_star <= 1.0:
-        e2 = eq.endemic(reduced_to_params(ReducedPoint(2.0, p_star, base)))
+        e2 = eq.endemic(reduced_to_params(2.0, p_star, base))
         endemic_err = abs(e2.S - S_star)
     ok = max_err <= _DZ_ENTRY_TOL and max(moduli) <= _DZ_EIG_TOL
     return DZCertificate(
@@ -191,7 +190,7 @@ def hopf_certificate(r0: float, base: BaseParams) -> HopfCertificate:
     if r0 < 2.0:
         raise CurveDomainError(f"hopf certificate needs r0 >= 2, got {r0}")
     p = p_h(r0, base)
-    params = reduced_to_params(ReducedPoint(r0, p, base))
+    params = reduced_to_params(r0, p, base)
     e2 = eq.endemic(params)
     jac = eq.jacobian(e2.location, params)
     trace = jac[0][0] + jac[1][1]
@@ -279,7 +278,7 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
 
     _check_reduced(r0, p)
     A, m, u = base.A, base.m, base.removal
-    b = r0 * u / A               # beta, exactly as reduced_to_params
+    b = base.beta_at(r0)
     _check_positive("beta", b)
     axis = _disease_free_S(A, p, m)
     if not axis:

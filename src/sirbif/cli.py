@@ -29,10 +29,8 @@ from .model import (
     TOL_RANGE,
     BaseParams,
     ModelParams,
-    ReducedPoint,
     _Record,
     invariant_region_bound,
-    params_to_reduced,
     r0_of,
     reduced_to_params,
 )
@@ -108,16 +106,21 @@ def _emit(ns, config: dict, artifacts) -> None:
 
 
 def _resolve_base(ns) -> BaseParams:
-    return BaseParams(A=ns.A, m=ns.m, mu=ns.mu, d=ns.d, g=ns.g)
+    base = BaseParams(A=ns.A, m=ns.m, mu=ns.mu, d=ns.d, g=ns.g)
+    # every curve scales with the saddle-node value p_sn = A^2/(4m)
+    if not math.isfinite(base.A * base.A / (4.0 * base.m)):
+        raise ValueError(f"--A {base.A!r} is too large for --m {base.m!r}: "
+                         "the saddle-node value A^2/(4m) overflows")
+    return base
 
 
 def _resolve_params(ns) -> ModelParams:
     base = _resolve_base(ns)
-    if getattr(ns, "beta", None) is not None:
+    if ns.beta is not None:
         return ModelParams(A=ns.A, beta=ns.beta, m=ns.m, mu=ns.mu, d=ns.d,
                            g=ns.g, p=ns.p)
-    if getattr(ns, "r0", None) is not None:
-        return reduced_to_params(ReducedPoint(ns.r0, ns.p, base))
+    if ns.r0 is not None:
+        return reduced_to_params(ns.r0, ns.p, base)
     raise ValueError("give either --beta or --r0 to fix the transmission rate")
 
 
@@ -160,7 +163,6 @@ def cmd_equilibria(ns) -> int:
     from .equilibria import StabilityClass, disease_free, endemic
 
     params = _resolve_params(ns)
-    base = params_to_reduced(params).base
     config = _config_for(ns, "equilibria", {"params": params.to_dict()})
 
     dfe = disease_free(params)
@@ -170,7 +172,7 @@ def cmd_equilibria(ns) -> int:
     print(f"R0 = {r0_of(params)!r}")
     if not dfe:
         print(f"no disease-free equilibria (p = {params.p!r} exceeds "
-              f"p_SN = {p_sn(2.0, base)!r})")
+              f"p_SN = {p_sn(2.0, params.base)!r})")
     rows = []
     for eq in [*dfe, e2]:
         rows.append((eq.ident, eq.S, eq.I,
@@ -309,13 +311,10 @@ def cmd_atlas(ns) -> int:
                          "(finite) and 0 <= p-min < p-max <= 1")
     if ns.samples < 2 or ns.grid < 2:
         raise ValueError("--samples and --grid must be at least 2")
-    # the curves square A, and E2's I2 divides by beta^2 (sigma+g) with
-    # beta = r0 (sigma+g)/A: each must stay a finite nonzero float
-    if not math.isfinite(p_sn(2.0, base)):
-        raise ValueError(f"--A {base.A!r} is too large for --m {base.m!r}: "
-                         "the saddle-node value A^2/(4m) overflows")
-    for flag, r0 in (("--r0-min", ns.r0_min), ("--r0-max", ns.r0_max)):
-        beta = r0 * base.removal / base.A
+    # E2's I2 divides by beta^2 (sigma+g) with beta = r0 (sigma+g)/A
+    ends = (("--r0-min", ns.r0_min), ("--r0-max", ns.r0_max))
+    for flag, r0 in ends:
+        beta = base.beta_at(r0)
         if not 0.0 < beta * beta * base.removal < math.inf:
             raise ValueError(f"{flag} {r0!r} puts beta = r0 (sigma+g)/A = "
                              f"{beta!r} out of range: beta^2 (sigma+g) "
@@ -329,6 +328,12 @@ def cmd_atlas(ns) -> int:
 
     rows = [(r0, *map(curve_values_at(r0, base, het=het).get, _CURVE_COLUMNS))
             for r0 in _axis(ns.r0_min, ns.r0_max, ns.samples)]
+    for (flag, r0), row in zip(ends, (rows[0], rows[-1])):
+        bad = [name for name, value in zip(_CURVE_COLUMNS, row[1:])
+               if value is not None and not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"{flag} {r0!r} is out of range: the curve "
+                             f"values {', '.join(bad)} there are not finite")
 
     def regions():
         # the rows csv.writer would write: a float as its repr, no cell
@@ -383,7 +388,7 @@ def _builtin_packs() -> dict:
     het = fit_reference_curve()
 
     def red(r0, p):
-        return reduced_to_params(ReducedPoint(r0, p, base))
+        return reduced_to_params(r0, p, base)
 
     return {
         "A": PortraitPack("A", red(2.6, 0.90), 20, 0,
@@ -465,8 +470,7 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
     from .svgplot import PALETTE
 
     params = pack.params
-    point = params_to_reduced(params)
-    r0, base = point.r0, point.base
+    r0, base = r0_of(params), params.base
     config = _config_for(ns, "portraits", {
         "region": pack.region, "params": params.to_dict(),
         "horizon": ns.horizon, "max_samples": ns.max_samples,
@@ -556,18 +560,24 @@ def cmd_portraits(ns) -> int:
     if ns.max_samples < 1:
         raise ValueError("--max-samples must be at least 1")
 
-    if getattr(ns, "beta", None) is not None or getattr(ns, "r0", None) is not None:
+    if ns.beta is not None or ns.r0 is not None:
         params = _resolve_params(ns)
-        point = params_to_reduced(params)
+        base = params.base
         label = "custom"
         try:
-            het = fit_reference_curve() if point.base == REFERENCE_BASE else None
-            label = classify_region(point.r0, params.p, point.base,
+            het = fit_reference_curve() if base == REFERENCE_BASE else None
+            label = classify_region(r0_of(params), params.p, base,
                                     het=het).value
         except RegionFlagError:
             pass
         packs = [PortraitPack(label, params, 12, 8, "custom parameter point")]
     else:
+        for key, value in (*REFERENCE_BASE.to_dict().items(), ("p", 0.0)):
+            if getattr(ns, key) != value:
+                raise ValueError(
+                    f"--{key} {getattr(ns, key)!r} is ignored without --r0 "
+                    "or --beta: the builtin region packs sit at the "
+                    "reference base (B at its own), each at its own p")
         builtin = _builtin_packs()
         wanted = ns.region or ["all"]
         if "all" in wanted:
@@ -781,7 +791,7 @@ def cmd_cycle(ns) -> int:
           f"(return residual {orbit.return_residual!r})")
 
     def figure():
-        params = reduced_to_params(ReducedPoint(ns.r0, ns.p, base))
+        params = reduced_to_params(ns.r0, ns.p, base)
         return _phase_figure(params, f"unstable cycle: R0={ns.r0:g}, p={ns.p:g}",
                              config, [(orbit, 1200, PALETTE["cycle"], 2.0, 1.0)])
 

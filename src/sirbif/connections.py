@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .model import BaseParams, ModelParams, ReducedPoint, _Record, invariant_region_bound, reduced_to_params
+from .model import BaseParams, ModelParams, _Record, invariant_region_bound, reduced_to_params
 from . import atlas
 from . import equilibria as eqmod
 from .equilibria import StabilityClass
@@ -138,7 +138,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     if not 0.0 < p < atlas.p_t(r0, base):
         raise ValueError(f"splitting needs 0 < p < p_t(r0) = "
                          f"{atlas.p_t(r0, base):.6g}, got {p}")
-    params = reduced_to_params(ReducedPoint(r0, p, base))
+    params = reduced_to_params(r0, p, base)
     e0, e1 = _saddle_pair(params)
     s2 = eqmod.endemic(params).S
 
@@ -458,7 +458,7 @@ def find_periodic_orbit(r0: float, p: float, base: BaseParams, *,
     if not r0 > 2.0:
         raise NotInRegionEError(
             f"no cycle band at r0 = {r0}: the band needs r0 > 2")
-    params = reduced_to_params(ReducedPoint(r0, p, base))
+    params = reduced_to_params(r0, p, base)
     e2 = eqmod.endemic(params)
     if e2.stability is not StabilityClass.SINK_FOCUS:
         raise NotInRegionEError(

@@ -196,8 +196,7 @@ def belyakov_roots(r0: float, base: BaseParams) -> tuple:
     BelyakovDomainError is raised.
     """
     A = base.A
-    u = base.removal
-    b = r0 * u / A
+    b = base.beta_at(r0)
     arg = b * (r0 + b - 2.0)
     if arg < 0.0:
         raise BelyakovDomainError(

@@ -31,12 +31,10 @@ import math
 __all__ = [
     "ModelParams",
     "BaseParams",
-    "ReducedPoint",
     "REFERENCE_BASE",
     "vector_field",
     "r0_of",
     "reduced_to_params",
-    "params_to_reduced",
     "invariant_region_bound",
     "in_invariant_region",
     "gronwall_envelope",
@@ -103,7 +101,25 @@ class _Record:
         return f"{type(self).__qualname__}({items})"
 
 
-class ModelParams(_Record):
+class _Rates:
+    """What ModelParams and BaseParams share: every field but p is a
+    positive finite rate, and the infectives leave at sigma + g."""
+
+    def __post_init__(self):
+        for key, value in self.__dict__.items():
+            if key != "p":
+                _check_positive(key, value)
+
+    @property
+    def removal(self) -> float:
+        """Total exit rate from the infective class, sigma + g."""
+        return (self.mu + self.d) + self.g
+
+    def to_dict(self) -> dict:
+        return {k: float(v) for k, v in self.__dict__.items()}
+
+
+class ModelParams(_Rates, _Record):
     """Full parameter set. All rates positive; 0 <= p <= 1.
 
     sigma is stored split as (mu, d) because the recovered-class ODE needs mu
@@ -119,8 +135,7 @@ class ModelParams(_Record):
     p: float = 0.0
 
     def __post_init__(self):
-        for key in ("A", "beta", "m", "mu", "d", "g"):
-            _check_positive(key, getattr(self, key))
+        super().__post_init__()
         p = self.p
         if not (isinstance(p, (int, float)) and math.isfinite(p)):
             raise ValueError(f"parameter p must be a finite number, got {p!r}")
@@ -128,20 +143,15 @@ class ModelParams(_Record):
             raise ValueError(f"vaccination fraction p must lie in [0, 1], got {p!r}")
 
     @property
-    def removal(self) -> float:
-        """Total exit rate from the infective class, sigma + g."""
-        return (self.mu + self.d) + self.g
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {k: float(v) for k, v in self.__dict__.items()}
+    def base(self) -> BaseParams:
+        """The fixed part (A, m, mu, d, g), without beta and p."""
+        return BaseParams(self.A, self.m, self.mu, self.d, self.g)
 
 
-class BaseParams(_Record):
+class BaseParams(_Rates, _Record):
     """The fixed part of a reduced parameterization: everything except beta.
 
-    beta is reconstructed from r0 via beta = r0*(sigma+g)/A.
+    beta is reconstructed from r0 via ``beta_at``.
     """
 
     A: float
@@ -150,16 +160,9 @@ class BaseParams(_Record):
     d: float
     g: float
 
-    def __post_init__(self):
-        for key in ("A", "m", "mu", "d", "g"):
-            _check_positive(key, getattr(self, key))
-
-    @property
-    def removal(self) -> float:
-        return (self.mu + self.d) + self.g
-
-    def to_dict(self) -> dict:
-        return {k: float(v) for k, v in self.__dict__.items()}
+    def beta_at(self, r0: float) -> float:
+        """The beta giving reproduction number r0: r0*(sigma+g)/A."""
+        return r0 * self.removal / self.A
 
 
 #: Base used by the bundled reference data and the CLI defaults:
@@ -170,17 +173,6 @@ REFERENCE_BASE = BaseParams(A=1.1, m=0.35, mu=0.175, d=0.175, g=0.35)
 #: a name of ``sirbif.integrate``, declared here so that the CLI's flag
 #: check needs no integrator
 TOL_RANGE = (1e-13, 1e-3)
-
-
-class ReducedPoint(_Record):
-    """(r0, p) plus the fixed base that makes the map to ModelParams exact."""
-
-    r0: float
-    p: float
-    base: BaseParams
-
-    def __post_init__(self):
-        _check_reduced(self.r0, self.p)
 
 
 def vector_field(x, params: ModelParams):
@@ -203,16 +195,11 @@ def r0_of(params: ModelParams) -> float:
     return params.A * params.beta / params.removal
 
 
-def reduced_to_params(point: ReducedPoint) -> ModelParams:
-    base = point.base
-    beta = point.r0 * base.removal / base.A
-    return ModelParams(A=base.A, beta=beta, m=base.m, mu=base.mu,
-                       d=base.d, g=base.g, p=point.p)
-
-
-def params_to_reduced(params: ModelParams) -> ReducedPoint:
-    base = BaseParams(A=params.A, m=params.m, mu=params.mu, d=params.d, g=params.g)
-    return ReducedPoint(r0=r0_of(params), p=params.p, base=base)
+def reduced_to_params(r0: float, p: float, base: BaseParams) -> ModelParams:
+    """The full parameter set at (r0, p) on ``base``."""
+    _check_reduced(r0, p)
+    return ModelParams(A=base.A, beta=base.beta_at(r0), m=base.m, mu=base.mu,
+                       d=base.d, g=base.g, p=p)
 
 
 def invariant_region_bound(params) -> float:

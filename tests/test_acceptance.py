@@ -23,7 +23,6 @@ import pytest
 from sirbif import (
     ModelParams,
     REFERENCE_HET_POINTS,
-    ReducedPoint,
     belyakov_r0_zero_p,
     build_het_table,
     classify_region,
@@ -36,11 +35,11 @@ from sirbif import (
     integrate,
     invariant_region_bound,
     omega_limit_estimate,
-    params_to_reduced,
     p_bt2,
     p_h,
     p_sn,
     p_t,
+    r0_of,
     reduced_to_params,
     region_fan,
 )
@@ -150,12 +149,12 @@ def test_criterion_07_threshold_and_node_focus(base):
     # (b) node-to-focus transition of the endemic state at p = 0
     r0_star = belyakov_r0_zero_p(base)
     eigs_node = endemic(
-        reduced_to_params(ReducedPoint(r0_star - 0.05, 0.0, base))
+        reduced_to_params(r0_star - 0.05, 0.0, base)
     ).eigenvalues
     assert all(ev.imag == 0.0 for ev in eigs_node), (
         f"expected real eigenvalues below the transition, got {eigs_node}")
     eigs_focus = endemic(
-        reduced_to_params(ReducedPoint(r0_star + 0.05, 0.0, base))
+        reduced_to_params(r0_star + 0.05, 0.0, base)
     ).eigenvalues
     assert all(ev.imag != 0.0 for ev in eigs_focus), (
         f"expected complex eigenvalues above the transition, got "
@@ -175,13 +174,13 @@ def test_criterion_08_region_behaviour_pack(base):
     het = fit_reference_curve()
 
     def at(r0, p):
-        return reduced_to_params(ReducedPoint(r0, p, base))
+        return reduced_to_params(r0, p, base)
 
     # region B: the infection dies out along every fan trajectory
     params_b = ModelParams(A=1.0, beta=1.3, m=0.35, mu=0.25, d=0.25, g=0.50,
                            p=0.61)
-    point_b = params_to_reduced(params_b)
-    assert classify_region(point_b.r0, point_b.p, point_b.base).value == "B"
+    assert classify_region(r0_of(params_b), params_b.p,
+                           params_b.base).value == "B"
     for seed, res in _fan_outcomes(params_b, n_boundary=20, n_ring=0):
         assert res.trajectory.final_state[1] < 1e-6, (
             f"B: start {seed} kept I = {res.trajectory.final_state[1]:.2e} "

@@ -14,7 +14,6 @@ from sirbif import (
     ModelParams,
     RegionFlagError,
     RegionLabel,
-    ReducedPoint,
     StabilityClass,
     curve_values_at,
     classify_column,
@@ -80,7 +79,7 @@ def test_transcritical_conjugacy(r0):
 
 def e2_jacobian_trace(r0, p, base):
     """Trace of the Jacobian at E2, read off the Jacobian itself."""
-    params = reduced_to_params(ReducedPoint(r0, p, base))
+    params = reduced_to_params(r0, p, base)
     J = jacobian(endemic(params).location, params)
     return J[0][0] + J[1][1]
 
@@ -186,7 +185,7 @@ def _label_from_flags(r0, p, base, het=None):
     for value in curve_values_at(r0, base, het).values():
         if abs(p - value) <= atlas.BOUNDARY_TOL:
             return RegionLabel.BOUNDARY
-    params = reduced_to_params(ReducedPoint(r0, p, base))
+    params = reduced_to_params(r0, p, base)
     dfe = disease_free(params)
     if not dfe:
         return RegionLabel.A
@@ -307,7 +306,7 @@ def test_classify_region_e2_on_the_axis_is_not_interior(base, het):
     # and the disease-free pair decides (saddle, non-hyperbolic: no region)
     r0 = 1.25
     p = math.nextafter(p_t(r0, base), 0.0)
-    assert endemic(reduced_to_params(ReducedPoint(r0, p, base))).I == 0.0
+    assert endemic(reduced_to_params(r0, p, base)).I == 0.0
     with _without_band():
         with pytest.raises(RegionFlagError, match="disease-free pair"):
             classify_region(r0, p, base, het=het)
@@ -345,7 +344,7 @@ def test_classify_region_builds_no_per_point_objects(base, het, monkeypatch):
 def test_region_persistence_flags(base, het):
     # persistence labels have an interior equilibrium; eradication ones do not
     for r0, p, want in SWEEP:
-        e2 = endemic(reduced_to_params(ReducedPoint(r0, p, base)))
+        e2 = endemic(reduced_to_params(r0, p, base))
         if want in (RegionLabel.C, RegionLabel.D, RegionLabel.E,
                     RegionLabel.F, RegionLabel.G):
             assert e2.interior
@@ -474,7 +473,7 @@ def test_atlas_classifies_runs_not_points(tmp_path, monkeypatch, capsys):
 
 
 def test_region_fan_layouts(base):
-    inside = reduced_to_params(ReducedPoint(2.6, 0.48, base))
+    inside = reduced_to_params(2.6, 0.48, base)
     seeds = region_fan(inside)
     assert len(seeds) == 20  # 12 boundary + 8 ring
     assert all(in_invariant_region(s, inside, tol=1e-9) for s in seeds)
@@ -483,6 +482,6 @@ def test_region_fan_layouts(base):
     assert all(math.hypot(s[0] - e2.S, s[1] - e2.I) <= 0.02 + 1e-12
                for s in ring)
 
-    empty = reduced_to_params(ReducedPoint(1.5, 0.9, base))
+    empty = reduced_to_params(1.5, 0.9, base)
     assert len(region_fan(empty)) == 12  # ring omitted without a centre
     assert len(region_fan(empty, n_boundary=20, n_ring=0)) == 20

@@ -99,14 +99,28 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         assert run(["atlas", *window, "--out", str(tmp_path)]) == 2
         assert "atlas window" in capsys.readouterr().err
     # a base whose A^2 overflows, a window whose beta^2 underflows or
-    # overflows
-    for flags, message in (
-            (["--A", "1e300"], "--A 1e+300 is too large for --m 0.35"),
-            (["--r0-min", "1e-300", "--r0-max", "1e-299"],
+    # overflows or whose curves are not finite
+    for command, message in (
+            (["atlas", "--A", "1e300"], "--A 1e+300 is too large for --m 0.35"),
+            (["dz", "--A", "1e160", "--format", "json"],
+             "--A 1e+160 is too large for --m 0.35"),
+            (["equilibria", "--A", "1e160", "--r0", "2.6", "--p", "0.3",
+              "--format", "json"], "--A 1e+160 is too large for --m 0.35"),
+            (["atlas", "--r0-min", "1e-300", "--r0-max", "1e-299"],
              "--r0-min 1e-300 puts beta = r0 (sigma+g)/A"),
-            (["--r0-max", "1e300"], "--r0-max 1e+300 puts beta")):
-        assert run(["atlas", *flags, "--out", str(tmp_path)]) == 2
+            (["atlas", "--r0-max", "1e300"], "--r0-max 1e+300 puts beta"),
+            (["atlas", "--r0-max", "1.5e154"],
+             "--r0-max 1.5e+154 is out of range: the curve values bt1, bt2")):
+        assert run([*command, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+    # a base or p that a builtin portrait pack would ignore
+    for flags, message in ((["--region", "E", "--A", "0.5"], "--A 0.5"),
+                           (["--region", "D", "--p", "0.9"], "--p 0.9")):
+        assert run(["portraits", *flags, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{message} is ignored without --r0 or --beta" in err
+        assert "the builtin region packs sit at the reference base" in err
         assert not list(tmp_path.iterdir())
     # a non-finite removed-class start
     for value in ("nan", "inf"):

@@ -16,7 +16,6 @@ from sirbif import (
     MislabeledRegionError,
     NotInRegionEError,
     PowerFit,
-    ReducedPoint,
     SameSignBracketError,
     build_het_table,
     endemic,
@@ -372,7 +371,7 @@ def test_periodic_orbit_reference(base, integrate_calls):
     orbit = find_periodic_orbit(2.6, 0.48, base)
     # two bracket ends and the Brent iterates, nothing else
     assert len(integrate_calls) <= 20
-    params = reduced_to_params(ReducedPoint(2.6, 0.48, base))
+    params = reduced_to_params(2.6, 0.48, base)
     e2 = endemic(params)
     assert orbit.section_S == pytest.approx(e2.S, rel=1e-12)
     assert orbit.section_I > e2.I
@@ -461,7 +460,7 @@ def test_periodic_orbit_across_band(base, r0, frac, integrate_calls):
     het = find_het_p(r0, base).p_het
     p = het + frac * (p_h(r0, base) - het)
     orbit = find_periodic_orbit(r0, p, base)
-    params = reduced_to_params(ReducedPoint(r0, p, base))
+    params = reduced_to_params(r0, p, base)
     e2 = endemic(params)
     headroom = invariant_region_bound(params) - e2.S - e2.I
     assert e2.I < orbit.section_I < e2.I + headroom
@@ -485,8 +484,8 @@ def test_periodic_orbit_band_shrinks_toward_hopf(base):
     # closer to the Hopf value the cycle is smaller and faster
     near_het = find_periodic_orbit(2.6, 0.48, base)
     near_hopf = find_periodic_orbit(2.6, 0.50, base)
-    e2_48 = endemic(reduced_to_params(ReducedPoint(2.6, 0.48, base)))
-    e2_50 = endemic(reduced_to_params(ReducedPoint(2.6, 0.50, base)))
+    e2_48 = endemic(reduced_to_params(2.6, 0.48, base))
+    e2_50 = endemic(reduced_to_params(2.6, 0.50, base))
     amp_48 = near_het.section_I - e2_48.I
     amp_50 = near_hopf.section_I - e2_50.I
     assert amp_50 < amp_48
@@ -589,7 +588,7 @@ def test_cycle_separates_basins(base):
     # inside the unstable orbit trajectories sink to E2; outside they reach
     # the wall and the infection dies out
     p = 0.48
-    params = reduced_to_params(ReducedPoint(2.6, p, base))
+    params = reduced_to_params(2.6, p, base)
     orbit = find_periodic_orbit(2.6, p, base)
     e2 = endemic(params)
     inside_I = 0.5 * (e2.I + orbit.section_I)

@@ -13,7 +13,6 @@ from sirbif import (
     BelyakovDomainError,
     Equilibrium,
     ModelParams,
-    ReducedPoint,
     StabilityClass,
     belyakov_r0_zero_p,
     belyakov_roots,
@@ -31,7 +30,7 @@ ps = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 def at(r0, p):
-    return reduced_to_params(ReducedPoint(r0, p, REFERENCE_BASE))
+    return reduced_to_params(r0, p, REFERENCE_BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +139,7 @@ def test_endemic_reference(figure_params):
 
 def test_endemic_nonexistent_formal_location():
     # r0 < 1 at p = 0: I2 < 0, flagged nonexistent but location still reported
-    params = at(0.9, 0.0) if False else reduced_to_params(
-        ReducedPoint(0.9, 0.0, REFERENCE_BASE))
+    params = reduced_to_params(0.9, 0.0, REFERENCE_BASE)
     e2 = endemic(params)
     assert e2.stability is StabilityClass.NONEXISTENT
     assert not e2.interior
@@ -206,7 +204,7 @@ def test_belyakov_roots_reference(base):
     assert p2 == pytest.approx(0.794569588825488, rel=1e-12)
     assert p1 < p2
     # the upper root annihilates E2's discriminant
-    disc, scale = e2_discriminant(reduced_to_params(ReducedPoint(2.6, p2, base)))
+    disc, scale = e2_discriminant(reduced_to_params(2.6, p2, base))
     assert abs(disc) <= 1e-12 * scale
 
 
@@ -227,8 +225,8 @@ def test_belyakov_zero_p_threshold(base):
     _, p2 = belyakov_roots(r0_star, base)
     assert abs(p2) <= 1e-12
     # p = 0 slice: node below the threshold, focus above
-    lo = endemic(reduced_to_params(ReducedPoint(r0_star - 0.05, 0.0, base)))
-    hi = endemic(reduced_to_params(ReducedPoint(r0_star + 0.05, 0.0, base)))
+    lo = endemic(reduced_to_params(r0_star - 0.05, 0.0, base))
+    hi = endemic(reduced_to_params(r0_star + 0.05, 0.0, base))
     assert all(z.imag == 0.0 for z in lo.eigenvalues)
     assert any(z.imag != 0.0 for z in hi.eigenvalues)
     assert lo.stability is StabilityClass.SINK_NODE

@@ -12,7 +12,6 @@ from sirbif import (
     REFERENCE_BASE,
     BaseParams,
     ModelParams,
-    ReducedPoint,
     SectionEvent,
     StabilityClass,
     TerminalEvent,
@@ -200,7 +199,7 @@ def _reference_dp5(x0, params, t_end, tol, reverse_time):
 @pytest.mark.parametrize("reverse_time", [False, True])
 def test_step_kernel_matches_the_plain_loop(tol, reverse_time):
     # bit for bit: the fused kernel keeps every float operation in order
-    params = reduced_to_params(ReducedPoint(2.6, 0.3, REFERENCE_BASE))
+    params = reduced_to_params(2.6, 0.3, REFERENCE_BASE)
     traj = integrate((0.5, 0.1), params, 40.0, tol=tol,
                      reverse_time=reverse_time)
     assert traj.crossings == ()
@@ -350,7 +349,7 @@ def test_event_scan_matches_dense_reference(S0, m0, S1, m1, h, value, direction)
 
 def test_left_domain_terminal():
     # in reversed time S runs off to infinity from near the S-axis
-    params = reduced_to_params(ReducedPoint(2.6, 0.48, REFERENCE_BASE))
+    params = reduced_to_params(2.6, 0.48, REFERENCE_BASE)
     traj = integrate((0.95, 0.01), params, 50.0, tol=1e-8, reverse_time=True)
     bound = 50.0 * invariant_region_bound(params)
     assert traj.terminal.kind == "left-domain"
@@ -362,7 +361,7 @@ def test_left_domain_terminal():
                                 (1e100, 1e300)])
 def test_start_beyond_the_bound_ends_at_once(x0):
     # so far out that one step's error norm can overflow or underflow
-    params = reduced_to_params(ReducedPoint(2.6, 0.3, REFERENCE_BASE))
+    params = reduced_to_params(2.6, 0.3, REFERENCE_BASE)
     traj = integrate(x0, params, 5.0, tol=1e-8)
     assert traj.terminal.kind == "left-domain"
     assert traj.terminal.t == 0.0 and traj.terminal.state == x0
@@ -371,14 +370,14 @@ def test_start_beyond_the_bound_ends_at_once(x0):
 
 
 def test_wall_start_beyond_the_bound_decays_on_the_wall():
-    params = reduced_to_params(ReducedPoint(2.6, 0.3, REFERENCE_BASE))
+    params = reduced_to_params(2.6, 0.3, REFERENCE_BASE)
     traj = integrate((0.0, 1e6), params, 5.0, tol=1e-8)
     assert traj.terminal.kind == "time-horizon" and traj.t == (0.0, 5.0)
     assert traj.states[-1] == (0.0, 1e6 * math.exp(-params.removal * 5.0))
 
 
 def test_start_inside_the_bound_integrates():
-    params = reduced_to_params(ReducedPoint(2.6, 0.3, REFERENCE_BASE))
+    params = reduced_to_params(2.6, 0.3, REFERENCE_BASE)
     traj = integrate((100.0, 0.2), params, 5.0, tol=1e-8)
     assert traj.terminal.kind == "time-horizon" and traj.t[-1] == 5.0
 
@@ -500,7 +499,7 @@ def test_omega_limit_on_the_unstable_cycle_is_undecided(base):
     # the Hopf cycle repels, so it is no forward limit; a start on the
     # polished orbit still circles it at the horizon, far from E0, E1 and E2
     orbit = find_periodic_orbit(2.6, 0.48, base, tol=1e-12)
-    params = reduced_to_params(ReducedPoint(2.6, 0.48, base))
+    params = reduced_to_params(2.6, 0.48, base)
     res = omega_limit_estimate((orbit.section_S, orbit.section_I), params,
                                horizon=300.0, tol=1e-10)
     assert res.trajectory.terminal.kind == "time-horizon"
@@ -509,7 +508,7 @@ def test_omega_limit_on_the_unstable_cycle_is_undecided(base):
 
 def test_omega_limit_escape_from_unstable_focus(base):
     # above the Hopf curve the focus repels and the wall absorbs
-    params = reduced_to_params(ReducedPoint(2.6, 0.60, base))
+    params = reduced_to_params(2.6, 0.60, base)
     e2 = endemic(params)
     res = omega_limit_estimate((e2.S + 1e-3, e2.I), params)
     assert res.outcome == "boundary-axis"
@@ -535,7 +534,7 @@ def test_run_inside_the_ellipse_stays_and_ends_at_once(base, r0, frac, angle,
     # E2 is a stable node or focus in the bands C, D and E: below p_t, and
     # below p_h past r0 = 2
     top = p_h(r0, base) if r0 > 2.0 else p_t(r0, base)
-    params = reduced_to_params(ReducedPoint(r0, frac * top, base))
+    params = reduced_to_params(r0, frac * top, base)
     e2 = endemic(params)
     assume(e2.stability in _SINKS)
     (sink, trap), = _limit_sets(params)[1]
@@ -633,8 +632,7 @@ def test_unstable_shot_enters_interior(p_zero):
 
 
 def test_stable_shot_traces_backward(base):
-    params = reduced_to_params(
-        ReducedPoint(1.5, p_t(1.5, base) - 0.02, base))
+    params = reduced_to_params(1.5, p_t(1.5, base) - 0.02, base)
     e0 = disease_free(params)[0]
     traj = manifold_shoot(e0, "stable", params, 30.0)
     assert traj.reversed_time
@@ -648,7 +646,7 @@ def test_stable_shot_traces_backward(base):
 def test_series_start_lies_on_the_manifold(base, r0, order):
     # f(W(s)) = lam s W'(s) at the chosen s, for both manifolds of both
     # saddles, to rounding
-    params = reduced_to_params(ReducedPoint(r0, p_t(r0, base) - 0.02, base))
+    params = reduced_to_params(r0, p_t(r0, base) - 0.02, base)
     for eq in disease_free(params):
         assert eq.stability is StabilityClass.SADDLE
         for lam in (z.real for z in eq.eigenvalues):

@@ -13,11 +13,9 @@ from sirbif import (
     REFERENCE_BASE,
     BaseParams,
     ModelParams,
-    ReducedPoint,
     gronwall_envelope,
     in_invariant_region,
     invariant_region_bound,
-    params_to_reduced,
     r0_of,
     reduced_to_params,
     vector_field,
@@ -98,28 +96,24 @@ def test_base_params_round_trip(base):
 
 def test_reduced_point_validation(base):
     with pytest.raises(ValueError, match="r0 must be positive"):
-        ReducedPoint(0.0, 0.5, base)
+        reduced_to_params(0.0, 0.5, base)
     with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
-        ReducedPoint(2.0, -0.01, base)
+        reduced_to_params(2.0, -0.01, base)
 
 
 @given(st.floats(min_value=0.05, max_value=8.0, allow_nan=False), fraction)
 def test_reduced_round_trip(r0, p):
-    point = ReducedPoint(r0, p, REFERENCE_BASE)
-    params = reduced_to_params(point)
-    back = params_to_reduced(params)
-    assert_close(back.r0, r0, rel=1e-12, label="r0 round trip")
-    assert back.p == p
-    assert back.base == REFERENCE_BASE
-    assert_close(r0_of(params), r0, rel=1e-12, label="r0_of")
+    params = reduced_to_params(r0, p, REFERENCE_BASE)
+    assert_close(r0_of(params), r0, rel=1e-12, label="r0 round trip")
+    assert params.p == p
+    assert params.base == REFERENCE_BASE
 
 
 def test_reduced_beta_formula(base):
-    params = reduced_to_params(ReducedPoint(2.6, 0.4, base))
+    params = reduced_to_params(2.6, 0.4, base)
     assert_close(params.beta, 2.6 * base.removal / base.A, label="beta")
     assert params.p == 0.4
-    assert (params.A, params.m, params.mu, params.d, params.g) == (
-        base.A, base.m, base.mu, base.d, base.g)
+    assert params.base == base
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +261,6 @@ RECORDS = [
     (ModelParams, dict(A=1.1, beta=1.3, m=0.35, mu=0.175, d=0.175, g=0.35,
                        p=0.2), dict(p=0.0)),
     (BaseParams, dict(A=1.1, m=0.35, mu=0.175, d=0.175, g=0.35), {}),
-    (ReducedPoint, dict(r0=2.6, p=0.48, base=REFERENCE_BASE), {}),
     (Equilibrium, dict(ident="E2", S=0.5, I=0.1,
                        eigenvalues=(-0.1 - 0.2j, -0.1 + 0.2j),
                        stability=StabilityClass.SINK_FOCUS), {}),
@@ -404,9 +397,9 @@ def test_records_with_the_same_fields_differ_by_class():
      "parameter g must be positive, got -1.0"),
     (lambda: BaseParams(1.1, "0.35", 0.175, 0.175, 0.35),
      "parameter m must be a finite number, got '0.35'"),
-    (lambda: ReducedPoint(math.nan, 0.5, REFERENCE_BASE),
+    (lambda: reduced_to_params(math.nan, 0.5, REFERENCE_BASE),
      "r0 must be positive and finite, got nan"),
-    (lambda: ReducedPoint(2.6, 1.1, REFERENCE_BASE),
+    (lambda: reduced_to_params(2.6, 1.1, REFERENCE_BASE),
      "p must lie in [0, 1], got 1.1"),
     (lambda: SectionEvent(0.5, 0),
      "direction must be -1 or +1, got 0"),
