@@ -46,7 +46,6 @@ __all__ = [
     "p_sn",
     "p_t",
     "p_h",
-    "p_bt1",
     "p_bt2",
     "dz_point",
     "hopf_certificate",
@@ -104,11 +103,6 @@ def p_h(r0: float, base: BaseParams) -> float:
     if r0 < 2.0:
         raise CurveDomainError(f"p_h needs r0 >= 2.0, got {r0}")
     return base.A * base.A / (base.m * r0 * r0)
-
-
-def p_bt1(r0: float, base: BaseParams) -> float:
-    """Lower node/focus transition (often negative, hence diagnostic)."""
-    return belyakov_roots(r0, base)[0]
 
 
 def p_bt2(r0: float, base: BaseParams) -> float:

@@ -114,13 +114,28 @@ def _resolve_base(ns) -> BaseParams:
     return base
 
 
+def _check_beta(flag: str, value: float, base: BaseParams) -> None:
+    """Refuse the beta that ``flag value`` sets (an r0 flag through r0
+    (sigma+g)/A) when beta^2 (sigma+g), E2's divisor, under- or overflows."""
+    beta = value if flag == "--beta" else base.beta_at(value)
+    if not sys.float_info.min <= beta * beta * base.removal < math.inf:
+        what = ("is" if flag == "--beta"
+                else f"puts beta = r0 (sigma+g)/A = {beta!r}")
+        raise ValueError(f"{flag} {value!r} {what} out of range: "
+                         "beta^2 (sigma+g) underflows or overflows")
+
+
 def _resolve_params(ns) -> ModelParams:
     base = _resolve_base(ns)
     if ns.beta is not None:
-        return ModelParams(A=ns.A, beta=ns.beta, m=ns.m, mu=ns.mu, d=ns.d,
-                           g=ns.g, p=ns.p)
+        params = ModelParams(A=ns.A, beta=ns.beta, m=ns.m, mu=ns.mu, d=ns.d,
+                             g=ns.g, p=ns.p)
+        _check_beta("--beta", ns.beta, base)
+        return params
     if ns.r0 is not None:
-        return reduced_to_params(ns.r0, ns.p, base)
+        params = reduced_to_params(ns.r0, ns.p, base)
+        _check_beta("--r0", ns.r0, base)
+        return params
     raise ValueError("give either --beta or --r0 to fix the transmission rate")
 
 
@@ -311,14 +326,9 @@ def cmd_atlas(ns) -> int:
                          "(finite) and 0 <= p-min < p-max <= 1")
     if ns.samples < 2 or ns.grid < 2:
         raise ValueError("--samples and --grid must be at least 2")
-    # E2's I2 divides by beta^2 (sigma+g) with beta = r0 (sigma+g)/A
     ends = (("--r0-min", ns.r0_min), ("--r0-max", ns.r0_max))
     for flag, r0 in ends:
-        beta = base.beta_at(r0)
-        if not 0.0 < beta * beta * base.removal < math.inf:
-            raise ValueError(f"{flag} {r0!r} puts beta = r0 (sigma+g)/A = "
-                             f"{beta!r} out of range: beta^2 (sigma+g) "
-                             "underflows or overflows")
+        _check_beta(flag, r0, base)
     het = fit_reference_curve()
     config = _config_for(ns, "atlas", {
         "base": base.to_dict(),
@@ -989,35 +999,13 @@ def build_parser():
 
 
 # ----------------------------------------------------------------------
-# config-file preloading and entry point
+# config files and entry point
 
 
-def _config_value(action, key: str, value):
-    """The value ``--key value`` gives on the command line, so that a config
-    file and the flags agree on what they accept and on the bytes they
-    echo.  A list stands for a repeated flag, true/false for a switch."""
-    if action.nargs == 0:
-        if isinstance(value, bool):
-            return value
-        raise ValueError(f"config key {key!r} must be true or false")
-    repeated = isinstance(action, argparse._AppendAction)
-    values = []
-    for item in (value if repeated and isinstance(value, list) else [value]):
-        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
-            raise ValueError(f"config key {key!r}: {item!r} is not a flag value")
-        try:
-            item = (action.type or str)(str(item))
-        except ValueError:
-            raise ValueError(f"config key {key!r}: invalid value {item!r}") from None
-        if action.choices is not None and item not in action.choices:
-            raise ValueError(f"config key {key!r}: {item!r} is not one of "
-                             f"{', '.join(action.choices)}")
-        values.append(item)
-    return values if repeated else values[0]
-
-
-def _load_config_defaults(path: str, subparser, flags) -> None:
-    """Make the file's values the subcommand's defaults.  ``flags`` is the
+def _config_tokens(path: str, subparser, flags) -> list:
+    """The file's JSON object as the flags it stands for: ``{"k": v}`` is
+    ``--k=v`` (so a value beginning with ``-`` stays a value), a list the
+    repeated flag, true/false the switch or nothing.  ``flags`` is the
     command line parsed without the file: a repeated flag given there
     replaces the file's list instead of adding to it."""
     try:
@@ -1028,16 +1016,27 @@ def _load_config_defaults(path: str, subparser, flags) -> None:
         raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    actions = {action.dest: action for action in subparser._actions}
-    clean = {}
+    # not --help: as a token it would print the help instead of running
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
+    tokens = []
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r} for this command")
-        value = _config_value(actions[dest], key, value)
-        if not (isinstance(value, list) and getattr(flags, dest) is not None):
-            clean[dest] = value
-    subparser.set_defaults(**clean)
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be true or false")
+            tokens += [flag] if value else []
+            continue
+        repeated = isinstance(action, argparse._AppendAction)
+        items = value if repeated and isinstance(value, list) else [value]
+        for item in items:
+            if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+                raise ValueError(f"config key {key!r}: {item!r} is not a flag value")
+        if not (repeated and getattr(flags, action.dest) is not None):
+            tokens += [f"{flag}={item}" for item in items]
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -1046,9 +1045,9 @@ def main(argv=None) -> int:
     try:
         ns = top.parse_args(argv)
         if ns.config is not None:
-            # file values become defaults, so explicit flags still win
-            _load_config_defaults(ns.config, parsers[ns.command], ns)
-            ns = top.parse_args(argv)
+            # the file's flags come first, so explicit flags still win
+            tokens = _config_tokens(ns.config, parsers[ns.command], ns)
+            ns = top.parse_args([*argv[:1], *tokens, *argv[1:]])
         if ns.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
         tol = getattr(ns, "tol", None)

@@ -15,6 +15,7 @@ from sirbif import (
     RegionFlagError,
     RegionLabel,
     StabilityClass,
+    belyakov_roots,
     curve_values_at,
     classify_column,
     classify_region,
@@ -25,7 +26,6 @@ from sirbif import (
     hopf_certificate,
     in_invariant_region,
     jacobian,
-    p_bt1,
     p_bt2,
     p_h,
     p_sn,
@@ -373,7 +373,7 @@ def test_curve_set_and_values(base, het):
     assert set(vals) == {"sn", "t", "h", "bt1", "bt2", "het"}
     assert vals["h"] < vals["t"] < vals["sn"]
     assert vals["het"] == pytest.approx(het(2.6))
-    assert vals["bt1"] == pytest.approx(p_bt1(2.6, base))
+    assert vals["bt1"] == pytest.approx(belyakov_roots(2.6, base)[0])
 
 
 # ---------------------------------------------------------------------------

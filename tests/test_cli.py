@@ -98,8 +98,8 @@ def test_validation_errors_exit_two(tmp_path, capsys):
                    ["--r0-max", "inf"]):
         assert run(["atlas", *window, "--out", str(tmp_path)]) == 2
         assert "atlas window" in capsys.readouterr().err
-    # a base whose A^2 overflows, a window whose beta^2 underflows or
-    # overflows or whose curves are not finite
+    # a base whose A^2 overflows, a window or point whose beta^2 underflows
+    # or overflows, a window whose curves are not finite
     for command, message in (
             (["atlas", "--A", "1e300"], "--A 1e+300 is too large for --m 0.35"),
             (["dz", "--A", "1e160", "--format", "json"],
@@ -110,7 +110,21 @@ def test_validation_errors_exit_two(tmp_path, capsys):
              "--r0-min 1e-300 puts beta = r0 (sigma+g)/A"),
             (["atlas", "--r0-max", "1e300"], "--r0-max 1e+300 puts beta"),
             (["atlas", "--r0-max", "1.5e154"],
-             "--r0-max 1.5e+154 is out of range: the curve values bt1, bt2")):
+             "--r0-max 1.5e+154 is out of range: the curve values bt1, bt2"),
+            (["equilibria", "--beta", "1e300", "--p", "0.3", "--format",
+              "json"], "--beta 1e+300 is out of range: beta^2 (sigma+g)"),
+            (["equilibria", "--r0", "1e300", "--p", "0.3", "--format", "json"],
+             "--r0 1e+300 puts beta = r0 (sigma+g)/A"),
+            (["equilibria", "--r0", "1e-300", "--p", "0.3"],
+             "--r0 1e-300 puts beta = r0 (sigma+g)/A"),
+            (["equilibria", "--beta", "1e-158", "--p", "0.3"],
+             "--beta 1e-158 is out of range"),
+            (["portraits", "--beta", "1e-300", "--p", "0.3"],
+             "--beta 1e-300 is out of range"),
+            (["portraits", "--r0", "1e300", "--p", "0.3"],
+             "--r0 1e+300 puts beta"),
+            (["simulate", "--beta", "1e300", "--p", "0.3", "--S0", "0.5",
+              "--I0", "0.1"], "--beta 1e+300 is out of range")):
         assert run([*command, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -653,8 +667,36 @@ def test_config_value_of_wrong_type_names_key(tmp_path, capsys):
     assert run(["atlas", "--config", str(cfg),
                 "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "'grid'" in err and "Traceback" not in err
+    assert "--grid" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_file_is_read_as_flags(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.json"
+    out = tmp_path / "out"
+    # argparse converts and checks each value and names the flag
+    cfg.write_text(json.dumps({"format": "xml"}))
+    assert run(["atlas", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
+    # the value reaches the command's own checks
+    cfg.write_text(json.dumps({"r0-min": -1}))
+    assert run(["atlas", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "atlas window" in capsys.readouterr().err
+    # what argparse cannot refuse, the file's reader does; no help is printed
+    for data, message in (({"grid": [10, 20]},
+                           "config key 'grid': [10, 20] is not a flag value"),
+                          ({"help": True}, "unknown config key 'help'")):
+        cfg.write_text(json.dumps(data))
+        assert run(["atlas", "--config", str(cfg), "--out", str(out)]) == 2
+        std = capsys.readouterr()
+        assert message in std.err and std.out == ""
+    assert not out.exists()
+    # a value beginning with "--" stays a value
+    monkeypatch.chdir(tmp_path)
+    cfg.write_text(json.dumps({"out": "--x", "format": ["json"]}))
+    assert run(["dz", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert [q.name for q in (tmp_path / "--x").iterdir()] == ["dz.json"]
 
 
 def test_config_value_echoes_like_the_flag(tmp_path, capsys):
