@@ -27,7 +27,8 @@ __version__ = "1.0.0"
 _LAYERS = ("model", "equilibria", "atlas", "integrate", "connections")
 # not ``integrate``: that public name is the function
 _SUBMODULES = frozenset({"model", "equilibria", "atlas", "connections",
-                         "svgplot", "cli"})
+                         "svgplot", "cli", "cli_common", "cli_points",
+                         "cli_atlas", "cli_phase", "cli_het"})
 
 
 def _layers() -> list:

@@ -1,0 +1,198 @@
+"""What every subcommand shares: its run-control and parameter flags, the
+parameter plumbing, the run configuration and the artifact writers.
+
+Imported by the command modules only, so that start-up, ``--help`` and flag
+errors compile none of it.
+"""
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+import sys
+from itertools import islice
+from pathlib import Path
+
+from . import __version__
+from .model import (
+    REFERENCE_BASE,
+    TOL_RANGE,
+    BaseParams,
+    ModelParams,
+    reduced_to_params,
+)
+
+FORMATS = ("csv", "json", "svg")
+
+
+# ----------------------------------------------------------------------
+# run configuration and artifact writers
+
+
+def compact(config: dict) -> str:
+    """The run's configuration on one line, as echoed into CSV and SVG."""
+    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+
+
+def csv_text(rows):
+    """Text of ``rows`` (any iterable of tuples) as ``csv.writer`` writes
+    them, lines ended by LF, in chunks of 512 rows: no file is held whole."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = iter(rows)
+    while batch := list(islice(rows, 512)):
+        writer.writerows(batch)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _write_csv(path: Path, config: dict, columns, body) -> None:
+    """The ``# sirbif`` and ``# config`` lines, the header row, then
+    ``body``: the data rows as text chunks, written as they come."""
+    with path.open("w") as fh:
+        fh.write(f"# sirbif {__version__}\n# config {compact(config)}\n")
+        fh.writelines(csv_text([columns]))
+        fh.writelines(body)
+
+
+def _write_json(path: Path, config: dict, payload: dict) -> None:
+    doc = dict(payload)
+    doc["config"] = config
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def emit(ns, config: dict, artifacts) -> None:
+    """Write the artifacts whose format was selected, in the given order.
+
+    ``artifacts`` holds ``(file name, producer)`` pairs and the file suffix
+    picks the writer: a ``.csv`` producer returns ``(columns, body)``, the
+    body being the data rows as text chunks (``csv_text`` of tuple rows),
+    a ``.json`` producer the payload and an ``.svg`` producer a Canvas.  The
+    producer of a file that is not written never runs.
+    """
+    fmts = formats(ns)
+    outdir = Path(ns.out) if ns.out else Path(".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, produce in artifacts:
+        kind = name.rsplit(".", 1)[-1]
+        if kind not in fmts:
+            continue
+        path = outdir / name
+        if kind == "csv":
+            _write_csv(path, config, *produce())
+        elif kind == "json":
+            _write_json(path, config, produce())
+        else:
+            path.write_text(produce().render())
+        print(f"wrote {path}")
+
+
+# ----------------------------------------------------------------------
+# parameter plumbing
+
+
+def resolve_base(ns) -> BaseParams:
+    base = BaseParams(A=ns.A, m=ns.m, mu=ns.mu, d=ns.d, g=ns.g)
+    # every curve scales with the saddle-node value p_sn = A^2/(4m)
+    if not math.isfinite(base.A * base.A / (4.0 * base.m)):
+        raise ValueError(f"--A {base.A!r} is too large for --m {base.m!r}: "
+                         "the saddle-node value A^2/(4m) overflows")
+    return base
+
+
+def check_beta(flag: str, value: float, base: BaseParams) -> None:
+    """Refuse the beta that ``flag value`` sets (an r0 flag through r0
+    (sigma+g)/A) when beta^2 (sigma+g), E2's divisor, under- or overflows."""
+    beta = value if flag == "--beta" else base.beta_at(value)
+    if not sys.float_info.min <= beta * beta * base.removal < math.inf:
+        what = ("is" if flag == "--beta"
+                else f"puts beta = r0 (sigma+g)/A = {beta!r}")
+        raise ValueError(f"{flag} {value!r} {what} out of range: "
+                         "beta^2 (sigma+g) underflows or overflows")
+
+
+def resolve_params(ns) -> ModelParams:
+    base = resolve_base(ns)
+    if ns.beta is not None:
+        params = ModelParams(A=ns.A, beta=ns.beta, m=ns.m, mu=ns.mu, d=ns.d,
+                             g=ns.g, p=ns.p)
+        check_beta("--beta", ns.beta, base)
+        return params
+    if ns.r0 is not None:
+        params = reduced_to_params(ns.r0, ns.p, base)
+        check_beta("--r0", ns.r0, base)
+        return params
+    raise ValueError("give either --beta or --r0 to fix the transmission rate")
+
+
+def formats(ns) -> tuple:
+    chosen = ns.format or list(FORMATS)
+    return tuple(f for f in FORMATS if f in chosen)
+
+
+def effective_tol(ns, default: float) -> float:
+    return default if ns.tol is None else ns.tol
+
+
+def config_for(ns, command: str, extra: dict, tol=None) -> dict:
+    """The run's configuration; ``tol`` is set only if the run integrates."""
+    settings = {"jobs": ns.jobs, "formats": list(formats(ns))}
+    if tol is not None:
+        settings["tol"] = tol
+    settings.update(extra)
+    return {"command": command, "tool": "sirbif", "version": __version__,
+            "settings": settings}
+
+
+# ----------------------------------------------------------------------
+# flags
+
+
+def new_subparser(sub, name: str, help_line: str, description: str, *,
+                  integrates: bool, point: bool):
+    """The subparser of ``name``: its run-control flags (``--tol`` only if
+    it ``integrates``), the base parameters and, with ``point``, the
+    parameter point.  The caller adds the command's own flags."""
+    ap = sub.add_parser(name, help=help_line, description=description)
+    grp = ap.add_argument_group("run control")
+    grp.add_argument("--config", metavar="FILE", default=None,
+                     help="JSON file of flag defaults for this subcommand")
+    grp.add_argument("--out", metavar="DIR", default=None,
+                     help="output directory (default: current directory)")
+    grp.add_argument("--format", action="append", choices=FORMATS,
+                     metavar="FMT", default=None,
+                     help="output format (csv/json/svg); repeatable, "
+                          "default: all that apply")
+    if integrates:
+        grp.add_argument("--tol", type=float, default=None,
+                         help=f"integration tolerance in [{TOL_RANGE[0]:g}, "
+                              f"{TOL_RANGE[1]:g}] (command-specific default)")
+    grp.add_argument("--jobs", type=int, default=1,
+                     help="parallel workers for independent rows "
+                          "(default %(default)s)")
+
+    grp = ap.add_argument_group("base parameters")
+    grp.add_argument("--A", type=float, default=REFERENCE_BASE.A,
+                     help="recruitment scale (default %(default)s)")
+    grp.add_argument("--m", type=float, default=REFERENCE_BASE.m,
+                     help="vaccination supply rate (default %(default)s)")
+    grp.add_argument("--mu", type=float, default=REFERENCE_BASE.mu,
+                     help="natural mortality (default %(default)s)")
+    grp.add_argument("--d", type=float, default=REFERENCE_BASE.d,
+                     help="disease-induced mortality (default %(default)s)")
+    grp.add_argument("--g", type=float, default=REFERENCE_BASE.g,
+                     help="recovery rate (default %(default)s)")
+
+    if point:
+        grp = ap.add_argument_group("parameter point")
+        grp.add_argument("--beta", type=float, default=None,
+                         help="transmission rate (overrides --r0)")
+        grp.add_argument("--r0", type=float, default=None,
+                         help="basic reproduction number; sets "
+                              "beta = r0*(mu+d+g)/A")
+        grp.add_argument("--p", type=float, default=0.0,
+                         help="vaccination level in [0, 1] "
+                              "(default %(default)s)")
+    return ap

@@ -99,11 +99,18 @@ def eigenvalues_2x2(matrix) -> tuple:
     Returns a pair ascending by real part, then imaginary part, by
     construction: the real roots are (tr -/+ root)/2 with root >= 0, and a
     negative discriminant yields the conjugate pair (tr/2 -/+ i*sqrt(-disc)/2).
+    Entries whose discriminant overflows (about 1e154 and up) are scaled by
+    a power of two, which is exact, and the eigenvalues scaled back.
     """
     (a, b), (c, d) = matrix
     tr = a + d
     det = a * d - b * c
     disc = tr * tr - 4.0 * det
+    if not math.isfinite(disc) and all(map(math.isfinite, (a, b, c, d))):
+        scale = 2.0 ** math.frexp(max(map(abs, (a, b, c, d))))[1]
+        return tuple(complex(lam.real * scale, lam.imag * scale)
+                     for lam in eigenvalues_2x2(((a / scale, b / scale),
+                                                 (c / scale, d / scale))))
     if disc >= 0.0:
         root = math.sqrt(disc)
         lam1 = complex((tr - root) / 2.0, 0.0)

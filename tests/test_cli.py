@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import sirbif
-import sirbif.cli as cli
 from sirbif import REFERENCE_BASE, __version__, find_periodic_orbit
 from sirbif.cli import main
+from sirbif.cli_common import csv_text
 from sirbif.svgplot import Canvas
 
 FORMAT_DOC = Path(__file__).resolve().parents[1] / "FORMAT.md"
@@ -171,6 +171,23 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         assert run([*command, "--tol", "1e-8", "--out", str(tmp_path)]) == 2
         assert "--tol only makes sense with --shoot" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_huge_beta_writes_finite_eigenvalues(tmp_path, capsys):
+    # E1's tr^2 - 4 det overflows a factor of about 1.3 inside the beta bound
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for k, flag in enumerate((["--beta", "1.2589e154"],
+                              ["--r0", "1.9953e154"])):
+        out = tmp_path / str(k)
+        assert run(["equilibria", *flag, "--p", "0", "--format", "json",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads((out / "equilibria.json").read_text(),
+                         parse_constant=refuse)
+        e1 = doc["equilibria"][1]
+        assert e1["id"] == "E1" and e1["eig"][1]["re"] > 1e154
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
@@ -568,7 +585,7 @@ def test_csv_text_joins_its_chunks_exactly():
     rows = [(k, k / 7, None, "a, \"b\"") for k in range(1300)]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    chunks = list(cli._csv_text(iter(rows)))
+    chunks = list(csv_text(iter(rows)))
     assert len(chunks) > 2
     assert "".join(chunks) == buf.getvalue()
 
@@ -749,6 +766,34 @@ def test_config_echoes_tol_only_when_the_run_integrates(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_file_gives_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"r0": 2.6, "p": 0.3, "S0": 0.5, "I0": 0.1}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
+    assert run(["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.5",
+                "--I0", "0.1", "--out", str(b)]) == 0
+    capsys.readouterr()
+    names = sorted(q.name for q in a.iterdir())
+    assert names == sorted(q.name for q in b.iterdir()) and len(names) == 3
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    # an explicit flag still wins over the file's
+    c = tmp_path / "c"
+    assert run(["simulate", "--config", str(cfg), "--I0", "0.2",
+                "--format", "json", "--out", str(c)]) == 0
+    capsys.readouterr()
+    assert read_json(c / "trajectory.json")["config"]["settings"]["x0"] == [
+        0.5, 0.2]
+    # given by neither, a required flag is refused as argparse refuses it
+    cfg.write_text(json.dumps({"r0": 2.6, "S0": 0.5}))
+    assert run(["simulate", "--config", str(cfg),
+                "--out", str(tmp_path / "d")]) == 2
+    assert ("sirbif simulate: error: the following arguments are required: "
+            "--I0") in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_config_file_must_be_json_object(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("[1, 2]")
@@ -902,6 +947,17 @@ sys.exit(code)
 """
 
 _START_UP = ["sirbif", "sirbif.cli", "sirbif.model"]
+_LAYERS = {"sirbif.equilibria", "sirbif.atlas", "sirbif.integrate",
+           "sirbif.connections", "sirbif.svgplot"}
+# the module that builds and runs each subcommand, and what they share
+_COMMAND_MODULE = {
+    "equilibria": "sirbif.cli_points", "dz": "sirbif.cli_points",
+    "atlas": "sirbif.cli_atlas",
+    "portraits": "sirbif.cli_phase", "simulate": "sirbif.cli_phase",
+    "cycle": "sirbif.cli_phase",
+    "het-table": "sirbif.cli_het", "het-fit": "sirbif.cli_het",
+}
+_COMMAND_MODULES = {*_COMMAND_MODULE.values(), "sirbif.cli_common"}
 
 
 def loaded_modules(*argv, code=0):
@@ -913,28 +969,90 @@ def loaded_modules(*argv, code=0):
 
 
 def test_start_up_loads_only_the_model():
-    assert loaded_modules() == _START_UP
+    loaded = loaded_modules()
+    assert loaded == _START_UP
+    assert _COMMAND_MODULES.isdisjoint(loaded)
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["--version"], 0),
-    (["--help"], 0),
-    (["atlas", "--nope"], 2),
-    (["cycle", "--tol", "-1"], 2),
+@pytest.mark.parametrize("argv, code, command", [
+    (["--version"], 0, None),
+    (["--help"], 0, None),
+    (["atlas", "--nope"], 2, "atlas"),
+    (["cycle", "--tol", "-1"], 2, "cycle"),
 ], ids=["version", "help", "unknown-flag", "bad-tol"])
-def test_version_and_flag_errors_load_no_layer(argv, code):
-    assert loaded_modules(*argv, code=code) == _START_UP
+def test_version_and_flag_errors_load_no_layer(argv, code, command):
+    # a flag error needs the flags of the subcommand it names, nothing else
+    loaded = loaded_modules(*argv, code=code)
+    assert _LAYERS.isdisjoint(loaded)
+    expected = set() if command is None else {_COMMAND_MODULE[command],
+                                              "sirbif.cli_common"}
+    assert _COMMAND_MODULES.intersection(loaded) == expected
+    assert sorted(set(loaded) - expected) == _START_UP
 
 
-@pytest.mark.parametrize("argv, absent", [
-    (["het-table", "--shoot", "--r0-list", "2.6"], {"sirbif.svgplot"}),
+@pytest.mark.parametrize("argv, present, absent", [
+    (["equilibria", "--r0", "2.6", "--p", "0.3"], {"sirbif.equilibria"},
+     {"sirbif.integrate", "sirbif.svgplot"}),
+    (["dz"], {"sirbif.atlas"}, {"sirbif.integrate", "sirbif.svgplot"}),
+    (["atlas", "--grid", "3", "--samples", "3"], {"sirbif.svgplot"}, set()),
+    (["portraits", "--region", "H", "--format", "json"],
+     {"sirbif.atlas", "sirbif.integrate"}, set()),
     (["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.5", "--I0", "0.1"],
-     {"sirbif.atlas", "sirbif.connections"}),
-], ids=["het-table", "simulate"])
-def test_subcommand_loads_only_its_layers(tmp_path, argv, absent):
+     {"sirbif.integrate"}, {"sirbif.atlas", "sirbif.connections"}),
+    (["cycle", "--format", "json"], {"sirbif.connections"}, set()),
+    (["het-table", "--shoot", "--r0-list", "2.6"], {"sirbif.integrate"},
+     {"sirbif.svgplot"}),
+    (["het-fit"], {"sirbif.connections"}, {"sirbif.svgplot"}),
+], ids=["equilibria", "dz", "atlas", "portraits", "simulate", "cycle",
+        "het-table", "het-fit"])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, present, absent):
     loaded = loaded_modules(*argv, "--out", str(tmp_path))
-    assert "sirbif.integrate" in loaded
+    assert present <= set(loaded)
     assert absent.isdisjoint(loaded)
+    assert _COMMAND_MODULES.intersection(loaded) == {
+        _COMMAND_MODULE[argv[0]], "sirbif.cli_common"}
+
+
+def test_module_run_never_imports_the_dispatcher_again(tmp_path):
+    # under -m the dispatcher is __main__: a command module that imported
+    # sirbif.cli would compile and run it a second time
+    src = str(Path(sirbif.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sirbif.cli", "atlas",
+         "--grid", "3", "--samples", "3", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "sirbif.atlas" in imported
+    assert "sirbif.cli" not in imported
+
+
+_HELP_LINES = {
+    "equilibria": "list equilibria, eigenvalues, and stability classes",
+    "atlas": "emit bifurcation curves, region grid, and SVG diagram",
+    "portraits": "phase-portrait evidence packs for the open regions",
+    "simulate": "integrate one trajectory and reconstruct the removed class",
+    "het-table": "heteroclinic connection table (embedded or freshly shot)",
+    "het-fit": "power-law fit p_het(r0) = a*r0^b + c",
+    "cycle": "locate the unstable periodic orbit around the endemic focus",
+    "dz": "double-zero certificate and curve concurrence",
+}
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert run(["--help"]) == 0
+    words = " ".join(capsys.readouterr().out.split())
+    for name, line in _HELP_LINES.items():
+        assert f" {name} {line} " in words, name
+    for name in _HELP_LINES:
+        assert run([name, "--help"]) == 0, name
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: sirbif {name} [-h] [--config FILE]")
+        assert "base parameters:" in out
 
 
 _PACKAGE_NAMESPACE = """

@@ -63,6 +63,23 @@ def test_eigenvalues_match_numpy(entries):
         assert abs(mine - complex(theirs)) <= 1e-9 * scale
 
 
+@given(st.lists(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+                min_size=4, max_size=4))
+def test_eigenvalues_of_entries_whose_discriminant_overflows(entries):
+    # scaled by 2^600 the entries' tr^2 - 4 det overflows; a power of two
+    # scales the quadratic formula exactly, so the eigenvalues come back
+    # finite and 2^600 times those of the entries
+    assume(max(map(abs, entries)) >= 1.0)
+    scale = 2.0 ** 600
+    a, b, c, d = (x * scale for x in entries)
+    huge = eigenvalues_2x2(((a, b), (c, d)))
+    small = eigenvalues_2x2(((entries[0], entries[1]),
+                             (entries[2], entries[3])))
+    for big, lam in zip(huge, small):
+        assert math.isfinite(big.real) and math.isfinite(big.imag)
+        assert abs(big / scale - lam) <= 1e-15 * max(map(abs, entries))
+
+
 @pytest.mark.parametrize("eigs,want", [
     ((-1.0 + 0j, 2.0 + 0j), StabilityClass.SADDLE),
     ((-1.0 + 0j, -2.0 + 0j), StabilityClass.SINK_NODE),

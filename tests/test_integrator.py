@@ -31,7 +31,7 @@ from sirbif import (
     reduced_to_params,
     vector_field,
 )
-from sirbif.cli import _builtin_packs
+from sirbif.cli_phase import _builtin_packs
 from sirbif.integrate import (
     IntegrationStats,
     _SINKS,

@@ -22,7 +22,7 @@ from sirbif import (
 )
 
 from sirbif.atlas import DZCertificate, HopfCertificate
-from sirbif.cli import PortraitPack
+from sirbif.cli_phase import PortraitPack
 from sirbif.connections import HetResult, PeriodicOrbit, PowerFit
 from sirbif.equilibria import Equilibrium, StabilityClass
 from sirbif.integrate import (Crossing, IntegrationStats, OmegaLimitResult,
