@@ -17,19 +17,15 @@ handler live in one of the ``cli_*`` modules.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
-import io
 import sys
 
 from . import __version__
-from .model import TOL_RANGE
 
 # subcommand -> (the module that builds and runs it, its help line); only
-# the module of the subcommand that runs is imported, and its
-# ``add_parser(sub, name, help_line)`` adds that subcommand's full parser.
-# No such module imports this one, which under ``python -m sirbif.cli``
-# runs as __main__ and would be compiled and run a second time.
+# the module of the subcommand that runs is imported, and its ``add_parser(
+# sub, name, help_line)`` adds that subcommand's full parser.  No such module
+# imports this one: under ``python -m sirbif.cli`` it would run twice.
 _COMMANDS = {
     "equilibria": ("cli_points",
                    "list equilibria, eigenvalues, and stability classes"),
@@ -68,76 +64,6 @@ def build_parser(command=None):
     return top, sub.choices
 
 
-# ----------------------------------------------------------------------
-# config files and entry point
-
-
-def _config_tokens(path: str, subparser, flags) -> list:
-    """The file's JSON object as the flags it stands for: ``{"k": v}`` is
-    ``--k=v`` (so a value beginning with ``-`` stays a value), a list the
-    repeated flag, true/false the switch or nothing.  ``flags`` is the
-    command line parsed without the file: a repeated flag given there
-    replaces the file's list instead of adding to it."""
-    import json
-    from pathlib import Path
-
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    # not --help: as a token it would print the help instead of running
-    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
-    tokens = []
-    for key, value in data.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise ValueError(f"unknown config key {key!r} for this command")
-        flag = action.option_strings[0]
-        if action.nargs == 0:
-            if not isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be true or false")
-            tokens += [flag] if value else []
-            continue
-        repeated = isinstance(action, argparse._AppendAction)
-        items = value if repeated and isinstance(value, list) else [value]
-        for item in items:
-            if isinstance(item, bool) or not isinstance(item, (str, int, float)):
-                raise ValueError(f"config key {key!r}: {item!r} is not a flag value")
-        if not (repeated and getattr(flags, action.dest) is not None):
-            tokens += [f"{flag}={item}" for item in items]
-    return tokens
-
-
-def _parse(top, subparser, argv: list, command):
-    """``argv`` parsed with the ``--config`` file's flags put right after
-    the subcommand, so that explicit flags still win and the file can give
-    a required flag.  A first pass, silent and without the required check,
-    finds the file and the flags given; the second reports whatever the
-    first could not parse as argparse does."""
-    tokens = []
-    if subparser is not None:
-        required = [a for a in subparser._actions if a.required]
-        for action in required:
-            action.required = False
-        try:
-            with (contextlib.redirect_stdout(io.StringIO()),
-                  contextlib.redirect_stderr(io.StringIO())):
-                flags = top.parse_args(argv)
-        except SystemExit:
-            flags = None
-        finally:
-            for action in required:
-                action.required = True
-        if flags is not None and flags.config is not None:
-            tokens = _config_tokens(flags.config, subparser, flags)
-    at = argv.index(command) + 1 if tokens else 0
-    return top.parse_args([*argv[:at], *tokens, *argv[at:]])
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     # the top parser has no option that takes a value, so the first token
@@ -145,13 +71,15 @@ def main(argv=None) -> int:
     command = next((tok for tok in argv if not tok.startswith("-")), None)
     top, parsers = build_parser(command)
     try:
-        ns = _parse(top, parsers.get(command), argv, command)
-        if ns.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
-        tol = getattr(ns, "tol", None)
-        if tol is not None and not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
-            raise ValueError(f"--tol must lie in [{TOL_RANGE[0]:g}, "
-                             f"{TOL_RANGE[1]:g}], got {tol}")
+        ns = top.parse_args(argv)
+        # loaded already: the subcommand's module built its flags with it
+        from .cli_common import check_run_control, config_tokens
+        if ns.config is not None:
+            # the file's flags go before the command line's, which win
+            tokens = config_tokens(ns.config, parsers[command], ns)
+            at = argv.index(command) + 1
+            ns = top.parse_args([*argv[:at], *tokens, *argv[at:]])
+        check_run_control(ns)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:

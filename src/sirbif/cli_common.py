@@ -1,11 +1,12 @@
 """What every subcommand shares: its run-control and parameter flags, the
 parameter plumbing, the run configuration and the artifact writers.
 
-Imported by the command modules only, so that start-up, ``--help`` and flag
-errors compile none of it.
+Imported by the command modules, and by ``cli.main`` once their flags are
+parsed, so that start-up and the top-level ``--help`` compile none of it.
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -148,6 +149,57 @@ def config_for(ns, command: str, extra: dict, tol=None) -> dict:
 
 # ----------------------------------------------------------------------
 # flags
+
+
+def config_tokens(path: str, subparser, flags) -> list:
+    """The file's JSON object as the flags it stands for: ``{"k": v}`` is
+    ``--k=v`` (so a value beginning with ``-`` stays a value), a list the
+    repeated flag, true/false the switch or nothing.  ``flags`` is the
+    command line parsed without the file: a repeated flag given there
+    replaces the file's list instead of adding to it."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    # not --help: as a token it would print the help instead of running
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
+    tokens = []
+    for key, value in data.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"unknown config key {key!r} for this command")
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be true or false")
+            tokens += [flag] if value else []
+            continue
+        repeated = isinstance(action, argparse._AppendAction)
+        items = value if repeated and isinstance(value, list) else [value]
+        for item in items:
+            if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+                raise ValueError(f"config key {key!r}: {item!r} is not a flag value")
+        if not (repeated and getattr(flags, action.dest) is not None):
+            tokens += [f"{flag}={item}" for item in items]
+    return tokens
+
+
+def check_run_control(ns) -> None:
+    """Refuse a worker count below one, or above one where no rows are
+    shot, and a tolerance outside ``TOL_RANGE``."""
+    if ns.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
+    if ns.jobs != 1 and not getattr(ns, "shoot", False):
+        raise ValueError("--jobs only makes sense with --shoot: "
+                         "without it no rows run in parallel")
+    tol = getattr(ns, "tol", None)
+    if tol is not None and not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        raise ValueError(f"--tol must lie in [{TOL_RANGE[0]:g}, "
+                         f"{TOL_RANGE[1]:g}], got {tol}")
 
 
 def new_subparser(sub, name: str, help_line: str, description: str, *,

@@ -53,8 +53,8 @@ def add_parser(sub, name: str, help_line: str) -> None:
             "Integrate from (--S0, --I0), reporting the terminal event and "
             "the reconstructed removed-compartment series. CSV columns: "
             "t,S,I,R.", integrates=True, point=True)
-        ap.add_argument("--S0", type=float, required=True, help="initial S")
-        ap.add_argument("--I0", type=float, required=True, help="initial I")
+        ap.add_argument("--S0", type=float, help="initial S (required)")
+        ap.add_argument("--I0", type=float, help="initial I (required)")
         ap.add_argument("--r-init", type=float, default=0.0,
                         help="initial removed-class value (default %(default)s)")
         ap.add_argument("--t-end", type=float, default=100.0,
@@ -306,6 +306,11 @@ def cmd_simulate(ns) -> int:
     from .integrate import integrate, recover_recovered
     from .svgplot import PALETTE
 
+    # checked here, not by argparse, so that a --config file can give them
+    missing = [f"--{k}" for k in ("S0", "I0") if getattr(ns, k) is None]
+    if missing:
+        raise ValueError("the following arguments are required: "
+                         + ", ".join(missing))
     params = resolve_params(ns)
     if ns.t_end <= 0.0:
         raise ValueError("--t-end must be positive")

@@ -1,6 +1,7 @@
 """Bifurcation curves, certificates, region classification, and sampling."""
 
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -26,6 +27,7 @@ from sirbif import (
     hopf_certificate,
     in_invariant_region,
     jacobian,
+    omega_limit_estimate,
     p_bt2,
     p_h,
     p_sn,
@@ -485,3 +487,47 @@ def test_region_fan_layouts(base):
     empty = reduced_to_params(1.5, 0.9, base)
     assert len(region_fan(empty)) == 12  # ring omitted without a centre
     assert len(region_fan(empty, n_boundary=20, n_ring=0)) == 20
+
+
+def test_band_labels_match_their_fans_at_random_bases():
+    """The dynamics each band names, read from the fan of one point in the
+    middle half of its p-interval, at random bases: no curve is consulted
+    but to place the point.  Above r0 = 2 the bands A (p_sn, 1], H (p_t,
+    p_sn), G (p_bt2, p_t) and F (p_h, p_bt2) send every fan run to the
+    S = 0 wall; below it, C (p_bt2, or 0 where the Belyakov roots are not
+    real, to p_t) traps every ring seed at its stable node E2 and sends the
+    rest to the wall."""
+    rng = random.Random(13)
+    disagreements, checked = [], dict.fromkeys("AHGFC", 0)
+    for _ in range(40):
+        base = BaseParams(A=rng.uniform(0.8, 1.3), m=rng.uniform(0.25, 0.5),
+                          mu=rng.uniform(0.05, 0.3), d=rng.uniform(0.05, 0.3),
+                          g=rng.uniform(0.1, 0.5))
+        r0, r0_c = rng.uniform(2.05, 4.0), rng.uniform(1.1, 1.9)
+        v, v_c = curve_values_at(r0, base), curve_values_at(r0_c, base)
+        bands = [("A", r0, v["sn"], 1.0), ("H", r0, v["t"], v["sn"]),
+                 ("G", r0, v["bt2"], v["t"]), ("F", r0, v["h"], v["bt2"]),
+                 ("C", r0_c, v_c.get("bt2", 0.0), v_c["t"])]
+        for band, r0_b, lo, hi in bands:
+            lo, hi = max(lo, 0.0), min(hi, 1.0)
+            if not lo < hi:
+                continue
+            p = rng.uniform(lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo))
+            label = classify_region(r0_b, p, base).value
+            if band == "C" and label != "C":
+                continue
+            checked[band] += 1
+            params = reduced_to_params(r0_b, p, base)
+            fan = region_fan(params)
+            verdicts = [omega_limit_estimate(x0, params).outcome
+                        for x0 in fan]
+            if band == "C":
+                ring = verdicts[12:]
+                ok = (len(ring) == 8 and set(ring) == {"E2"}
+                      and set(verdicts) <= {"E2", "boundary-axis"})
+            else:
+                ok = label == band and set(verdicts) == {"boundary-axis"}
+            if not ok:
+                disagreements.append((band, label, base, r0_b, p, verdicts))
+    assert not disagreements, disagreements
+    assert min(checked.values()) >= 25, checked

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifact schemas, embedded config,
 byte determinism, and config-file handling."""
 
+import argparse
 import csv
 import io
 import json
@@ -83,6 +84,10 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     # neither --beta nor --r0
     assert run(["equilibria", "--p", "0.2"]) == 2
     capsys.readouterr()
+    # no start: refused before the missing --r0 is
+    assert run(["simulate", "--out", str(tmp_path)]) == 2
+    assert ("sirbif: the following arguments are required: --S0, --I0\n"
+            in capsys.readouterr().err)
     # out-of-range tolerance
     assert run(["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.5",
                 "--I0", "0.1", "--tol", "1e-2",
@@ -785,13 +790,35 @@ def test_config_file_gives_a_required_flag(tmp_path, capsys):
     capsys.readouterr()
     assert read_json(c / "trajectory.json")["config"]["settings"]["x0"] == [
         0.5, 0.2]
-    # given by neither, a required flag is refused as argparse refuses it
+    # given by neither, a required flag is refused before anything runs
     cfg.write_text(json.dumps({"r0": 2.6, "S0": 0.5}))
     assert run(["simulate", "--config", str(cfg),
                 "--out", str(tmp_path / "d")]) == 2
-    assert ("sirbif simulate: error: the following arguments are required: "
-            "--I0") in capsys.readouterr().err
+    assert ("sirbif: the following arguments are required: "
+            "--I0\n") in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+def test_command_line_parsed_once_and_again_for_a_config(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["dz", "--format", "json", "--out", str(a)]) == 0
+    assert calls == ["sirbif"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": ["json"]}))
+    calls.clear()
+    assert run(["dz", "--config", str(cfg), "--out", str(b)]) == 0
+    assert calls == ["sirbif", "sirbif"]
+    capsys.readouterr()
+    assert (a / "dz.json").read_bytes() == (b / "dz.json").read_bytes()
 
 
 def test_config_file_must_be_json_object(tmp_path, capsys):
@@ -827,7 +854,12 @@ def test_byte_determinism_across_runs(tmp_path, capsys):
 
 
 def test_run_control_flags_accepted(tmp_path, capsys):
-    assert run(["het-table", "--jobs", "2",
+    # workers run only where rows are shot
+    assert run(["het-table", "--jobs", "2", "--out", str(tmp_path)]) == 2
+    assert ("--jobs only makes sense with --shoot"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+    assert run(["het-table", "--shoot", "--r0-list", "2.6", "--jobs", "2",
                 "--out", str(tmp_path), "--format", "json"]) == 0
     capsys.readouterr()
     payload = read_json(tmp_path / "het_table.json")
@@ -946,7 +978,7 @@ print(*sorted(name for name in sys.modules if name.startswith("sirbif")))
 sys.exit(code)
 """
 
-_START_UP = ["sirbif", "sirbif.cli", "sirbif.model"]
+_START_UP = ["sirbif", "sirbif.cli"]
 _LAYERS = {"sirbif.equilibria", "sirbif.atlas", "sirbif.integrate",
            "sirbif.connections", "sirbif.svgplot"}
 # the module that builds and runs each subcommand, and what they share
@@ -968,7 +1000,7 @@ def loaded_modules(*argv, code=0):
     return proc.stdout.splitlines()[-1].split()
 
 
-def test_start_up_loads_only_the_model():
+def test_start_up_loads_only_the_dispatcher():
     loaded = loaded_modules()
     assert loaded == _START_UP
     assert _COMMAND_MODULES.isdisjoint(loaded)
@@ -987,6 +1019,8 @@ def test_version_and_flag_errors_load_no_layer(argv, code, command):
     expected = set() if command is None else {_COMMAND_MODULE[command],
                                               "sirbif.cli_common"}
     assert _COMMAND_MODULES.intersection(loaded) == expected
+    if command is not None:
+        expected.add("sirbif.model")       # cli_common's parameter defaults
     assert sorted(set(loaded) - expected) == _START_UP
 
 
