@@ -251,6 +251,9 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
     E2's I2, and the class of each needed equilibrium from the quadratic
     formula on its analytic Jacobian. E0/E1 are classified only when E2 is
     not interior; no ``ModelParams`` or ``Equilibrium`` is built.
+    ``disease_free`` reads E0's and E1's eigenvalues off the diagonal
+    instead, which gives the same classes until beta*S nears 1e16, where
+    the formula's rounding swallows the small eigenvalue.
 
     The cycle band is the open p-interval between the Hopf value and the
     heteroclinic value at this r0, taken orientation-neutrally (the unstable

@@ -222,7 +222,8 @@ def new_subparser(sub, name: str, help_line: str, description: str, *,
                          help=f"integration tolerance in [{TOL_RANGE[0]:g}, "
                               f"{TOL_RANGE[1]:g}] (command-specific default)")
     grp.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for independent rows "
+                     help="parallel workers for het-table/het-fit --shoot "
+                          "rows; every other run takes only 1 "
                           "(default %(default)s)")
 
     grp = ap.add_argument_group("base parameters")

@@ -5,9 +5,9 @@ are saddles; the axis segment between them is always a connection, and the
 interior connection W^u(E1) -> W^s(E0) exists only on a curve p = p_het(r0),
 located here by shooting both manifolds onto the section S = S2 and
 solving for the zero of the signed gap between them by Brent's method on
-a bracket topped by the Hopf value. A bundled 13-row (r0, p) table is
-embedded for fit validation, and ``power_fit`` recovers the
-y = a*x^b + c law through any such table by damped Gauss-Newton.
+a bracket found walking down from the Hopf value. A bundled 13-row
+(r0, p) table is embedded for fit validation, and ``power_fit`` recovers
+the y = a*x^b + c law through any such table by damped Gauss-Newton.
 
 Between the heteroclinic and Hopf values of p the broken cycle leaves an
 unstable periodic orbit around the (still stable) focus E2;
@@ -75,6 +75,9 @@ REFERENCE_HET_POINTS = (
 _SHOOT_TOL = 1e-10
 _SHOOT_HORIZON = 900.0
 _SOLVE_TOL = 1e-7          # Brent stops once its bracket is this narrow
+# fractions of the top p at which find_het_p looks for the splitting's sign
+# change, walking down from the top
+_LADDER = (0.875, 0.75, 0.5, 0.05)
 _LOOP_HORIZON = 800.0      # time allowed for one traversal of the return map
 _RETURN_TOL = 1e-9         # fixed-point tolerance of the return map
 _CLOSE_TOL = 10 * _RETURN_TOL   # largest return residual of a certified cycle
@@ -221,26 +224,34 @@ def find_het_p(r0: float, base: BaseParams, *,
     """Locate the heteroclinic p at this r0 by Brent's method on the
     splitting.
 
-    The bracket is (0.05*hi, hi) with hi = min(p_h, 1): for r0 > 2 the
-    connection lies below the Hopf value, which lies below p_t. If the
-    splitting has the same sign at both ends the connection lies outside
-    the bracket (for instance above p = 1) and SameSignBracketError is
-    raised; a NoCrossingError at either end propagates.
+    For r0 > 2 the connection lies below the Hopf value, which lies below
+    p_t, so the top hi = min(p_h, 1) is shot first. The bracket then steps
+    down the fixed ladder _LADDER of fractions of hi until the splitting
+    changes sign, and Brent runs between the last two shots; a connection
+    below 0.5*hi is the only one that costs the far 0.05*hi shot. If no
+    rung changes sign, the connection lies outside (0.05*hi, hi) (for
+    instance above p = 1) and SameSignBracketError is raised; a
+    NoCrossingError at any rung propagates.
 
     The solver stops once the root is bracketed to 1e-7. ``p_het`` is its
     best iterate, ``splitting_residual`` the absolute splitting there and
-    ``iterations`` its evaluations after the two ends.
+    ``iterations`` Brent's evaluations, after the ladder's shots.
     """
     def split(p: float) -> float:
         return splitting(r0, p, base, tol=tol)
 
-    hi = min(atlas.p_h(r0, base), 1.0)
-    lo = 0.05 * hi
-    s_lo, s_hi = split(lo), split(hi)
-    if s_lo * s_hi > 0.0:
+    top = min(atlas.p_h(r0, base), 1.0)
+    hi, s_hi = top, split(top)
+    for fraction in _LADDER:
+        lo = fraction * top
+        s_lo = split(lo)
+        if s_lo * s_hi <= 0.0:
+            break
+        hi, s_hi = lo, s_lo
+    else:
         raise SameSignBracketError(
             f"splitting keeps sign {math.copysign(1, s_lo):+.0f} on "
-            f"({lo:.6g}, {hi:.6g}) at r0 = {r0}")
+            f"({lo:.6g}, {top:.6g}) at r0 = {r0}")
     p_het, s_het, iterations = _brent(split, lo, hi, s_lo, s_hi, _SOLVE_TOL)
     return HetResult(r0, p_het, abs(s_het), iterations)
 

@@ -9,9 +9,10 @@ Three equilibria organise the dynamics:
   I2 = (-p*m*beta^2 + A*(sigma+g)*beta - (sigma+g)^2) / (beta^2*(sigma+g)),
   interior iff I2 > 0.
 
-Eigenvalues are always taken from the closed-form quadratic of the analytic
-2x2 Jacobian, never from an iterative solver. Classification treats a real
-(or imaginary) part as zero when it is within RELATIVE_EIG_TOL*(1 + |lambda|).
+Eigenvalues are always taken in closed form from the analytic 2x2 Jacobian,
+never from an iterative solver: on the I = 0 axis its diagonal, elsewhere the
+quadratic formula. Classification treats a real (or imaginary) part as zero
+when it is within RELATIVE_EIG_TOL*(1 + |lambda|).
 """
 from __future__ import annotations
 
@@ -144,8 +145,15 @@ def classify(eigenvalues) -> StabilityClass:
 
 
 def _make(ident: str, S: float, I: float, params: ModelParams) -> Equilibrium:
-    eigs = eigenvalues_2x2(_jacobian_entries(S, I, params.A, params.beta,
-                                             params.removal))
+    """The equilibrium at (S, I) with its eigenvalues: on I = 0 the Jacobian
+    is upper triangular, so they are its diagonal (A - 2S, beta*S - (sigma+g))
+    exactly, ascending; elsewhere the quadratic formula's."""
+    (a, b), (c, d) = _jacobian_entries(S, I, params.A, params.beta,
+                                       params.removal)
+    if I == 0.0:
+        eigs = (complex(min(a, d), 0.0), complex(max(a, d), 0.0))
+    else:
+        eigs = eigenvalues_2x2(((a, b), (c, d)))
     return Equilibrium(ident, S, I, eigs, classify(eigs))
 
 

@@ -677,7 +677,9 @@ def _lyapunov_trap(eq: Equilibrium, params: ModelParams):
 # invariant-manifold shooting
 
 #: order N of the manifold series a shot starts on
-_SERIES_ORDER = 12
+_SERIES_ORDER = 24
+#: the largest series parameter s a shot starts at
+_SERIES_CAP = 0.5
 
 
 def manifold_shoot(equilibrium: Equilibrium, direction: str,
@@ -687,8 +689,17 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str,
 
     The start is W(s) on the series of order _SERIES_ORDER of the unstable
     (positive eigenvalue) or stable (negative) manifold, see
-    _manifold_series, with s from _series_start; 'stable' shots run in
-    reversed time, tracing the stable manifold backwards out of the saddle.
+    _manifold_series, with s from _series_start: as far out as the series'
+    last term allows, in the closed quadrant and short of every section in
+    sections. 'stable' shots run in reversed time, tracing the stable
+    manifold backwards out of the saddle.
+
+    A far start costs no accuracy. Wherever s falls, the left-out tail is
+    about 1e-17. The part of that error along the manifold only shifts the
+    shot in time; the part transverse to it lies along the stable direction
+    off W^u and along the unstable one off W^s, and either contracts, by
+    exp(lam_s t) forward or exp(-lam_u t) in the reversed time a W^s shot
+    runs in, while the shot leaves the saddle.
     """
     if equilibrium.stability is not StabilityClass.SADDLE:
         raise ValueError(
@@ -698,9 +709,7 @@ def manifold_shoot(equilibrium: Equilibrium, direction: str,
     lam_s, lam_u = equilibrium.eigenvalues
     lam = lam_u.real if direction == "unstable" else lam_s.real
     coeffs = _manifold_series(equilibrium, lam, params, _SERIES_ORDER)
-    x0 = _series_point(equilibrium.location, coeffs, _series_start(coeffs))
-    if x0[1] < 0.0:
-        x0 = (x0[0], 0.0)
+    _, x0 = _series_start(equilibrium.location, coeffs, sections)
     return integrate(x0, params, t_end, tol=tol,
                      reverse_time=(direction == "stable"),
                      sections=sections)
@@ -718,9 +727,11 @@ def _manifold_series(equilibrium: Equilibrium, lam: float,
     axis equilibria). About x* the field is J y + Q(y, y) with the symmetric
     Q(y, z) = (-yS zS - h, h), h = beta (yS zI + yI zS)/2, so order k is the
     2x2 solve (J - k lam I) a_k = -sum_{i+j=k} Q(a_i, a_j), never singular
-    on a planar saddle (k lam_u > lam_u > 0 > lam_s > k lam_s).
+    on a planar saddle (k lam_u > lam_u > 0 > lam_s > k lam_s). Q being
+    symmetric, the sum is twice its terms with i < j plus the middle one.
     """
     (a, b), (c, d) = eqmod.jacobian(equilibrium.location, params)
+    beta = params.beta
     v = (b, lam - a)
     if math.hypot(*v) <= 1e-13 * (1.0 + abs(lam)):
         v = (lam - d, c)
@@ -733,10 +744,15 @@ def _manifold_series(equilibrium: Equilibrium, lam: float,
     coeffs = [v]
     for k in range(2, order + 1):
         qs = qi = 0.0
-        for i in range(1, k):
+        for i in range(1, (k + 1) // 2):
             (ys, yi), (zs, zi) = coeffs[i - 1], coeffs[k - i - 1]
-            h = 0.5 * params.beta * (ys * zi + yi * zs)
-            qs -= ys * zs + h
+            h = beta * (ys * zi + yi * zs)
+            qs -= 2.0 * ys * zs + h
+            qi += h
+        if k % 2 == 0:
+            ys, yi = coeffs[k // 2 - 1]
+            h = beta * ys * yi
+            qs -= ys * ys + h
             qi += h
         a11, a22 = a - k * lam, d - k * lam
         det = a11 * a22 - b * c
@@ -744,11 +760,26 @@ def _manifold_series(equilibrium: Equilibrium, lam: float,
     return coeffs
 
 
-def _series_start(coeffs: list) -> float:
-    """The parameter s at which the series' last term |a_N| s^N is 1e-17,
-    about the size of the tail it leaves out, but at most 0.05."""
+def _series_start(x, coeffs: list, sections=()) -> tuple:
+    """(s, W(s)): the start of a shot off the saddle x along the series.
+
+    s is where the series' last term |a_N| s^N is 1e-17, about the size of
+    the tail it leaves out, but at most _SERIES_CAP, halved until W(s) lies
+    in the closed quadrant and strictly on the saddle's side, in S, of every
+    section (a start past a section would miss its crossing). Both hold at
+    s = 0, where W = x, for a section not through x itself, so the halving
+    stops.
+    """
     top = math.hypot(*coeffs[-1])
-    return min(0.05, (1e-17 / top) ** (1.0 / len(coeffs))) if top else 0.05
+    s = (min(_SERIES_CAP, (1e-17 / top) ** (1.0 / len(coeffs))) if top
+         else _SERIES_CAP)
+    values = [sec.value for sec in sections if sec.value != x[0]]
+    while True:
+        w = _series_point(x, coeffs, s)
+        if (w[0] >= 0.0 and w[1] >= 0.0
+                and all((w[0] - v) * (x[0] - v) > 0.0 for v in values)):
+            return s, w
+        s *= 0.5
 
 
 def _series_point(x, coeffs: list, s: float) -> tuple:

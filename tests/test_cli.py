@@ -195,6 +195,18 @@ def test_huge_beta_writes_finite_eigenvalues(tmp_path, capsys):
         assert e1["id"] == "E1" and e1["eig"][1]["re"] > 1e154
 
 
+def test_huge_beta_keeps_e1_a_saddle(capsys):
+    # E1's eigenvalues at p = 0 are exactly -1.1 and beta*1.1 - 0.7: the
+    # small one is not lost to the large one's rounding
+    assert run(["equilibria", "--beta", "1e17", "--p", "0"]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("E1:")]
+    assert "[saddle]" in line
+    low, high = (float(v) for v in line.split("eigenvalues ")[1].split(", "))
+    assert low == -1.1
+    assert high == pytest.approx(1.1e17, rel=1e-15)
+
+
 def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise RuntimeError("synthetic solver breakdown")

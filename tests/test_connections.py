@@ -18,6 +18,7 @@ from sirbif import (
     PowerFit,
     SameSignBracketError,
     build_het_table,
+    disease_free,
     endemic,
     find_het_p,
     find_periodic_orbit,
@@ -196,23 +197,87 @@ def test_brent_brackets_root_to_tolerance(f, root):
 
 
 def _count_splitting(monkeypatch):
-    calls = []
+    """The p of every splitting evaluation, in order, and its value."""
+    calls, values = [], []
     real = connections.splitting
 
     def counted(*args, **kwargs):
         calls.append(args[1])
-        return real(*args, **kwargs)
+        values.append(real(*args, **kwargs))
+        return values[-1]
 
     monkeypatch.setattr(connections, "splitting", counted)
-    return calls
+    return calls, values
 
 
 def test_find_het_evaluation_cap(base, monkeypatch):
-    calls = _count_splitting(monkeypatch)
+    # the top, then the ladder's rungs down to the first sign change, then
+    # Brent, whose evaluations are the iterations
+    calls, values = _count_splitting(monkeypatch)
     res = find_het_p(2.6, base)
+    hi = min(p_h(2.6, base), 1.0)
+    rungs = [hi] + [f * hi for f in connections._LADDER]
+    shots = next(k for k in range(1, len(values))
+                 if values[k] * values[0] <= 0.0) + 1
+    assert calls[:shots] == rungs[:shots]
+    assert all(rungs[shots - 1] <= p <= rungs[shots - 2]
+               for p in calls[shots:])
     assert len(calls) <= 10
-    assert res.iterations == len(calls) - 2
+    assert res.iterations == len(calls) - shots
     assert res.splitting_residual == abs(splitting(2.6, res.p_het, base))
+
+
+def test_find_het_work(base, monkeypatch):
+    # the row's cost without a clock: the far series start and the bracket
+    # walked down from the top keep it to 7 splittings and 450 accepted steps
+    integ = importlib.import_module("sirbif.integrate")
+    steps = []
+    real = integ.integrate
+
+    def counted(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        steps.append(traj.stats.steps_accepted)
+        return traj
+
+    monkeypatch.setattr(integ, "integrate", counted)
+    calls, _ = _count_splitting(monkeypatch)
+    find_het_p(2.6, base)
+    assert len(calls) <= 7
+    assert len(steps) == 2 * len(calls)
+    assert sum(steps) <= 450
+
+
+@pytest.mark.parametrize("het_base", [
+    REFERENCE_BASE,
+    BASE_A13,
+    BaseParams(A=0.6, m=0.2, mu=0.175, d=0.175, g=0.1),
+])
+def test_splitting_shots_start_short_of_the_section(het_base, monkeypatch):
+    # each shot starts on the series in the closed quadrant and on its
+    # saddle's side of S = S2, at p drawn across the bracket find_het_p walks
+    integ = importlib.import_module("sirbif.integrate")
+    starts = []
+    real = integ.integrate
+
+    def recorded(x0, params, t_end, **kwargs):
+        starts.append((x0, kwargs["sections"]))
+        return real(x0, params, t_end, **kwargs)
+
+    monkeypatch.setattr(integ, "integrate", recorded)
+    rng = np.random.default_rng(33)
+    for _ in range(6):
+        r0 = rng.uniform(2.05, 6.0)
+        p = rng.uniform(0.05, 1.0) * min(p_h(r0, het_base), 1.0)
+        params = reduced_to_params(r0, p, het_base)
+        e0, e1 = disease_free(params)
+        s2 = endemic(params).S
+        del starts[:]
+        splitting(r0, p, het_base)
+        assert len(starts) == 2
+        for ((S, I), (sec,)), saddle in zip(starts, (e1, e0)):
+            assert sec.value == s2
+            assert S >= 0.0 and I >= 0.0
+            assert (S - s2) * (saddle.S - s2) > 0.0
 
 
 def test_find_het_bracket_capped_at_one():
@@ -235,25 +300,25 @@ def test_find_het_bracket_capped_at_one():
     (BaseParams(A=1.0, m=0.35, mu=0.175, d=0.175, g=0.35), (2.6,)),
 ])
 def test_find_het_one_bracket(het_base, r0_list, monkeypatch):
-    # the ends (0.05*hi, hi) with hi = min(p_h, 1) are shot first, in that
-    # order, and every later shot stays inside them
-    calls = _count_splitting(monkeypatch)
+    # the top hi = min(p_h, 1) is shot first, then the ladder's first rung,
+    # and every later shot stays inside [0.05*hi, hi]
+    calls, _ = _count_splitting(monkeypatch)
     for r0 in r0_list:
         del calls[:]
         find_het_p(r0, het_base)
         hi = min(p_h(r0, het_base), 1.0)
-        lo = 0.05 * hi
-        assert calls[:2] == [lo, hi]
-        assert all(lo <= p <= hi for p in calls)
+        assert calls[:2] == [hi, connections._LADDER[0] * hi]
+        assert all(0.05 * hi <= p <= hi for p in calls)
 
 
 def test_find_het_connection_above_one(monkeypatch):
     # at r0 = 2.15 the top caps at p = 1 and the connection lies above it:
-    # the two ends are shot, then the error
-    calls = _count_splitting(monkeypatch)
-    with pytest.raises(SameSignBracketError):
+    # the top and every rung down to 0.05 are shot, then the error
+    calls, _ = _count_splitting(monkeypatch)
+    with pytest.raises(SameSignBracketError,
+                       match=r"keeps sign -1 on \(0\.05, 1\)"):
         find_het_p(2.15, BASE_A13)
-    assert calls == [0.05, 1.0]
+    assert calls == [1.0, 0.875, 0.75, 0.5, 0.05]
 
 
 def test_het_table_rows_match_single_solves(base, het26):

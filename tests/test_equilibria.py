@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sirbif import (
     REFERENCE_BASE,
+    BaseParams,
     BelyakovDomainError,
     Equilibrium,
     ModelParams,
@@ -137,6 +138,21 @@ def test_disease_free_residuals_and_order(r0, p):
     for eq in eqs:
         assert eq.I == 0.0
         assert max(map(abs, vector_field(eq.location, params))) <= 1e-10
+
+
+@given(st.floats(min_value=0.2, max_value=3.0),
+       st.floats(min_value=0.05, max_value=1.0),
+       st.floats(min_value=0.05, max_value=1.0), r0s, ps)
+def test_disease_free_eigenvalues_are_the_diagonal(A, m, g, r0, p):
+    # on I = 0 the Jacobian is upper triangular: its diagonal, ascending
+    base = BaseParams(A=A, m=m, mu=0.175, d=0.175, g=g)
+    params = reduced_to_params(r0, p, base)
+    for eq in disease_free(params):
+        diagonal = sorted((params.A - 2.0 * eq.S,
+                           params.beta * eq.S - params.removal))
+        assert eq.eigenvalues == (complex(diagonal[0], 0.0),
+                                  complex(diagonal[1], 0.0))
+        assert eq.stability is classify(eq.eigenvalues)
 
 
 # ---------------------------------------------------------------------------

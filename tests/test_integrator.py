@@ -34,6 +34,8 @@ from sirbif import (
 from sirbif.cli_phase import _builtin_packs
 from sirbif.integrate import (
     IntegrationStats,
+    _SERIES_CAP,
+    _SERIES_ORDER,
     _SINKS,
     _bracket_roots,
     _hermite,
@@ -642,7 +644,7 @@ def test_stable_shot_traces_backward(base):
 
 
 @pytest.mark.parametrize("r0", [2.6, 1.5])
-@pytest.mark.parametrize("order", [8, 12])
+@pytest.mark.parametrize("order", [8, 12, _SERIES_ORDER])
 def test_series_start_lies_on_the_manifold(base, r0, order):
     # f(W(s)) = lam s W'(s) at the chosen s, for both manifolds of both
     # saddles, to rounding
@@ -651,17 +653,38 @@ def test_series_start_lies_on_the_manifold(base, r0, order):
         assert eq.stability is StabilityClass.SADDLE
         for lam in (z.real for z in eq.eigenvalues):
             coeffs = _manifold_series(eq, lam, params, order)
-            s = _series_start(coeffs)
-            assert 0.0 < s <= 0.05
-            w = _series_point(eq.location, coeffs, s)
+            s, w = _series_start(eq.location, coeffs)
+            assert 0.0 < s <= _SERIES_CAP
+            assert w == _series_point(eq.location, coeffs, s)
             dw = [sum(k * a[i] * s ** (k - 1) for k, a in enumerate(coeffs, 1))
                   for i in (0, 1)]
             f = vector_field(w, params)
             assert dist(f, (lam * s * dw[0], lam * s * dw[1])) <= 1e-15
     _, e1 = disease_free(params)
-    coeffs = _manifold_series(e1, e1.eigenvalues[1].real, params, 12)
-    start = _series_point(e1.location, coeffs, _series_start(coeffs))
+    coeffs = _manifold_series(e1, e1.eigenvalues[1].real, params,
+                              _SERIES_ORDER)
+    _, start = _series_start(e1.location, coeffs)
     assert manifold_shoot(e1, "unstable", params, 1.0).states[0] == start
+
+
+def test_series_start_stops_short_of_a_section(base):
+    # a section between E1 and the start the series alone allows: s halves
+    # until the start lies on E1's side of it, and the shot still crosses it
+    params = reduced_to_params(2.6, 0.3, base)
+    _, e1 = disease_free(params)
+    coeffs = _manifold_series(e1, e1.eigenvalues[1].real, params,
+                              _SERIES_ORDER)
+    s_free, w_free = _series_start(e1.location, coeffs)
+    assert w_free[0] < e1.S
+    sec = SectionEvent(0.5 * (e1.S + w_free[0]), -1, name="near")
+    s, w = _series_start(e1.location, coeffs, (sec,))
+    halvings = math.log2(s_free / s)
+    assert halvings >= 1.0 and halvings == int(halvings)
+    assert e1.S > w[0] > sec.value
+    traj = manifold_shoot(e1, "unstable", params, 50.0, sections=(sec,))
+    assert traj.states[0] == w
+    assert traj.terminal.kind == "crossed-section"
+    assert traj.terminal.section == "near"
 
 
 def test_shoot_validation(p_zero):
