@@ -7,7 +7,7 @@ The five organising curves, as functions of r0 at a fixed base:
 * ``p_h``   — Hopf of E2, A^2/(m r0^2), meaningful for r0 >= 2;
 * ``p_bt2`` — upper node/focus transition of E2 (discriminant root);
 * the heteroclinic curve, located numerically (see ``connections``) and
-  supplied here as a callable.
+  supplied here as a callable, usually the power fit of the bundled table.
 
 All of them pass through the organising centre ``dz = (2, A^2/(4m))`` where
 the disease-free pair collides exactly on the E2 branch and the Jacobian
@@ -53,6 +53,12 @@ __all__ = [
     "classify_column",
     "curve_values_at",
     "region_fan",
+    "REFERENCE_HET_POINTS",
+    "FitSingularError",
+    "FitNonConvergence",
+    "PowerFit",
+    "power_fit",
+    "fit_reference_curve",
 ]
 
 #: classification within this distance (in p) of any curve returns BOUNDARY
@@ -60,6 +66,27 @@ BOUNDARY_TOL = 1e-6
 _DZ_ENTRY_TOL = 1e-12      # dz Jacobian entries against the nilpotent form
 _DZ_EIG_TOL = 1e-10        # dz eigenvalue moduli
 _RING_RADIUS = 0.02        # radius of the portrait seed ring
+_FIT_ROUNDS = 500          # Gauss-Newton rounds of power_fit
+
+#: Bundled (r0, p) table for the reference base A=1.1, m=0.35,
+#: mu=d=0.175, g=0.35, kept as the golden of the power fit. It is not the
+#: model's connection locus: the shot connection lies 0.02 % (r0 = 2.0725)
+#: to 11.9 % (r0 = 3.6667) below it, the gap growing with r0.
+REFERENCE_HET_POINTS = (
+    (2.0725, 0.793486),
+    (2.2000, 0.686625),
+    (2.2698, 0.636156),
+    (2.4237, 0.541135),
+    (2.6000, 0.453994),
+    (2.6981, 0.413374),
+    (2.8039, 0.374719),
+    (2.9184, 0.338027),
+    (3.0426, 0.303294),
+    (3.1778, 0.270517),
+    (3.3256, 0.239692),
+    (3.4878, 0.210816),
+    (3.6667, 0.183883),
+)
 
 
 class CurveDomainError(ValueError):
@@ -68,6 +95,14 @@ class CurveDomainError(ValueError):
 
 class RegionFlagError(RuntimeError):
     """The computed flags match no region (mis-set parameters or a bug)."""
+
+
+class FitSingularError(ValueError):
+    """Normal equations singular even under heavy damping (collinear data)."""
+
+
+class FitNonConvergence(RuntimeError):
+    """Gauss-Newton did not meet the step/gradient criteria in 500 rounds."""
 
 
 class RegionLabel(enum.Enum):
@@ -229,7 +264,7 @@ def _stability(S: float, I: float, A: float, b: float, u: float) -> StabilityCla
 
 
 def classify_region(r0: float, p: float, base: BaseParams, *,
-                    het=None, values=None) -> RegionLabel:
+                    het=None) -> RegionLabel:
     """Label the open region containing (r0, p), or BOUNDARY near a curve.
 
     The label is read off computed flags:
@@ -260,23 +295,26 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
     periodic orbit lives between those two curves whichever is lower). For
     r0 > 2 an attached heteroclinic curve is required to split D from E;
     pass ``het`` (callable r0 -> p) or a fitted interpolant.
-
-    ``values`` is ``curve_values_at(r0, base, het)`` when a caller already
-    holds it for this r0 (``classify_column`` does, once per column);
-    ``None`` computes it here.
+    ``classify_column`` labels a whole column with the same flags.
     """
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
-    if values is None:
-        values = curve_values_at(r0, base, het)
+    values = curve_values_at(r0, base, het)
     for value in values.values():
         if abs(p - value) <= BOUNDARY_TOL:
             return RegionLabel.BOUNDARY
-
     _check_reduced(r0, p)
-    A, m, u = base.A, base.m, base.removal
     b = base.beta_at(r0)
     _check_positive("beta", b)
+    band = sorted((values["h"], values["het"])) if "het" in values else None
+    return _region_of(r0, p, base.A, base.m, base.removal, b, band)
+
+
+def _region_of(r0: float, p: float, A: float, m: float, u: float, b: float,
+               band) -> RegionLabel:
+    """The label of (r0, p), a point off every curve, read off its flags;
+    b = beta, u = sigma + g, ``band`` the sorted ends of the cycle band
+    (Hopf and heteroclinic values) or None where no band is given."""
     axis = _disease_free_S(A, p, m)
     if not axis:
         return RegionLabel.A
@@ -300,12 +338,11 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
     if e2 is StabilityClass.SINK_FOCUS:
         if r0 <= 2.0:
             return RegionLabel.D
-        if het is None:
+        if band is None:
             raise RegionFlagError(
                 "a heteroclinic curve is required to separate D from E for "
                 f"r0 > 2 (got r0 = {r0}); pass het=...")
-        lo, hi = sorted((values["h"], values["het"]))
-        return RegionLabel.E if lo < p < hi else RegionLabel.D
+        return RegionLabel.E if band[0] < p < band[1] else RegionLabel.D
     if e2 is StabilityClass.SOURCE_FOCUS:
         return RegionLabel.F
     if e2 is StabilityClass.SOURCE_NODE:
@@ -319,17 +356,21 @@ def classify_column(r0: float, ps, base: BaseParams, *, het) -> list:
     """Labels of (r0, p) for the ascending ``ps`` as ``classify_region`` gives
     them, RegionFlagError read as BOUNDARY, made once per run of points between
     two curve values whose ends agree. ``het`` may be None only for r0 <= 2.
-    The column's curve values are computed once and handed to every call."""
+    The column's curve values, beta and cycle band are computed once."""
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
     if het is None and r0 > 2.0:
         raise RegionFlagError(f"classify_column needs het for r0 = {r0} > 2")
 
     values = curve_values_at(r0, base, het)
+    A, m, u, b = base.A, base.m, base.removal, base.beta_at(r0)
+    _check_positive("beta", b)
+    band = sorted((values["h"], values["het"])) if "het" in values else None
 
     def label(p):
+        _check_reduced(r0, p)
         try:
-            return classify_region(r0, p, base, het=het, values=values)
+            return _region_of(r0, p, A, m, u, b, band)
         except RegionFlagError:
             return RegionLabel.BOUNDARY
 
@@ -352,6 +393,140 @@ def classify_column(r0: float, ps, base: BaseParams, *, het) -> list:
                 labels[lo:j] = [label(p) for p in ps[lo:j]]
         lo = max(lo, k)
     return labels
+
+
+# ----------------------------------------------------------------------
+# power-law fit
+
+
+class PowerFit(_Record):
+    a: float
+    b: float
+    c: float
+    rss: float
+    corr: float                  # R^2 of the fit against the data
+    iterations: int
+    grad_norm: float             # ||grad rss|| at the returned parameters
+
+    def __call__(self, x: float) -> float:
+        return self.a * x ** self.b + self.c
+
+
+def power_fit(points) -> PowerFit:
+    """Least-squares fit of y = a*x^b + c by damped Gauss-Newton.
+
+    Initialisation: c0 = min(y) - 0.01, then log-log regression of y - c0
+    on x for (a0, b0). Each round solves (J^T J + lam*I) delta = J^T r with
+    the analytic Jacobian [x^b, a*x^b*ln x, 1]; lam starts at 1e-3, grows
+    tenfold on a rejected step and shrinks tenfold on an accepted one.
+    Converged when the step norm is <= 1e-12 or ||grad rss|| <= 1e-10.
+    """
+    pts = [(float(x), float(y)) for x, y in points]
+    if len(pts) < 4:
+        raise ValueError(f"need at least 4 points, got {len(pts)}")
+    x, y = [q[0] for q in pts], [q[1] for q in pts]
+    if not all(math.isfinite(v) for v in x + y):
+        raise ValueError("all x and y must be finite")
+    if min(x) <= 0.0:
+        raise ValueError("all x must be positive")
+
+    c = min(y) - 0.01
+    if c == min(y):
+        raise FitSingularError("y values too large to fit: min(y) - 0.01 "
+                               f"rounds to min(y) = {c!r}")
+    lx = [math.log(v) for v in x]
+    lz = [math.log(v - c) for v in y]
+    n = len(x)
+    sx, sz = sum(lx), sum(lz)
+    sxx, sxz = sum(v * v for v in lx), sum(u * v for u, v in zip(lx, lz))
+    denom = n * sxx - sx * sx
+    if abs(denom) <= 1e-9 * max(1.0, n * sxx + sx * sx):
+        raise FitSingularError("x values do not spread")
+    b = (n * sxz - sx * sz) / denom
+    a = math.exp((sz - b * sx) / n)
+
+    def residuals(av, bv, cv):
+        # (r, rss); a non-finite r, or x**b overflowing, is an infinite rss
+        try:
+            rv = [yi - (av * xi ** bv + cv) for xi, yi in zip(x, y)]
+        except OverflowError:
+            return None, math.inf
+        ss = sum(v * v for v in rv)
+        return rv, ss if math.isfinite(ss) else math.inf
+
+    def normal_equations(av, bv, rv):
+        # J^T J and J^T r for the Jacobian rows [x^b, a*x^b*ln x, 1]
+        jac = [(xb, av * xb * li, 1.0)
+               for xb, li in zip((xi ** bv for xi in x), lx)]
+        return ([[sum(u[i] * u[j] for u in jac) for j in range(3)]
+                 for i in range(3)],
+                [sum(u[i] * ri for u, ri in zip(jac, rv)) for i in range(3)])
+
+    r, rss = residuals(a, b, c)
+    if r is None:
+        raise FitSingularError("x**b overflows at the log-log start")
+    lam = 1e-3
+    iterations = 0
+    while iterations < _FIT_ROUNDS:
+        iterations += 1
+        jtj, jtr = normal_equations(a, b, r)
+        if 2.0 * math.hypot(*jtr) <= 1e-10:
+            break
+        accepted = False
+        while lam <= 1e10:
+            delta = _solve3(jtj, jtr, lam)
+            if delta is None:
+                lam *= 10.0
+                continue
+            trial = (a + delta[0], b + delta[1], c + delta[2])
+            r_new, rss_new = residuals(*trial)
+            if rss_new < rss:
+                a, b, c = trial
+                r, rss = r_new, rss_new
+                lam = max(lam / 10.0, 1e-15)
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            raise FitSingularError(
+                "no descent direction under maximal damping (collinear data)")
+        if math.hypot(*delta) <= 1e-12:
+            break
+    else:
+        raise FitNonConvergence(
+            f"no convergence after {_FIT_ROUNDS} rounds (rss={rss:.3e})")
+
+    grad = 2.0 * math.hypot(*normal_equations(a, b, r)[1])
+    mean = sum(y) / n
+    ss_tot = sum((v - mean) ** 2 for v in y)
+    corr = 1.0 - rss / ss_tot if ss_tot > 0.0 else 1.0
+    return PowerFit(a, b, c, rss, corr, iterations, grad)
+
+
+def _solve3(m, v, lam: float):
+    """Solve (m + lam*I) z = v for a 3x3 m by Gaussian elimination with
+    partial pivoting; None when a pivot is exactly zero (a singular matrix)."""
+    rows = [[*mi, vi] for mi, vi in zip(m, v)]
+    for k in range(3):
+        rows[k][k] += lam
+    for k in range(3):
+        piv = max(range(k, 3), key=lambda i: abs(rows[i][k]))
+        if rows[piv][k] == 0.0:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [u - f * w for u, w in zip(row[k:], rows[k][k:])]
+    z = [0.0, 0.0, 0.0]
+    for i in (2, 1, 0):
+        z[i] = (rows[i][3] - sum(rows[i][j] * z[j] for j in range(i + 1, 3))
+                ) / rows[i][i]
+    return z
+
+
+def fit_reference_curve() -> PowerFit:
+    """Power fit through the embedded reference table."""
+    return power_fit(REFERENCE_HET_POINTS)
 
 
 # ----------------------------------------------------------------------

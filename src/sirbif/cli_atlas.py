@@ -92,8 +92,8 @@ def _atlas_svg(base: BaseParams, curves: dict, het, config: dict,
 
 
 def cmd_atlas(ns) -> int:
-    from .atlas import classify_column, curve_values_at, p_sn
-    from .connections import fit_reference_curve
+    from .atlas import (classify_column, curve_values_at, fit_reference_curve,
+                        p_sn)
 
     base = resolve_base(ns)
     if not (0.0 < ns.r0_min < ns.r0_max < math.inf

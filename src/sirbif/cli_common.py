@@ -58,10 +58,32 @@ def _write_csv(path: Path, config: dict, columns, body) -> None:
         fh.writelines(body)
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, its lines started by
+    ``pad``: string-keyed dicts and lists laid out here, finite floats
+    joined at once, anything else left to ``json.dumps``."""
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, dict) and value and all(
+            isinstance(key, str) for key in value):
+        return "{" + inner + sep.join(
+            json.dumps(key) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        try:
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:        # not all floats
+            body = "n"
+        if "n" in body:          # and "nan" or "inf" is no JSON
+            body = sep.join(_json_text(item, inner) for item in value)
+        return "[" + inner + body + pad + "]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def _write_json(path: Path, config: dict, payload: dict) -> None:
     doc = dict(payload)
     doc["config"] = config
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(_json_text(doc) + "\n")
 
 
 def emit(ns, config: dict, artifacts) -> None:

@@ -68,7 +68,7 @@ def _shoot_tol(ns) -> float | None:
 
 
 def cmd_het_table(ns) -> int:
-    from .connections import REFERENCE_HET_POINTS, build_het_table
+    from .atlas import REFERENCE_HET_POINTS
 
     base = resolve_base(ns)
     if ns.r0_list is not None and not ns.shoot:
@@ -85,6 +85,7 @@ def cmd_het_table(ns) -> int:
     reference = dict(REFERENCE_HET_POINTS) if base == REFERENCE_BASE else {}
     rows = []
     if ns.shoot:
+        from .connections import build_het_table
         table = build_het_table(abscissae, base, jobs=ns.jobs, tol=tol)
         for row in table:
             delta = None
@@ -138,7 +139,7 @@ def _read_points_csv(path: Path) -> list:
 
 
 def cmd_het_fit(ns) -> int:
-    from .connections import REFERENCE_HET_POINTS, build_het_table, power_fit
+    from .atlas import REFERENCE_HET_POINTS, power_fit
 
     base = resolve_base(ns)
     if ns.table == "":
@@ -150,6 +151,7 @@ def cmd_het_fit(ns) -> int:
         source = ns.table
         points = _read_points_csv(Path(ns.table))
     elif ns.shoot:
+        from .connections import build_het_table
         source = "shoot"
         abscissae = [r0 for r0, _ in REFERENCE_HET_POINTS]
         table = build_het_table(abscissae, base, jobs=ns.jobs, tol=tol)

@@ -83,7 +83,7 @@ class PortraitPack(_Record):
 
 
 def _builtin_packs() -> dict:
-    from .connections import fit_reference_curve
+    from .atlas import fit_reference_curve
 
     base = REFERENCE_BASE
     het = fit_reference_curve()
@@ -169,7 +169,6 @@ def _phase_figure(params: ModelParams, title: str, config: dict, paths,
 
 def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
     from .atlas import region_fan
-    from .connections import find_periodic_orbit
     from .equilibria import disease_free, endemic
     from .integrate import manifold_shoot, omega_limit_estimate
     from .svgplot import PALETTE
@@ -188,6 +187,7 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
 
     cycle, cycle_error = None, ""
     if pack.region == "E":
+        from .connections import find_periodic_orbit
         try:
             cycle = find_periodic_orbit(r0, params.p, base)
         except (ValueError, RuntimeError) as exc:
@@ -258,8 +258,7 @@ def _run_portrait(pack: PortraitPack, ns, tol: float) -> None:
 
 
 def cmd_portraits(ns) -> int:
-    from .atlas import RegionFlagError, classify_region
-    from .connections import fit_reference_curve
+    from .atlas import RegionFlagError, classify_region, fit_reference_curve
 
     tol = effective_tol(ns, 1e-8)
     if ns.max_samples < 1:

@@ -5,9 +5,9 @@ are saddles; the axis segment between them is always a connection, and the
 interior connection W^u(E1) -> W^s(E0) exists only on a curve p = p_het(r0),
 located here by shooting both manifolds onto the section S = S2 and
 solving for the zero of the signed gap between them by Brent's method on
-a bracket found walking down from the Hopf value. A bundled 13-row
-(r0, p) table is embedded for fit validation, and ``power_fit`` recovers
-the y = a*x^b + c law through any such table by damped Gauss-Newton.
+a bracket found walking down from the Hopf value. The bundled 13-row
+table of this curve and its power fit live in ``atlas``, whose runs need
+them without the integrator.
 
 Between the heteroclinic and Hopf values of p the broken cycle leaves an
 unstable periodic orbit around the (still stable) focus E2;
@@ -34,43 +34,17 @@ from .integrate import (
 )
 
 __all__ = [
-    "REFERENCE_HET_POINTS",
     "NoCrossingError",
     "SameSignBracketError",
     "NotInRegionEError",
     "MislabeledRegionError",
-    "FitSingularError",
-    "FitNonConvergence",
     "HetResult",
-    "PowerFit",
     "PeriodicOrbit",
     "splitting",
     "find_het_p",
     "build_het_table",
-    "power_fit",
-    "fit_reference_curve",
     "find_periodic_orbit",
 ]
-
-#: Bundled (r0, p) table for the reference base A=1.1, m=0.35,
-#: mu=d=0.175, g=0.35, kept as the golden of the power fit. It is not the
-#: model's connection locus: the shot connection lies 0.02 % (r0 = 2.0725)
-#: to 11.9 % (r0 = 3.6667) below it, the gap growing with r0.
-REFERENCE_HET_POINTS = (
-    (2.0725, 0.793486),
-    (2.2000, 0.686625),
-    (2.2698, 0.636156),
-    (2.4237, 0.541135),
-    (2.6000, 0.453994),
-    (2.6981, 0.413374),
-    (2.8039, 0.374719),
-    (2.9184, 0.338027),
-    (3.0426, 0.303294),
-    (3.1778, 0.270517),
-    (3.3256, 0.239692),
-    (3.4878, 0.210816),
-    (3.6667, 0.183883),
-)
 
 _SHOOT_TOL = 1e-10
 _SHOOT_HORIZON = 900.0
@@ -81,7 +55,6 @@ _LADDER = (0.875, 0.75, 0.5, 0.05)
 _LOOP_HORIZON = 800.0      # time allowed for one traversal of the return map
 _RETURN_TOL = 1e-9         # fixed-point tolerance of the return map
 _CLOSE_TOL = 10 * _RETURN_TOL   # largest return residual of a certified cycle
-_FIT_ROUNDS = 500
 
 
 class NoCrossingError(RuntimeError):
@@ -98,14 +71,6 @@ class NotInRegionEError(ValueError):
 
 class MislabeledRegionError(RuntimeError):
     """The reversed return map brackets no cycle, or its loop does not close."""
-
-
-class FitSingularError(ValueError):
-    """Normal equations singular even under heavy damping (collinear data)."""
-
-
-class FitNonConvergence(RuntimeError):
-    """Gauss-Newton did not meet the step/gradient criteria in 500 rounds."""
 
 
 # ----------------------------------------------------------------------
@@ -130,9 +95,10 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     """Signed gap I_u - I_s between the manifolds on the section S = S2.
 
     Shoots W^u(E1) forward and W^s(E0) in reversed time to their first
-    crossings of S = S2 with original-field dS/dt < 0. Requires r0 > 2 and
-    0 < p < p_t(r0) so that E0, E1 are interior-facing saddles and E2
-    (hence the section) is interior. The gap is negative below the
+    crossings of S = S2 with original-field dS/dt < 0. Its domain is r0 > 2
+    and 0 < p < p_bt2(r0), where E0, E1 are interior-facing saddles and E2
+    an interior focus; above p_bt2, E2 is a node that reversed W^s(E0) can
+    run into, and NoCrossingError says so. The gap is negative below the
     connection, positive above it (W^u(E1) passes above/outside W^s(E0))
     and smooth in p, which is the premise of the bracketing root solver.
     """
@@ -143,7 +109,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
                          f"{atlas.p_t(r0, base):.6g}, got {p}")
     params = reduced_to_params(r0, p, base)
     e0, e1 = _saddle_pair(params)
-    s2 = eqmod.endemic(params).S
+    e2 = eqmod.endemic(params)
 
     # the stable shot runs in reversed time: original dS/dt < 0 is +1 there
     heights = []
@@ -151,11 +117,15 @@ def splitting(r0: float, p: float, base: BaseParams, *,
                                  (e0, "stable", +1, "W^s(E0)")):
         shot = manifold_shoot(
             eq, kind, params, _SHOOT_HORIZON, tol=tol,
-            sections=(SectionEvent(s2, sign, name="split"),))
+            sections=(SectionEvent(e2.S, sign, name="split"),))
         if shot.terminal.kind != "crossed-section":
+            why = "" if e2.stability is not StabilityClass.SOURCE_NODE else (
+                "; E2 is an unstable node, which it can enter without "
+                "crossing S = S2 (the splitting is defined below "
+                f"p_bt2(r0) = {atlas.p_bt2(r0, base):.6g})")
             raise NoCrossingError(
                 f"{name} missed the section at (r0, p) = ({r0}, {p}): "
-                f"{shot.terminal.kind} ({shot.terminal.detail})")
+                f"{shot.terminal.kind} ({shot.terminal.detail}){why}")
         heights.append(shot.terminal.state[1])
     return heights[0] - heights[1]
 
@@ -275,140 +245,6 @@ def build_het_table(r0_list, base: BaseParams, *, jobs: int = 1,
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_het_worker, tasks))
-
-
-# ----------------------------------------------------------------------
-# power-law fit
-
-
-class PowerFit(_Record):
-    a: float
-    b: float
-    c: float
-    rss: float
-    corr: float                  # R^2 of the fit against the data
-    iterations: int
-    grad_norm: float             # ||grad rss|| at the returned parameters
-
-    def __call__(self, x: float) -> float:
-        return self.a * x ** self.b + self.c
-
-
-def power_fit(points) -> PowerFit:
-    """Least-squares fit of y = a*x^b + c by damped Gauss-Newton.
-
-    Initialisation: c0 = min(y) - 0.01, then log-log regression of y - c0
-    on x for (a0, b0). Each round solves (J^T J + lam*I) delta = J^T r with
-    the analytic Jacobian [x^b, a*x^b*ln x, 1]; lam starts at 1e-3, grows
-    tenfold on a rejected step and shrinks tenfold on an accepted one.
-    Converged when the step norm is <= 1e-12 or ||grad rss|| <= 1e-10.
-    """
-    pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 4:
-        raise ValueError(f"need at least 4 points, got {len(pts)}")
-    x, y = [q[0] for q in pts], [q[1] for q in pts]
-    if not all(math.isfinite(v) for v in x + y):
-        raise ValueError("all x and y must be finite")
-    if min(x) <= 0.0:
-        raise ValueError("all x must be positive")
-
-    c = min(y) - 0.01
-    if c == min(y):
-        raise FitSingularError("y values too large to fit: min(y) - 0.01 "
-                               f"rounds to min(y) = {c!r}")
-    lx = [math.log(v) for v in x]
-    lz = [math.log(v - c) for v in y]
-    n = len(x)
-    sx, sz = sum(lx), sum(lz)
-    sxx, sxz = sum(v * v for v in lx), sum(u * v for u, v in zip(lx, lz))
-    denom = n * sxx - sx * sx
-    if abs(denom) <= 1e-9 * max(1.0, n * sxx + sx * sx):
-        raise FitSingularError("x values do not spread")
-    b = (n * sxz - sx * sz) / denom
-    a = math.exp((sz - b * sx) / n)
-
-    def residuals(av, bv, cv):
-        # (r, rss); a non-finite r, or x**b overflowing, is an infinite rss
-        try:
-            rv = [yi - (av * xi ** bv + cv) for xi, yi in zip(x, y)]
-        except OverflowError:
-            return None, math.inf
-        ss = sum(v * v for v in rv)
-        return rv, ss if math.isfinite(ss) else math.inf
-
-    def normal_equations(av, bv, rv):
-        # J^T J and J^T r for the Jacobian rows [x^b, a*x^b*ln x, 1]
-        jac = [(xb, av * xb * li, 1.0)
-               for xb, li in zip((xi ** bv for xi in x), lx)]
-        return ([[sum(u[i] * u[j] for u in jac) for j in range(3)]
-                 for i in range(3)],
-                [sum(u[i] * ri for u, ri in zip(jac, rv)) for i in range(3)])
-
-    r, rss = residuals(a, b, c)
-    if r is None:
-        raise FitSingularError("x**b overflows at the log-log start")
-    lam = 1e-3
-    iterations = 0
-    while iterations < _FIT_ROUNDS:
-        iterations += 1
-        jtj, jtr = normal_equations(a, b, r)
-        if 2.0 * math.hypot(*jtr) <= 1e-10:
-            break
-        accepted = False
-        while lam <= 1e10:
-            delta = _solve3(jtj, jtr, lam)
-            if delta is None:
-                lam *= 10.0
-                continue
-            trial = (a + delta[0], b + delta[1], c + delta[2])
-            r_new, rss_new = residuals(*trial)
-            if rss_new < rss:
-                a, b, c = trial
-                r, rss = r_new, rss_new
-                lam = max(lam / 10.0, 1e-15)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            raise FitSingularError(
-                "no descent direction under maximal damping (collinear data)")
-        if math.hypot(*delta) <= 1e-12:
-            break
-    else:
-        raise FitNonConvergence(
-            f"no convergence after {_FIT_ROUNDS} rounds (rss={rss:.3e})")
-
-    grad = 2.0 * math.hypot(*normal_equations(a, b, r)[1])
-    mean = sum(y) / n
-    ss_tot = sum((v - mean) ** 2 for v in y)
-    corr = 1.0 - rss / ss_tot if ss_tot > 0.0 else 1.0
-    return PowerFit(a, b, c, rss, corr, iterations, grad)
-
-
-def _solve3(m, v, lam: float):
-    """Solve (m + lam*I) z = v for a 3x3 m by Gaussian elimination with
-    partial pivoting; None when a pivot is exactly zero (a singular matrix)."""
-    rows = [[*mi, vi] for mi, vi in zip(m, v)]
-    for k in range(3):
-        rows[k][k] += lam
-    for k in range(3):
-        piv = max(range(k, 3), key=lambda i: abs(rows[i][k]))
-        if rows[piv][k] == 0.0:
-            return None
-        rows[k], rows[piv] = rows[piv], rows[k]
-        for row in rows[k + 1:]:
-            f = row[k] / rows[k][k]
-            row[k:] = [u - f * w for u, w in zip(row[k:], rows[k][k:])]
-    z = [0.0, 0.0, 0.0]
-    for i in (2, 1, 0):
-        z[i] = (rows[i][3] - sum(rows[i][j] * z[j] for j in range(i + 1, 3))
-                ) / rows[i][i]
-    return z
-
-
-def fit_reference_curve() -> PowerFit:
-    """Power fit through the embedded reference table."""
-    return power_fit(REFERENCE_HET_POINTS)
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,13 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sirbif
 from sirbif import REFERENCE_BASE, __version__, find_periodic_orbit
 from sirbif.cli import main
-from sirbif.cli_common import csv_text
+from sirbif.cli_common import _write_json, csv_text
 from sirbif.svgplot import Canvas
 
 FORMAT_DOC = Path(__file__).resolve().parents[1] / "FORMAT.md"
@@ -607,6 +609,33 @@ def test_csv_text_joins_its_chunks_exactly():
     assert "".join(chunks) == buf.getvalue()
 
 
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats() | st.sampled_from([-0.0, math.nan, math.inf,
+                                                  -math.inf])
+                 | st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.floats(), max_size=6)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(st.text(), _JSON_VALUES, max_size=5),
+       st.dictionaries(st.text(), _JSON_VALUES, max_size=3))
+def test_write_json_writes_the_indented_dumps(tmp_path_factory, payload,
+                                              config):
+    # nested and empty containers, -0.0, NaN, infinities, non-ASCII and
+    # control characters, non-string keys: json.dumps's indented bytes
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    _write_json(path, config, payload)
+    assert path.read_text() == json.dumps(dict(payload, config=config),
+                                          sort_keys=True, indent=2) + "\n"
+
+
 def test_csv_cells_as_csv_writer_writes_them(tmp_path, capsys):
     # a detail holding a comma is quoted; generator rows (cycle.csv) and list
     # rows (het_table.csv) give csv.writer's bytes
@@ -1040,15 +1069,17 @@ def test_version_and_flag_errors_load_no_layer(argv, code, command):
     (["equilibria", "--r0", "2.6", "--p", "0.3"], {"sirbif.equilibria"},
      {"sirbif.integrate", "sirbif.svgplot"}),
     (["dz"], {"sirbif.atlas"}, {"sirbif.integrate", "sirbif.svgplot"}),
-    (["atlas", "--grid", "3", "--samples", "3"], {"sirbif.svgplot"}, set()),
+    (["atlas", "--grid", "3", "--samples", "3"], {"sirbif.svgplot"},
+     {"sirbif.integrate", "sirbif.connections"}),
     (["portraits", "--region", "H", "--format", "json"],
-     {"sirbif.atlas", "sirbif.integrate"}, set()),
+     {"sirbif.atlas", "sirbif.integrate"}, {"sirbif.connections"}),
     (["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.5", "--I0", "0.1"],
      {"sirbif.integrate"}, {"sirbif.atlas", "sirbif.connections"}),
     (["cycle", "--format", "json"], {"sirbif.connections"}, set()),
     (["het-table", "--shoot", "--r0-list", "2.6"], {"sirbif.integrate"},
      {"sirbif.svgplot"}),
-    (["het-fit"], {"sirbif.connections"}, {"sirbif.svgplot"}),
+    (["het-fit"], {"sirbif.atlas"},
+     {"sirbif.integrate", "sirbif.connections", "sirbif.svgplot"}),
 ], ids=["equilibria", "dz", "atlas", "portraits", "simulate", "cycle",
         "het-table", "het-fit"])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, present, absent):

@@ -14,9 +14,11 @@ from sirbif import (
     REFERENCE_HET_POINTS,
     BaseParams,
     MislabeledRegionError,
+    NoCrossingError,
     NotInRegionEError,
     PowerFit,
     SameSignBracketError,
+    StabilityClass,
     build_het_table,
     disease_free,
     endemic,
@@ -26,6 +28,7 @@ from sirbif import (
     in_invariant_region,
     invariant_region_bound,
     omega_limit_estimate,
+    p_bt2,
     p_h,
     p_sn,
     p_t,
@@ -33,7 +36,7 @@ from sirbif import (
     reduced_to_params,
     splitting,
 )
-from sirbif.connections import FitSingularError
+from sirbif.atlas import FitSingularError
 from conftest import INDEPENDENT_HET_POINTS
 
 
@@ -81,6 +84,18 @@ def test_splitting_validation(base):
         splitting(1.5, 0.3, base)
     with pytest.raises(ValueError, match="needs 0 < p < p_t"):
         splitting(2.6, 0.9, base)
+
+
+def test_splitting_says_why_it_ends_at_the_node(base):
+    # above the upper Belyakov root E2 is an unstable node, and reversed
+    # W^s(E0) runs into it without crossing S = S2
+    p = p_t(2.6, base) - 0.003
+    assert p_bt2(2.6, base) < p
+    assert endemic(reduced_to_params(2.6, p, base)).stability \
+        is StabilityClass.SOURCE_NODE
+    with pytest.raises(NoCrossingError, match=r"W\^s\(E0\) missed.*E2 is an "
+                       r"unstable node.*below p_bt2\(r0\) = 0\.79457"):
+        splitting(2.6, p, base)
 
 
 def test_split_function_is_monotone_near_root(base, het26):

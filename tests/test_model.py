@@ -21,9 +21,9 @@ from sirbif import (
     vector_field,
 )
 
-from sirbif.atlas import DZCertificate, HopfCertificate
+from sirbif.atlas import DZCertificate, HopfCertificate, PowerFit
 from sirbif.cli_phase import PortraitPack
-from sirbif.connections import HetResult, PeriodicOrbit, PowerFit
+from sirbif.connections import HetResult, PeriodicOrbit
 from sirbif.equilibria import Equilibrium, StabilityClass
 from sirbif.integrate import (Crossing, IntegrationStats, OmegaLimitResult,
                               SectionEvent, TerminalEvent, Trajectory)
