@@ -295,7 +295,6 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
     periodic orbit lives between those two curves whichever is lower). For
     r0 > 2 an attached heteroclinic curve is required to split D from E;
     pass ``het`` (callable r0 -> p) or a fitted interpolant.
-    ``classify_column`` labels a whole column with the same flags.
     """
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
@@ -312,9 +311,8 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
 
 def _region_of(r0: float, p: float, A: float, m: float, u: float, b: float,
                band) -> RegionLabel:
-    """The label of (r0, p), a point off every curve, read off its flags;
-    b = beta, u = sigma + g, ``band`` the sorted ends of the cycle band
-    (Hopf and heteroclinic values) or None where no band is given."""
+    """The label of (r0, p), off every curve, from its flags; b = beta,
+    u = sigma + g, ``band`` the sorted Hopf/heteroclinic values or None."""
     axis = _disease_free_S(A, p, m)
     if not axis:
         return RegionLabel.A

@@ -77,7 +77,9 @@ def _json_text(value, pad: str = "\n") -> str:
         if "n" in body:          # and "nan" or "inf" is no JSON
             body = sep.join(_json_text(item, inner) for item in value)
         return "[" + inner + body + pad + "]"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+    if isinstance(value, (dict, list, tuple)):   # empty, or keys not strings
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+    return json.dumps(value)     # a scalar: the same bytes, no layout
 
 
 def _write_json(path: Path, config: dict, payload: dict) -> None:
