@@ -264,7 +264,7 @@ def _stability(S: float, I: float, A: float, b: float, u: float) -> StabilityCla
 
 
 def classify_region(r0: float, p: float, base: BaseParams, *,
-                    het=None) -> RegionLabel:
+                    het=None, values=None) -> RegionLabel:
     """Label the open region containing (r0, p), or BOUNDARY near a curve.
 
     The label is read off computed flags:
@@ -295,24 +295,23 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
     periodic orbit lives between those two curves whichever is lower). For
     r0 > 2 an attached heteroclinic curve is required to split D from E;
     pass ``het`` (callable r0 -> p) or a fitted interpolant.
+
+    ``values`` is ``curve_values_at(r0, base, het)`` when a caller already
+    holds it for this r0 (``classify_column`` does, once per column);
+    ``None`` computes it here.
     """
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
-    values = curve_values_at(r0, base, het)
+    if values is None:
+        values = curve_values_at(r0, base, het)
     for value in values.values():
         if abs(p - value) <= BOUNDARY_TOL:
             return RegionLabel.BOUNDARY
+
     _check_reduced(r0, p)
+    A, m, u = base.A, base.m, base.removal
     b = base.beta_at(r0)
     _check_positive("beta", b)
-    band = sorted((values["h"], values["het"])) if "het" in values else None
-    return _region_of(r0, p, base.A, base.m, base.removal, b, band)
-
-
-def _region_of(r0: float, p: float, A: float, m: float, u: float, b: float,
-               band) -> RegionLabel:
-    """The label of (r0, p), off every curve, from its flags; b = beta,
-    u = sigma + g, ``band`` the sorted Hopf/heteroclinic values or None."""
     axis = _disease_free_S(A, p, m)
     if not axis:
         return RegionLabel.A
@@ -336,11 +335,12 @@ def _region_of(r0: float, p: float, A: float, m: float, u: float, b: float,
     if e2 is StabilityClass.SINK_FOCUS:
         if r0 <= 2.0:
             return RegionLabel.D
-        if band is None:
+        if het is None:
             raise RegionFlagError(
                 "a heteroclinic curve is required to separate D from E for "
                 f"r0 > 2 (got r0 = {r0}); pass het=...")
-        return RegionLabel.E if band[0] < p < band[1] else RegionLabel.D
+        lo, hi = sorted((values["h"], values["het"]))
+        return RegionLabel.E if lo < p < hi else RegionLabel.D
     if e2 is StabilityClass.SOURCE_FOCUS:
         return RegionLabel.F
     if e2 is StabilityClass.SOURCE_NODE:
@@ -354,21 +354,17 @@ def classify_column(r0: float, ps, base: BaseParams, *, het) -> list:
     """Labels of (r0, p) for the ascending ``ps`` as ``classify_region`` gives
     them, RegionFlagError read as BOUNDARY, made once per run of points between
     two curve values whose ends agree. ``het`` may be None only for r0 <= 2.
-    The column's curve values, beta and cycle band are computed once."""
+    The column's curve values are computed once and handed to every call."""
     if r0 <= 0.0:
         raise CurveDomainError(f"classification needs r0 > 0, got {r0}")
     if het is None and r0 > 2.0:
         raise RegionFlagError(f"classify_column needs het for r0 = {r0} > 2")
 
     values = curve_values_at(r0, base, het)
-    A, m, u, b = base.A, base.m, base.removal, base.beta_at(r0)
-    _check_positive("beta", b)
-    band = sorted((values["h"], values["het"])) if "het" in values else None
 
     def label(p):
-        _check_reduced(r0, p)
         try:
-            return _region_of(r0, p, A, m, u, b, band)
+            return classify_region(r0, p, base, het=het, values=values)
         except RegionFlagError:
             return RegionLabel.BOUNDARY
 

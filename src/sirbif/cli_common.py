@@ -59,17 +59,18 @@ def _write_csv(path: Path, config: dict, columns, body) -> None:
 
 
 def _json_text(value, pad: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, its lines started by
-    ``pad``: string-keyed dicts and lists laid out here, finite floats
-    joined at once, anything else left to ``json.dumps``."""
+    """``json.dumps(value, sort_keys=True, indent=2)`` for string-keyed dicts,
+    lists and scalars, its lines started by ``pad``: containers laid out
+    here, finite floats joined at once, scalars left to ``json.dumps``."""
     inner = pad + "  "
     sep = "," + inner
-    if isinstance(value, dict) and value and all(
-            isinstance(key, str) for key in value):
+    if not value and isinstance(value, (dict, list, tuple)):
+        return "{}" if isinstance(value, dict) else "[]"
+    if isinstance(value, dict):
         return "{" + inner + sep.join(
             json.dumps(key) + ": " + _json_text(item, inner)
             for key, item in sorted(value.items())) + pad + "}"
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, (list, tuple)):
         try:
             body = sep.join(map(float.__repr__, value))
         except TypeError:        # not all floats
@@ -77,8 +78,6 @@ def _json_text(value, pad: str = "\n") -> str:
         if "n" in body:          # and "nan" or "inf" is no JSON
             body = sep.join(_json_text(item, inner) for item in value)
         return "[" + inner + body + pad + "]"
-    if isinstance(value, (dict, list, tuple)):   # empty, or keys not strings
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
     return json.dumps(value)     # a scalar: the same bytes, no layout
 
 

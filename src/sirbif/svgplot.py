@@ -69,19 +69,14 @@ class Canvas:
 
     def polyline(self, points, color: str, *, width: float = 1.3,
                  dash: str = "", opacity: float = 1.0) -> None:
-        # _px and _py, their spans taken once
-        x0, xmin, dx = self.margin_l, self.xmin, self.xmax - self.xmin
-        y0, ymin, dy = self.height - self.margin_b, self.ymin, self.ymax - self.ymin
-        xs = self.width - self.margin_l - self.margin_r
-        ys = self.height - self.margin_t - self.margin_b
-        pts = [(x0 + (x - xmin) / dx * xs, y0 - (y - ymin) / dy * ys)
-               for x, y in points]
+        px, py = self._px, self._py
+        pts = [(px(x), py(y)) for x, y in points]
         pts = [q for q in pts if math.isfinite(q[0]) and math.isfinite(q[1])]
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         if opacity != 1.0:
             extra += f' stroke-opacity="{opacity:.2f}"'
         for line in self._clipped(pts):
-            coords = " ".join(["%.2f,%.2f" % q for q in line])
+            coords = " ".join(["%.2f,%.2f" % q for q in line])   # _f's form
             self._body.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="{width:.2f}"{extra}/>')

@@ -427,13 +427,13 @@ def test_classify_column_matches_classify_region(het, base, r0, n, narrow,
 
 def test_classify_column_checks_the_far_end_of_a_run(base, monkeypatch):
     # a run whose last point alone is flagged is classified point by point
-    def flag_top(r0, p, A, m, u, b, band):
+    def flag_top(r0, p, base, *, het=None, values=None):
         if p == 0.3:
             raise RegionFlagError("no region matches")
         return RegionLabel.C
 
     assert p_t(1.25, base) > 0.3 + BOUNDARY_TOL   # one run: no curve inside
-    monkeypatch.setattr("sirbif.atlas._region_of", flag_top)
+    monkeypatch.setattr("sirbif.atlas.classify_region", flag_top)
     assert classify_column(1.25, [0.1, 0.2, 0.3], base, het=None) == [
         RegionLabel.C, RegionLabel.C, RegionLabel.BOUNDARY]
 
@@ -463,13 +463,12 @@ def test_classify_column_reads_the_curves_once(base, het, monkeypatch):
 
 def test_atlas_classifies_runs_not_points(tmp_path, monkeypatch, capsys):
     calls = []
-    region_of = atlas._region_of
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return region_of(*args)
+        return classify_region(*args, **kwargs)
 
-    monkeypatch.setattr("sirbif.atlas._region_of", counted)
+    monkeypatch.setattr("sirbif.atlas.classify_region", counted)
     assert main(["atlas", "--format", "csv", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert 0 < len(calls) <= 2500      # of the 200 x 200 grid points
