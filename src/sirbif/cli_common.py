@@ -120,9 +120,13 @@ def emit(ns, config: dict, artifacts) -> None:
 def resolve_base(ns) -> BaseParams:
     base = BaseParams(A=ns.A, m=ns.m, mu=ns.mu, d=ns.d, g=ns.g)
     # every curve scales with the saddle-node value p_sn = A^2/(4m)
-    if not math.isfinite(base.A * base.A / (4.0 * base.m)):
+    p_sn = base.A * base.A / (4.0 * base.m)
+    if not math.isfinite(p_sn):
         raise ValueError(f"--A {base.A!r} is too large for --m {base.m!r}: "
                          "the saddle-node value A^2/(4m) overflows")
+    if p_sn == 0.0:
+        raise ValueError(f"--A {base.A!r} is too small for --m {base.m!r}: "
+                         "the saddle-node value A^2/(4m) underflows to 0")
     return base
 
 
@@ -162,7 +166,7 @@ def effective_tol(ns, default: float) -> float:
 
 def config_for(ns, command: str, extra: dict, tol=None) -> dict:
     """The run's configuration; ``tol`` is set only if the run integrates."""
-    settings = {"jobs": ns.jobs, "formats": list(formats(ns))}
+    settings = {"formats": list(formats(ns))}
     if tol is not None:
         settings["tol"] = tol
     settings.update(extra)
@@ -212,13 +216,7 @@ def config_tokens(path: str, subparser, flags) -> list:
 
 
 def check_run_control(ns) -> None:
-    """Refuse a worker count below one, or above one where no rows are
-    shot, and a tolerance outside ``TOL_RANGE``."""
-    if ns.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
-    if ns.jobs != 1 and not getattr(ns, "shoot", False):
-        raise ValueError("--jobs only makes sense with --shoot: "
-                         "without it no rows run in parallel")
+    """Refuse a tolerance outside ``TOL_RANGE``."""
     tol = getattr(ns, "tol", None)
     if tol is not None and not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
         raise ValueError(f"--tol must lie in [{TOL_RANGE[0]:g}, "
@@ -244,10 +242,10 @@ def new_subparser(sub, name: str, help_line: str, description: str, *,
         grp.add_argument("--tol", type=float, default=None,
                          help=f"integration tolerance in [{TOL_RANGE[0]:g}, "
                               f"{TOL_RANGE[1]:g}] (command-specific default)")
-    grp.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for het-table/het-fit --shoot "
-                          "rows; every other run takes only 1 "
-                          "(default %(default)s)")
+    grp.add_argument("--jobs", type=int, choices=(1,), default=1,
+                     help="accepted only as 1, for compatibility: every "
+                          "run is one process; the flag goes once the "
+                          "benchmark stops passing it")
 
     grp = ap.add_argument_group("base parameters")
     grp.add_argument("--A", type=float, default=REFERENCE_BASE.A,

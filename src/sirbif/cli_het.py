@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 
 from .cli_common import (
+    check_beta,
     config_for,
     csv_text,
     effective_tol,
@@ -59,6 +60,18 @@ def _parse_r0_list(text: str) -> list:
     return values
 
 
+def _shoot(abscissae, base, tol: float, what: str) -> list:
+    """The shot table's rows, once every abscissa (``what`` names it) lies
+    above 2, where the connection lives, and passes ``check_beta``."""
+    from .connections import build_het_table
+    for r0 in abscissae:
+        if not r0 > 2.0:
+            raise ValueError(f"{what} {r0!r} is not above 2: "
+                             "the connection needs r0 > 2")
+        check_beta(what, r0, base)
+    return build_het_table(abscissae, base, tol=tol)
+
+
 def _shoot_tol(ns) -> float | None:
     """The tolerance of ``--shoot``; without it nothing integrates."""
     if ns.tol is not None and not ns.shoot:
@@ -85,8 +98,8 @@ def cmd_het_table(ns) -> int:
     reference = dict(REFERENCE_HET_POINTS) if base == REFERENCE_BASE else {}
     rows = []
     if ns.shoot:
-        from .connections import build_het_table
-        table = build_het_table(abscissae, base, jobs=ns.jobs, tol=tol)
+        what = "embedded r0" if ns.r0_list is None else "--r0-list entry"
+        table = _shoot(abscissae, base, tol, what)
         for row in table:
             delta = None
             if not row.error and row.r0 in reference:
@@ -151,10 +164,9 @@ def cmd_het_fit(ns) -> int:
         source = ns.table
         points = _read_points_csv(Path(ns.table))
     elif ns.shoot:
-        from .connections import build_het_table
         source = "shoot"
-        abscissae = [r0 for r0, _ in REFERENCE_HET_POINTS]
-        table = build_het_table(abscissae, base, jobs=ns.jobs, tol=tol)
+        table = _shoot([r0 for r0, _ in REFERENCE_HET_POINTS], base, tol,
+                       "embedded r0")
         points = [(row.r0, row.p_het) for row in table if not row.error]
     else:
         source = "embedded"

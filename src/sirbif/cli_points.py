@@ -3,6 +3,7 @@ equilibria, and the double-zero certificate."""
 from __future__ import annotations
 
 from .cli_common import (
+    check_beta,
     config_for,
     csv_text,
     emit,
@@ -86,6 +87,8 @@ def cmd_dz(ns) -> int:
     from .atlas import curve_values_at, dz_point
 
     base = resolve_base(ns)
+    # the double-zero point lies at r0 = 2, where every curve meets
+    check_beta("the double-zero point's r0", 2.0, base)
     config = config_for(ns, "dz", {"base": base.to_dict()})
     cert = dz_point(base)
     r0s, ps = cert.point

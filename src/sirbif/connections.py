@@ -226,25 +226,18 @@ def find_het_p(r0: float, base: BaseParams, *,
     return HetResult(r0, p_het, abs(s_het), iterations)
 
 
-def _het_worker(args) -> HetResult:
-    r0, base, tol = args
-    try:
-        return find_het_p(r0, base, tol=tol)
-    except (NoCrossingError, ValueError) as exc:
-        return HetResult(r0, float("nan"), float("nan"), 0, error=str(exc))
-
-
-def build_het_table(r0_list, base: BaseParams, *, jobs: int = 1,
+def build_het_table(r0_list, base: BaseParams, *,
                     tol: float = _SHOOT_TOL) -> list:
-    """Solve the heteroclinic location for each r0; failures become rows
-    with NaN and an error message rather than aborting the sweep. With
-    jobs > 1 rows are solved in separate processes."""
-    tasks = [(float(r0), base, tol) for r0 in r0_list]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_het_worker(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_het_worker, tasks))
+    """Solve the heteroclinic location for each r0, in order; failures
+    become rows with NaN and an error message rather than aborting the
+    sweep."""
+    rows = []
+    for r0 in map(float, r0_list):
+        try:
+            rows.append(find_het_p(r0, base, tol=tol))
+        except (NoCrossingError, ValueError) as exc:
+            rows.append(HetResult(r0, math.nan, math.nan, 0, error=str(exc)))
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -729,6 +729,8 @@ def _manifold_series(equilibrium: Equilibrium, lam: float,
     2x2 solve (J - k lam I) a_k = -sum_{i+j=k} Q(a_i, a_j), never singular
     on a planar saddle (k lam_u > lam_u > 0 > lam_s > k lam_s). Q being
     symmetric, the sum is twice its terms with i < j plus the middle one.
+    A coefficient that is not finite (as when lam overflows the solve)
+    raises ValueError: no start on such a series exists.
     """
     (a, b), (c, d) = eqmod.jacobian(equilibrium.location, params)
     beta = params.beta
@@ -757,6 +759,10 @@ def _manifold_series(equilibrium: Equilibrium, lam: float,
         a11, a22 = a - k * lam, d - k * lam
         det = a11 * a22 - b * c
         coeffs.append(((-qs * a22 + qi * b) / det, (-qi * a11 + qs * c) / det))
+        if not all(map(math.isfinite, coeffs[-1])):
+            raise ValueError(
+                f"manifold series of {equilibrium.ident} has a non-finite "
+                f"coefficient at order {k} (eigenvalue {lam!r})")
     return coeffs
 
 
@@ -766,9 +772,9 @@ def _series_start(x, coeffs: list, sections=()) -> tuple:
     s is where the series' last term |a_N| s^N is 1e-17, about the size of
     the tail it leaves out, but at most _SERIES_CAP, halved until W(s) lies
     in the closed quadrant and strictly on the saddle's side, in S, of every
-    section (a start past a section would miss its crossing). Both hold at
-    s = 0, where W = x, for a section not through x itself, so the halving
-    stops.
+    section (a start past a section would miss its crossing). With finite
+    coefficients, which _manifold_series guarantees, both hold at s = 0,
+    where W = x, for a section not through x itself, so the halving stops.
     """
     top = math.hypot(*coeffs[-1])
     s = (min(_SERIES_CAP, (1e-17 / top) ** (1.0 / len(coeffs))) if top

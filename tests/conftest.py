@@ -1,6 +1,8 @@
 """Shared test configuration: deterministic hypothesis profile and fixtures."""
 
+import contextlib
 import math
+import signal
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -62,3 +64,23 @@ def assert_close(actual, expected, *, rel=1e-12, abs_=0.0, label=""):
         raise AssertionError(
             f"{label or 'value'}: got {actual!r}, want {expected!r} "
             f"(rel_tol={rel}, abs_tol={abs_})")
+
+
+class TimeCapExceeded(Exception):
+    """Raised by ``time_cap``; not an OSError, so ``cli.main`` lets it out."""
+
+
+@contextlib.contextmanager
+def time_cap(seconds):
+    """Raise TimeCapExceeded inside the block once it has run ``seconds``,
+    so that a call that never returns fails its test instead of hanging."""
+    def give_up(signum, frame):
+        raise TimeCapExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

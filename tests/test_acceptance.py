@@ -106,8 +106,7 @@ def test_criterion_05_power_fit_on_reference_table():
 
 def test_criterion_06_heteroclinic_reproduction(base):
     t0 = time.perf_counter()
-    rows = build_het_table([r0 for r0, _ in REFERENCE_HET_POINTS], base,
-                           jobs=4)
+    rows = build_het_table([r0 for r0, _ in REFERENCE_HET_POINTS], base)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 120.0, f"table took {elapsed:.0f}s"
     # A sign change of the manifold splitting was located at every abscissa.

@@ -23,6 +23,7 @@ from sirbif import REFERENCE_BASE, __version__, find_periodic_orbit
 from sirbif.cli import main
 from sirbif.cli_common import _write_json, csv_text
 from sirbif.svgplot import Canvas
+from conftest import time_cap
 
 FORMAT_DOC = Path(__file__).resolve().parents[1] / "FORMAT.md"
 
@@ -160,11 +161,12 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert "--r0-list is empty" in capsys.readouterr().err
     assert run(["het-table", "--r0-list", "", "--out", str(tmp_path)]) == 2
     assert "--r0-list only makes sense with --shoot" in capsys.readouterr().err
-    # fewer than one worker
+    # every run is one process: --jobs is accepted only as 1
     for jobs in ("0", "-2"):
         assert run(["het-table", "--shoot", "--r0-list", "2.6",
                     "--jobs", jobs, "--out", str(tmp_path)]) == 2
-        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert (f"argument --jobs: invalid choice: {jobs}"
+                in capsys.readouterr().err)
     # a tolerance outside the integrator's range, or not a number
     for command in (["het-table", "--shoot", "--r0-list", "2.6", "--tol", "nan"],
                     ["cycle", "--tol", "-1"]):
@@ -257,6 +259,23 @@ def test_equilibria_above_fold_reports_empty(capsys):
 
 # ---------------------------------------------------------------------------
 # dz and atlas
+
+
+def test_dz_refuses_an_overflowing_beta(tmp_path, capsys):
+    # beta at r0 = 2 is about 1.8e300: the Belyakov roots would overflow
+    assert run(["dz", "--g", "1e300", "--out", str(tmp_path)]) == 2
+    assert ("the double-zero point's r0 2.0 puts beta"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_dz_refuses_an_underflowing_saddle_node_value(tmp_path, capsys):
+    # p_sn = A^2/(4m) is 0.0 here, and the concurrence deviations NaN
+    assert run(["dz", "--A", "1e-300", "--g", "1e-12",
+                "--out", str(tmp_path)]) == 2
+    assert ("--A 1e-300 is too small for --m 0.35: the saddle-node value "
+            "A^2/(4m) underflows" in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
 
 
 def test_dz_certificate_artifact(tmp_path, capsys):
@@ -485,6 +504,33 @@ def test_het_table_delta_only_at_reference_base(tmp_path, capsys):
         assert [r[4] for r in rows] == ["", ""]
         assert [r[3] != "" for r in rows] == [has_delta, has_delta]
     capsys.readouterr()
+
+
+def test_het_table_refuses_r0_list_entries_without_a_connection(tmp_path,
+                                                                capsys):
+    # the connection needs r0 > 2: an entry at or below 2 is bad input,
+    # named and refused before any row is shot
+    for r0_list, entry in (("2.6,1.5", "1.5"), ("2", "2.0"), ("-1", "-1.0")):
+        assert run(["het-table", "--shoot", "--r0-list", r0_list,
+                    "--out", str(tmp_path)]) == 2
+        assert (f"--r0-list entry {entry} is not above 2"
+                in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_het_shoot_refuses_an_overflowing_beta(tmp_path, capsys):
+    # at mu = 1e300 the abscissae's beta^2 (sigma+g) overflows, as for the
+    # point commands; shot anyway, W^u(E1)'s series would be NaN
+    for argv, message in (
+            (["het-table", "--r0-list", "2.6"],
+             "--r0-list entry 2.6 puts beta"),
+            (["het-table"], "embedded r0 2.0725 puts beta"),
+            (["het-fit"], "embedded r0 2.0725 puts beta")):
+        with time_cap(10.0):
+            assert run([*argv, "--shoot", "--mu", "1e300",
+                        "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_het_table_r0_list_requires_shoot(capsys):
@@ -894,17 +940,18 @@ def test_byte_determinism_across_runs(tmp_path, capsys):
 
 
 def test_run_control_flags_accepted(tmp_path, capsys):
-    # workers run only where rows are shot
-    assert run(["het-table", "--jobs", "2", "--out", str(tmp_path)]) == 2
-    assert ("--jobs only makes sense with --shoot"
-            in capsys.readouterr().err)
+    # no run has workers: --jobs is accepted only as 1, shot rows or not
+    for shoot in ([], ["--shoot", "--r0-list", "2.6"]):
+        assert run(["het-table", *shoot, "--jobs", "2",
+                    "--out", str(tmp_path)]) == 2
+        assert ("argument --jobs: invalid choice: 2"
+                in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
-    assert run(["het-table", "--shoot", "--r0-list", "2.6", "--jobs", "2",
+    assert run(["het-table", "--shoot", "--r0-list", "2.6", "--jobs", "1",
                 "--out", str(tmp_path), "--format", "json"]) == 0
     capsys.readouterr()
-    payload = read_json(tmp_path / "het_table.json")
-    assert payload["config"]["settings"]["jobs"] == 2
-    assert "seed" not in payload["config"]["settings"]
+    settings = read_json(tmp_path / "het_table.json")["config"]["settings"]
+    assert "jobs" not in settings and "seed" not in settings
     # nothing in sirbif is random, so there is no seed to set
     assert run(["het-table", "--seed", "7", "--out", str(tmp_path)]) == 2
 

@@ -37,7 +37,7 @@ from sirbif import (
     splitting,
 )
 from sirbif.atlas import FitSingularError
-from conftest import INDEPENDENT_HET_POINTS
+from conftest import INDEPENDENT_HET_POINTS, time_cap
 
 
 BASE_A13 = BaseParams(A=1.3, m=0.35, mu=0.175, d=0.175, g=0.35)
@@ -96,6 +96,17 @@ def test_splitting_says_why_it_ends_at_the_node(base):
     with pytest.raises(NoCrossingError, match=r"W\^s\(E0\) missed.*E2 is an "
                        r"unstable node.*below p_bt2\(r0\) = 0\.79457"):
         splitting(2.6, p, base)
+
+
+def test_splitting_refuses_a_non_finite_manifold_series():
+    # at mu = 1e300 W^u(E1)'s eigenvalue is about 1.1e300 and its series
+    # coefficients are NaN from order 2: no start on it lies in the quadrant
+    big = BaseParams(A=1.1, m=0.35, mu=1e300, d=0.175, g=0.35)
+    with time_cap(5.0):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            splitting(2.6, 0.5, big)
+        row, = build_het_table([2.6], big)
+    assert "non-finite coefficient" in row.error and math.isnan(row.p_het)
 
 
 def test_split_function_is_monotone_near_root(base, het26):
@@ -351,15 +362,6 @@ def test_het_table_failures_become_rows(base):
     assert len(bad) == 1
     assert bad[0].error != ""
     assert math.isnan(bad[0].p_het)
-
-
-def test_het_table_parallel_agrees(base):
-    seq = build_het_table([2.3, 2.9], base, jobs=1)
-    par = build_het_table([2.3, 2.9], base, jobs=2)
-    for a, b in zip(seq, par):
-        assert a.r0 == b.r0
-        assert a.p_het == b.p_het
-        assert a.error == b.error == ""
 
 
 # ---------------------------------------------------------------------------
