@@ -28,14 +28,9 @@ from bisect import bisect_left
 from .model import (BaseParams, ModelParams, _check_positive, _check_reduced,
                     _Record, invariant_region_bound, reduced_to_params)
 from . import equilibria as eq
-from .equilibria import (
-    BelyakovDomainError,
-    StabilityClass,
-    _disease_free_S,
-    _endemic_location,
-    _jacobian_entries,
-    belyakov_roots,
-)
+from .equilibria import (_SINKS, _SOURCES, BelyakovDomainError, StabilityClass,
+                         _disease_free_S, _eigenvalues, _endemic_location,
+                         _jacobian_entries, belyakov_roots, classify)
 
 __all__ = [
     "CurveDomainError",
@@ -171,20 +166,16 @@ def dz_point(base: BaseParams) -> DZCertificate:
     """
     A = base.A
     u = base.removal
+    b = base.beta_at(2.0)
     p_star = p_sn(2.0, base)
-    # jacobian() never reads p, so a clamped placeholder is safe when the
-    # collision value lies above the admissible vaccination range.
-    params = reduced_to_params(2.0, min(p_star, 1.0), base)
     S_star = A * 0.5
-    jac = eq.jacobian((S_star, 0.0), params)
+    jac = _jacobian_entries(S_star, 0.0, A, b, u)
     expected = ((0.0, -u), (0.0, 0.0))
     max_err = max(abs(jac[i][j] - expected[i][j]) for i in range(2) for j in range(2))
-    eigs = eq.eigenvalues_2x2(jac)
+    eigs = _eigenvalues(S_star, 0.0, A, b, u)
     moduli = (abs(eigs[0]), abs(eigs[1]))
-    endemic_err = None
-    if p_star <= 1.0:
-        e2 = eq.endemic(reduced_to_params(2.0, p_star, base))
-        endemic_err = abs(e2.S - S_star)
+    # E2's S = (sigma+g)/beta, defined where p_star is an admissible level
+    endemic_err = abs(u / b - S_star) if p_star <= 1.0 else None
     ok = max_err <= _DZ_ENTRY_TOL and max(moduli) <= _DZ_EIG_TOL
     return DZCertificate(
         point=(2.0, p_star),
@@ -254,15 +245,6 @@ def curve_values_at(r0: float, base: BaseParams, het=None) -> dict:
     return values
 
 
-_STABLE = (StabilityClass.SINK_NODE, StabilityClass.SINK_FOCUS)
-_SOURCE = (StabilityClass.SOURCE_NODE, StabilityClass.SOURCE_FOCUS)
-
-
-def _stability(S: float, I: float, A: float, b: float, u: float) -> StabilityClass:
-    """Stability class of the equilibrium at (S, I), b = beta, u = sigma + g."""
-    return eq.classify(eq.eigenvalues_2x2(_jacobian_entries(S, I, A, b, u)))
-
-
 def classify_region(r0: float, p: float, base: BaseParams, *,
                     het=None, values=None) -> RegionLabel:
     """Label the open region containing (r0, p), or BOUNDARY near a curve.
@@ -283,12 +265,9 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
     The flags come in closed form from plain floats, with the same
     operations and tolerances as ``disease_free``/``endemic``: the
     disease-free discriminant (with its coincidence window), the sign of
-    E2's I2, and the class of each needed equilibrium from the quadratic
-    formula on its analytic Jacobian. E0/E1 are classified only when E2 is
-    not interior; no ``ModelParams`` or ``Equilibrium`` is built.
-    ``disease_free`` reads E0's and E1's eigenvalues off the diagonal
-    instead, which gives the same classes until beta*S nears 1e16, where
-    the formula's rounding swallows the small eigenvalue.
+    E2's I2, and the class of each needed equilibrium from the eigenvalues
+    those functions read. E0/E1 are classified only when E2 is not
+    interior; no ``ModelParams`` or ``Equilibrium`` is built.
 
     The cycle band is the open p-interval between the Hopf value and the
     heteroclinic value at this r0, taken orientation-neutrally (the unstable
@@ -319,17 +298,17 @@ def classify_region(r0: float, p: float, base: BaseParams, *,
     S2, I2 = _endemic_location(A, p, m, b, u)
     if not I2 > 0.0:
         S0, S1 = axis
-        e1 = _stability(S1, 0.0, A, b, u)
-        if e1 in _STABLE:
+        e1 = classify(_eigenvalues(S1, 0.0, A, b, u))
+        if e1 in _SINKS:
             return RegionLabel.B
-        e0 = _stability(S0, 0.0, A, b, u)
-        if e0 in _SOURCE:
+        e0 = classify(_eigenvalues(S0, 0.0, A, b, u))
+        if e0 in _SOURCES:
             return RegionLabel.H
         raise RegionFlagError(
             f"disease-free pair with classes ({e0.value}, "
             f"{e1.value}) matches neither B nor H at (r0, p) = ({r0}, {p})")
 
-    e2 = _stability(S2, I2, A, b, u)
+    e2 = classify(_eigenvalues(S2, I2, A, b, u))
     if e2 is StabilityClass.SINK_NODE:
         return RegionLabel.C
     if e2 is StabilityClass.SINK_FOCUS:

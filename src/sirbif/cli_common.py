@@ -119,11 +119,11 @@ def emit(ns, config: dict, artifacts) -> None:
 
 def resolve_base(ns) -> BaseParams:
     base = BaseParams(A=ns.A, m=ns.m, mu=ns.mu, d=ns.d, g=ns.g)
-    # every curve scales with the saddle-node value p_sn = A^2/(4m)
-    p_sn = base.A * base.A / (4.0 * base.m)
-    if not math.isfinite(p_sn):
+    # every curve scales with A^2/m, the saddle-node value p_sn with A^2/(4m)
+    if not math.isfinite(base.A * base.A / base.m):
         raise ValueError(f"--A {base.A!r} is too large for --m {base.m!r}: "
-                         "the saddle-node value A^2/(4m) overflows")
+                         "the curves' scale A^2/m overflows")
+    p_sn = base.A * base.A / (4.0 * base.m)
     if p_sn == 0.0:
         raise ValueError(f"--A {base.A!r} is too small for --m {base.m!r}: "
                          "the saddle-node value A^2/(4m) underflows to 0")
@@ -132,13 +132,22 @@ def resolve_base(ns) -> BaseParams:
 
 def check_beta(flag: str, value: float, base: BaseParams) -> None:
     """Refuse the beta that ``flag value`` sets (an r0 flag through r0
-    (sigma+g)/A) when beta^2 (sigma+g), E2's divisor, under- or overflows."""
+    (sigma+g)/A) when, for some p in [0, 1], a term of E2's closed form
+    S2 = u/beta, I2 = (-p m beta^2 + A u beta - u^2)/(beta^2 u), u = sigma+g,
+    leaves the double range; a window passes if its two ends do.  S2 needs
+    no test of its own: it is below u for beta >= 1, else below u/beta^2."""
     beta = value if flag == "--beta" else base.beta_at(value)
-    if not sys.float_info.min <= beta * beta * base.removal < math.inf:
+    u = base.removal
+    divisor = beta * beta * u
+    # the terms of I2's numerator at p = 1, where they are largest
+    top = base.m * beta * beta + base.A * u * beta + u * u
+    if not (sys.float_info.min <= divisor < math.inf
+            and top / divisor < math.inf):
         what = ("is" if flag == "--beta"
                 else f"puts beta = r0 (sigma+g)/A = {beta!r}")
         raise ValueError(f"{flag} {value!r} {what} out of range: "
-                         "beta^2 (sigma+g) underflows or overflows")
+                         "beta^2 (sigma+g), or a term of E2's closed form "
+                         f"at sigma+g = {u!r}, underflows or overflows")
 
 
 def resolve_params(ns) -> ModelParams:

@@ -113,9 +113,9 @@ def _builtin_packs() -> dict:
 
 
 def _marker_kind(eq) -> str:
-    from .equilibria import StabilityClass
+    from .equilibria import _SINKS, StabilityClass
 
-    if eq.stability in (StabilityClass.SINK_NODE, StabilityClass.SINK_FOCUS):
+    if eq.stability in _SINKS:
         return "filled"
     if eq.stability is StabilityClass.SADDLE:
         return "saddle"

@@ -10,9 +10,10 @@ Three equilibria organise the dynamics:
   interior iff I2 > 0.
 
 Eigenvalues are always taken in closed form from the analytic 2x2 Jacobian,
-never from an iterative solver: on the I = 0 axis its diagonal, elsewhere the
-quadratic formula. Classification treats a real (or imaginary) part as zero
-when it is within RELATIVE_EIG_TOL*(1 + |lambda|).
+never from an iterative solver, and in one place, _eigenvalues: on the I = 0
+axis its diagonal, elsewhere the quadratic formula. Classification treats a
+real (or imaginary) part as zero when it is within
+RELATIVE_EIG_TOL*(1 + |lambda|).
 """
 from __future__ import annotations
 
@@ -50,6 +51,11 @@ class StabilityClass(enum.Enum):
     SOURCE_FOCUS = "source-focus"
     NON_HYPERBOLIC = "non-hyperbolic"
     NONEXISTENT = "nonexistent"
+
+
+#: the classes of a hyperbolic sink and of a hyperbolic source
+_SINKS = (StabilityClass.SINK_NODE, StabilityClass.SINK_FOCUS)
+_SOURCES = (StabilityClass.SOURCE_NODE, StabilityClass.SOURCE_FOCUS)
 
 
 class Equilibrium(_Record):
@@ -144,16 +150,20 @@ def classify(eigenvalues) -> StabilityClass:
     return StabilityClass.SOURCE_NODE if real else StabilityClass.SOURCE_FOCUS
 
 
-def _make(ident: str, S: float, I: float, params: ModelParams) -> Equilibrium:
-    """The equilibrium at (S, I) with its eigenvalues: on I = 0 the Jacobian
-    is upper triangular, so they are its diagonal (A - 2S, beta*S - (sigma+g))
-    exactly, ascending; elsewhere the quadratic formula's."""
-    (a, b), (c, d) = _jacobian_entries(S, I, params.A, params.beta,
-                                       params.removal)
+def _eigenvalues(S: float, I: float, A: float, b: float, u: float) -> tuple:
+    """Eigenvalues of the equilibrium at (S, I), b = beta and u = sigma + g,
+    ascending: on I = 0 the Jacobian is upper triangular, so they are its
+    diagonal (A - 2S, b*S - u) exactly; elsewhere the quadratic formula's."""
+    jac = _jacobian_entries(S, I, A, b, u)
     if I == 0.0:
-        eigs = (complex(min(a, d), 0.0), complex(max(a, d), 0.0))
-    else:
-        eigs = eigenvalues_2x2(((a, b), (c, d)))
+        a, d = jac[0][0], jac[1][1]
+        return (complex(min(a, d), 0.0), complex(max(a, d), 0.0))
+    return eigenvalues_2x2(jac)
+
+
+def _make(ident: str, S: float, I: float, params: ModelParams) -> Equilibrium:
+    """The equilibrium at (S, I), classified from its eigenvalues."""
+    eigs = _eigenvalues(S, I, params.A, params.beta, params.removal)
     return Equilibrium(ident, S, I, eigs, classify(eigs))
 
 
@@ -197,8 +207,8 @@ def endemic(params: ModelParams) -> Equilibrium:
     S2, I2 = _endemic_location(params.A, params.p, params.m, b, u)
     if I2 > 0.0:
         return _make("E2", S2, I2, params)
-    eigs = eigenvalues_2x2(_jacobian_entries(S2, I2, params.A, b, u))
-    return Equilibrium("E2", S2, I2, eigs, StabilityClass.NONEXISTENT)
+    return Equilibrium("E2", S2, I2, _eigenvalues(S2, I2, params.A, b, u),
+                       StabilityClass.NONEXISTENT)
 
 
 def belyakov_roots(r0: float, base: BaseParams) -> tuple:

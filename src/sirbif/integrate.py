@@ -46,7 +46,7 @@ from functools import lru_cache
 
 from .model import TOL_RANGE, ModelParams, _Record, invariant_region_bound
 from . import equilibria as eqmod
-from .equilibria import Equilibrium, StabilityClass, _jacobian_entries
+from .equilibria import _SINKS, Equilibrium, StabilityClass, _jacobian_entries
 
 __all__ = [
     "SectionEvent",
@@ -575,8 +575,6 @@ class OmegaLimitResult(_Record):
     detail: str = ""
 
 
-_SINKS = (StabilityClass.SINK_NODE, StabilityClass.SINK_FOCUS)
-
 #: a trap's level is this fraction of the certified lambda_min(P) r^2, a
 #: margin for the rounding of P and of V
 _TRAP_SAFETY = 0.9
@@ -585,14 +583,14 @@ _TRAP_SAFETY = 0.9
 def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
                          tol: float = 1e-8) -> OmegaLimitResult:
     """Estimate the forward limit set of the trajectory through x0 from one
-    run over the horizon, ended early once the run enters a sink's
-    Lyapunov ellipse. No cycle: the Hopf one is unstable.
+    run over the horizon, ended early once the run enters the Lyapunov
+    ellipse of E2 as a sink. No cycle: the Hopf one is unstable.
 
-    The verdict is the sink whose ellipse the run entered, with the detail
+    The verdict is E2 if the run entered its ellipse, with the detail
     "entered the Lyapunov ellipse of E2 at t = ..."; else 'undecided' if it
     left the domain, 'boundary-axis' on the S = 0 wall, else the admissible
     equilibrium within 1e-3 of the end state (a sink on I = 0, which has no
-    ellipse, a sink whose ellipse the run did not enter, or a saddle reached
+    ellipse, E2 if the run did not enter its ellipse, or a saddle reached
     along its stable manifold, as on I = 0), or 'undecided'.
 
     The ellipse certifies its verdict (Khalil, Nonlinear Systems, 3rd ed.,
@@ -610,17 +608,15 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
     open quadrant, clear of the wall; a sink on I = 0 gets no ellipse and
     keeps the horizon rule. The level is _TRAP_SAFETY times lmin(P) r^2.
     """
-    equilibria, sinks = _limit_sets(params)
+    equilibria, trap = _limit_sets(params)
     traj = integrate(x0, params, horizon, tol=tol,
-                     traps=[trap for _, trap in sinks])
+                     traps=() if trap is None else (trap,))
     term = traj.terminal
     if term.kind == "step-failure":
         raise StepFailure(term.detail)
     if term.kind == "trapped":
-        ident = next(eq.ident for eq, trap in sinks
-                     if _in_trap(trap, term.state))
-        return OmegaLimitResult(ident, traj, detail=(
-            f"entered the Lyapunov ellipse of {ident} at t = {term.t:.6g}"))
+        return OmegaLimitResult("E2", traj, detail=(
+            f"entered the Lyapunov ellipse of E2 at t = {term.t:.6g}"))
     if term.kind == "left-domain":
         return OmegaLimitResult("undecided", traj, detail="left the domain")
     if traj.on_wall:
@@ -637,15 +633,13 @@ def omega_limit_estimate(x0, params: ModelParams, horizon: float = 10000.0,
 
 @lru_cache(maxsize=16)
 def _limit_sets(params: ModelParams) -> tuple:
-    """(equilibria, sinks) at params: E0, E1 and E2 as the horizon rule
-    reads them, and (sink, Lyapunov ellipse) for each hyperbolic sink that
-    has one. Cached, because a fan asks at every start for the same
-    params."""
-    equilibria = (*eqmod.disease_free(params), eqmod.endemic(params))
-    sinks = tuple((eq, trap) for eq in equilibria
-                  if eq.stability in _SINKS
-                  and (trap := _lyapunov_trap(eq, params)) is not None)
-    return equilibria, sinks
+    """(equilibria, trap) at params: E0, E1 and E2 as the horizon rule
+    reads them, and E2's Lyapunov ellipse when E2 is a hyperbolic sink,
+    else None. E0 and E1 lie on I = 0, where no ellipse has room. Cached,
+    because a fan asks at every start for the same params."""
+    e2 = eqmod.endemic(params)
+    trap = _lyapunov_trap(e2, params) if e2.stability in _SINKS else None
+    return (*eqmod.disease_free(params), e2), trap
 
 
 def _lyapunov_trap(eq: Equilibrium, params: ModelParams):

@@ -243,16 +243,20 @@ def _without_band():
 
 @pytest.mark.parametrize("with_het", [True, False])
 def test_classify_region_matches_flag_oracle_on_grid(base, het, with_het):
-    # the default atlas window (r0 in [1, 4], p in [0, 1]), spaced as the CLI
+    # the default atlas window (r0 in [1, 4], p in [0, 1]), spaced as the
+    # CLI, and r0 log-spaced over [1e14, 1e18], where beta*S passes 1e16 and
+    # the quadratic formula loses E1's small eigenvalue
     curve = het if with_het else None
-    n = 61
+    windows = ([1.0 + 3.0 * i / 60 for i in range(61)],
+               [10.0 ** (14.0 + 4.0 * i / 40) for i in range(41)])
     seen = set()
-    for i in range(n):
-        r0 = 1.0 + 3.0 * i / (n - 1)
-        for j in range(n):
-            p = j / (n - 1)
-            _assert_parity(r0, p, base, curve)
-            seen.add(_outcome(classify_region, r0, p, base, curve))
+    for r0s in windows:
+        n = len(r0s)
+        for r0 in r0s:
+            for j in range(n):
+                p = j / (n - 1)
+                _assert_parity(r0, p, base, curve)
+                seen.add(_outcome(classify_region, r0, p, base, curve))
     if with_het:
         assert set(RegionLabel) <= seen
 

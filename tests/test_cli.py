@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sirbif
@@ -112,6 +112,9 @@ def test_validation_errors_exit_two(tmp_path, capsys):
             (["atlas", "--A", "1e300"], "--A 1e+300 is too large for --m 0.35"),
             (["dz", "--A", "1e160", "--format", "json"],
              "--A 1e+160 is too large for --m 0.35"),
+            # A^2/(4m) is finite, but p_t's scale A^2/m is not
+            (["dz", "--A", "1e154", "--mu", "2.0000001", "--format", "json"],
+             "--A 1e+154 is too large for --m 0.35: the curves' scale A^2/m"),
             (["equilibria", "--A", "1e160", "--r0", "2.6", "--p", "0.3",
               "--format", "json"], "--A 1e+160 is too large for --m 0.35"),
             (["atlas", "--r0-min", "1e-300", "--r0-max", "1e-299"],
@@ -179,6 +182,31 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     for command in (["het-table"], ["het-fit"]):
         assert run([*command, "--tol", "1e-8", "--out", str(tmp_path)]) == 2
         assert "--tol only makes sense with --shoot" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,flag", [
+    # (sigma+g)^2 overflows in I2's numerator
+    (["equilibria", "--mu", "1e300", "--beta", "2.0000001", "--format",
+      "json"], "--beta 2.0000001"),
+    # and S2 = (sigma+g)/beta with it
+    (["equilibria", "--beta", "1e-12", "--mu", "1e300", "--format", "json"],
+     "--beta 1e-12"),
+    # A (sigma+g) beta overflows
+    (["equilibria", "--A", "1e154", "--m", "1e300", "--mu", "1e154",
+      "--beta", "10", "--format", "json"], "--beta 10.0"),
+    (["portraits", "--mu", "1e300", "--beta", "2", "--p", "0.3"],
+     "--beta 2.0"),
+    (["simulate", "--mu", "1e300", "--beta", "2", "--p", "0.3", "--S0", "0.5",
+      "--I0", "0.1"], "--beta 2.0"),
+], ids=["sigma-squared", "tiny-beta", "A-sigma-beta", "portraits",
+        "simulate"])
+def test_overflowing_endemic_terms_are_refused(tmp_path, capsys, argv, flag):
+    # beta^2 (sigma+g) is finite in each, but a term of E2's closed form is
+    # not: the run would write NaN and Infinity or fail numerically
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    assert (f"sirbif: {flag} is out of range: beta^2 (sigma+g), or a term of "
+            "E2's closed form" in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
 
 
@@ -1204,3 +1232,72 @@ def test_package_namespace_after_any_first_import(tmp_path, first):
     proc = run_child(_PACKAGE_NAMESPACE, first, "portraits", "--region", "H",
                      "--format", "json", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line in process
+
+#: values for the rate and base flags, the extremes that overflow included
+_RATES = ("0.3", "2.0000001", "3", "1e300", "1e-12", "1e154", "1e-300",
+          "0", "nan")
+_LEVELS = ("0", "0.3", "0.9", "1", "1.5")
+#: each subcommand with the flags that keep it quick: small grids, short
+#: horizons, one shot row
+_QUICK = {
+    "equilibria": [],
+    "dz": [],
+    "atlas": ["--grid", "3", "--samples", "3"],
+    "simulate": ["--t-end", "2"],
+    "portraits": ["--horizon", "2", "--max-samples", "8"],
+    "het-table": ["--shoot", "--r0-list", "2.6"],
+    "het-fit": [],
+    "cycle": [],
+}
+_POINT = ("equilibria", "simulate", "portraits", "cycle")
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(
+        lambda value: [f"--{name}={value}"]))
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_QUICK)))
+    argv = [command, *_QUICK[command]]
+    for name in ("A", "m", "mu", "d", "g"):
+        argv += draw(_flag(name, _RATES))
+    if command in _POINT:
+        rate = draw(st.sampled_from(("beta", "r0")))
+        argv += [f"--{rate}={draw(st.sampled_from(_RATES))}"]
+        argv += draw(_flag("p", _LEVELS))
+    if command == "simulate":
+        argv += [f"--S0={draw(st.sampled_from(('0.3', '2', '1e-12')))}",
+                 f"--I0={draw(st.sampled_from(('0', '0.05', '1e300')))}"]
+    if command == "atlas":
+        argv += draw(_flag("r0-max", _RATES))
+    return argv + ["--format", "json"]
+
+
+def _strict(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@settings(max_examples=150, database=None)
+@given(_command_lines())
+# (sigma+g)^2 overflows in E2's I while beta^2 (sigma+g) does not
+@example(["equilibria", "--mu=1e300", "--beta=2.0000001", "--format", "json"])
+def test_fuzzed_command_lines_exit_cleanly(tmp_path_factory, argv):
+    # every run ends with 0, 2 or 3 and no traceback; a run that succeeds
+    # writes strict JSON, and a refused one writes nothing
+    out = tmp_path_factory.mktemp("fuzz")
+    with time_cap(10.0):
+        code = run([*argv, "--out", str(out)])
+    assert code in (0, 2, 3), argv
+    written = sorted(out.iterdir())
+    if code == 0:
+        assert written, argv
+        for path in written:
+            json.loads(path.read_text(), parse_constant=_strict)
+    if code == 2:
+        assert not written, argv
