@@ -167,6 +167,7 @@ def dz_point(base: BaseParams) -> DZCertificate:
     A = base.A
     u = base.removal
     b = base.beta_at(2.0)
+    _check_positive("beta", b)
     p_star = p_sn(2.0, base)
     S_star = A * 0.5
     jac = _jacobian_entries(S_star, 0.0, A, b, u)

@@ -132,22 +132,25 @@ def resolve_base(ns) -> BaseParams:
 
 def check_beta(flag: str, value: float, base: BaseParams) -> None:
     """Refuse the beta that ``flag value`` sets (an r0 flag through r0
-    (sigma+g)/A) when, for some p in [0, 1], a term of E2's closed form
-    S2 = u/beta, I2 = (-p m beta^2 + A u beta - u^2)/(beta^2 u), u = sigma+g,
-    leaves the double range; a window passes if its two ends do.  S2 needs
-    no test of its own: it is below u for beta >= 1, else below u/beta^2."""
+    (sigma+g)/A) when, for some p in [0, 1], R0 = A beta/u, a term of E2's
+    closed form S2 = u/beta, I2 = (-p m beta^2 + A u beta - u^2)/(beta^2 u)
+    or beta*I2, an entry of E2's Jacobian, leaves the double range (u =
+    sigma+g).  Each bound below is monotone or convex in beta, so a window
+    passes if its two ends do.  S2 needs no test of its own: it is below u
+    for beta >= 1, else below u/beta^2."""
     beta = value if flag == "--beta" else base.beta_at(value)
     u = base.removal
     divisor = beta * beta * u
-    # the terms of I2's numerator at p = 1, where they are largest
-    top = base.m * beta * beta + base.A * u * beta + u * u
-    if not (sys.float_info.min <= divisor < math.inf
-            and top / divisor < math.inf):
-        what = ("is" if flag == "--beta"
-                else f"puts beta = r0 (sigma+g)/A = {beta!r}")
-        raise ValueError(f"{flag} {value!r} {what} out of range: "
-                         "beta^2 (sigma+g), or a term of E2's closed form "
-                         f"at sigma+g = {u!r}, underflows or overflows")
+    if sys.float_info.min <= divisor < math.inf:
+        # |I2| at most, from the terms of its numerator at p = 1
+        i2 = (base.m * beta * beta + base.A * u * beta + u * u) / divisor
+        if max(i2, beta * i2, base.A * beta / u) < math.inf:
+            return
+    what = ("is" if flag == "--beta"
+            else f"puts beta = r0 (sigma+g)/A = {beta!r}")
+    raise ValueError(f"{flag} {value!r} {what} out of range: "
+                     "beta^2 (sigma+g), R0 or a term of E2's closed form "
+                     f"at sigma+g = {u!r} underflows or overflows")
 
 
 def resolve_params(ns) -> ModelParams:

@@ -110,6 +110,13 @@ def test_dz_certificate(base):
     assert cert.endemic_location_error <= 1e-12
 
 
+def test_dz_certificate_refuses_an_overflowing_beta():
+    # beta(r0 = 2) = 2 (sigma+g)/A overflows: no certificate of inf and NaN
+    base = BaseParams(A=1e-10, m=1.0, mu=1e300, d=0.25, g=0.5)
+    with pytest.raises(ValueError, match="parameter beta must be a finite"):
+        dz_point(base)
+
+
 @pytest.mark.parametrize("r0", [2.5, 3.0, 3.5])
 def test_hopf_certificate(base, r0):
     cert = hopf_certificate(r0, base)

@@ -195,18 +195,29 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     # A (sigma+g) beta overflows
     (["equilibria", "--A", "1e154", "--m", "1e300", "--mu", "1e154",
       "--beta", "10", "--format", "json"], "--beta 10.0"),
+    # beta*I2, an entry of E2's Jacobian, overflows and R0 with it
+    (["equilibria", "--mu", "1e-300", "--d", "1e-300", "--g", "1e-300",
+      "--beta", "1e154", "--p", "0.3", "--format", "json"], "--beta 1e+154"),
+    # beta*I2 overflows alone
+    (["equilibria", "--A", "1e-103", "--m", "1e-100", "--mu", "1e-300",
+      "--d", "1e-300", "--g", "1e-300", "--beta", "1e110", "--p", "0.3",
+      "--format", "json"], "--beta 1e+110"),
+    # R0 = A beta/(sigma+g) overflows alone
+    (["equilibria", "--A", "1e100", "--m", "1e-10", "--mu", "1e-300",
+      "--d", "1e-300", "--g", "1e-300", "--beta", "1e10", "--format",
+      "json"], "--beta 10000000000.0"),
     (["portraits", "--mu", "1e300", "--beta", "2", "--p", "0.3"],
      "--beta 2.0"),
     (["simulate", "--mu", "1e300", "--beta", "2", "--p", "0.3", "--S0", "0.5",
       "--I0", "0.1"], "--beta 2.0"),
-], ids=["sigma-squared", "tiny-beta", "A-sigma-beta", "portraits",
-        "simulate"])
+], ids=["sigma-squared", "tiny-beta", "A-sigma-beta", "beta-I2-and-r0",
+        "beta-I2", "r0", "portraits", "simulate"])
 def test_overflowing_endemic_terms_are_refused(tmp_path, capsys, argv, flag):
-    # beta^2 (sigma+g) is finite in each, but a term of E2's closed form is
-    # not: the run would write NaN and Infinity or fail numerically
+    # beta^2 (sigma+g) is finite in each, but R0 or a term of E2's closed
+    # form is not: the run would write NaN and Infinity or fail numerically
     assert run([*argv, "--out", str(tmp_path)]) == 2
-    assert (f"sirbif: {flag} is out of range: beta^2 (sigma+g), or a term of "
-            "E2's closed form" in capsys.readouterr().err)
+    assert (f"sirbif: {flag} is out of range: beta^2 (sigma+g), R0 or a term "
+            "of E2's closed form" in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
 
 

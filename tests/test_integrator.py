@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sirbif import (
@@ -532,6 +532,9 @@ def _lyapunov_value(trap, x):
                                         g=0.5)]),
        r0=st.floats(1.05, 3.5), frac=st.floats(0.01, 0.99),
        angle=st.floats(0.0, 2.0 * math.pi), depth=st.floats(0.0, 0.999))
+# a start at the centre, where one step raises V from 4e-29 to 1.6e-20
+@example(base=BaseParams(A=1.0, m=0.35, mu=0.25, d=0.25, g=0.5), r0=1.0625,
+         frac=0.99, angle=0.0, depth=0.0)
 def test_run_inside_the_ellipse_stays_and_ends_at_once(base, r0, frac, angle,
                                                        depth):
     # E2 is a stable node or focus in the bands C, D and E: below p_t, and
@@ -563,11 +566,10 @@ def test_run_inside_the_ellipse_stays_and_ends_at_once(base, r0, frac, angle,
     free = integrate(x0, params, 30.0, tol=1e-10)
     values = [_lyapunov_value(trap, x) for x in free.states]
     assert all(v < level for v in values)
-    # V falls along the flow; a step may add the V of its own error, about
-    # lmax(P) (tol (1 + |x|))^2, which shows only next to the centre
-    slack = (1e-12 * level
-             + np.linalg.eigvalsh(P)[1] * (1e-10 * (1.0 + cS + cI)) ** 2)
-    assert all(b <= a + slack for a, b in zip(values, values[1:]))
+    # V falls along the flow; a start at the centre itself (depth 0) stays
+    # there, and its V is only the integration's own error
+    if depth > 0.0:
+        assert all(b <= a + 1e-12 * level for a, b in zip(values, values[1:]))
 
 
 def _horizon_verdict(x0, params):
