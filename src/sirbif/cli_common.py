@@ -132,13 +132,13 @@ def resolve_base(ns) -> BaseParams:
 
 def check_beta(flag: str, value: float, base: BaseParams) -> None:
     """Refuse the beta that ``flag value`` sets (an r0 flag through r0
-    (sigma+g)/A) when, for some p in [0, 1], R0 = A beta/u, a term of E2's
-    closed form S2 = u/beta, I2 = (-p m beta^2 + A u beta - u^2)/(beta^2 u)
-    or beta*I2, an entry of E2's Jacobian, leaves the double range (u =
-    sigma+g).  Each bound below is monotone or convex in beta, so a window
-    passes if its two ends do.  S2 needs no test of its own: it is below u
-    for beta >= 1, else below u/beta^2."""
+    (sigma+g)/A) when R0 or a term of E2's closed form leaves the double
+    range for some p in [0, 1]."""
     beta = value if flag == "--beta" else base.beta_at(value)
+    # E2 is S2 = u/beta, I2 = (-p m beta^2 + A u beta - u^2)/(beta^2 u) with
+    # u = sigma+g, and beta*I2 is an entry of its Jacobian.  Each bound below
+    # is monotone or convex in beta, so a window passes if its two ends do;
+    # S2 is below u for beta >= 1, else below u/beta^2, a term of |I2|.
     u = base.removal
     divisor = beta * beta * u
     if sys.float_info.min <= divisor < math.inf:
