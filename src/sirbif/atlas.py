@@ -9,6 +9,7 @@ The five organising curves, as functions of r0 at a fixed base:
 * the heteroclinic curve, located numerically (see ``connections``) and
   supplied here as a callable, usually the power fit of the bundled table.
 
+The closed forms are defined in ``equilibria``, the bundled table in ``model``.
 All of them pass through the organising centre ``dz = (2, A^2/(4m))`` where
 the disease-free pair collides exactly on the E2 branch and the Jacobian
 degenerates to a nilpotent [[0, -(sigma+g)], [0, 0]].
@@ -25,30 +26,26 @@ import enum
 import math
 from bisect import bisect_left
 
-from .model import (BaseParams, ModelParams, _check_positive, _check_reduced,
-                    _Record, invariant_region_bound, reduced_to_params)
+from .model import (REFERENCE_HET_POINTS, BaseParams, ModelParams,
+                    _check_positive, _check_reduced, _Record,
+                    invariant_region_bound, reduced_to_params)
 from . import equilibria as eq
-from .equilibria import (_SINKS, _SOURCES, BelyakovDomainError, StabilityClass,
-                         _disease_free_S, _eigenvalues, _endemic_location,
-                         _jacobian_entries, belyakov_roots, classify)
+from .equilibria import (_SINKS, _SOURCES, BelyakovDomainError,
+                         CurveDomainError, StabilityClass, _disease_free_S,
+                         _eigenvalues, _endemic_location, _jacobian_entries,
+                         belyakov_roots, classify, p_bt2, p_h, p_sn, p_t)
 
 __all__ = [
-    "CurveDomainError",
     "RegionFlagError",
     "RegionLabel",
     "DZCertificate",
     "HopfCertificate",
-    "p_sn",
-    "p_t",
-    "p_h",
-    "p_bt2",
     "dz_point",
     "hopf_certificate",
     "classify_region",
     "classify_column",
     "curve_values_at",
     "region_fan",
-    "REFERENCE_HET_POINTS",
     "FitSingularError",
     "FitNonConvergence",
     "PowerFit",
@@ -62,30 +59,6 @@ _DZ_ENTRY_TOL = 1e-12      # dz Jacobian entries against the nilpotent form
 _DZ_EIG_TOL = 1e-10        # dz eigenvalue moduli
 _RING_RADIUS = 0.02        # radius of the portrait seed ring
 _FIT_ROUNDS = 500          # Gauss-Newton rounds of power_fit
-
-#: Bundled (r0, p) table for the reference base A=1.1, m=0.35,
-#: mu=d=0.175, g=0.35, kept as the golden of the power fit. It is not the
-#: model's connection locus: the shot connection lies 0.02 % (r0 = 2.0725)
-#: to 11.9 % (r0 = 3.6667) below it, the gap growing with r0.
-REFERENCE_HET_POINTS = (
-    (2.0725, 0.793486),
-    (2.2000, 0.686625),
-    (2.2698, 0.636156),
-    (2.4237, 0.541135),
-    (2.6000, 0.453994),
-    (2.6981, 0.413374),
-    (2.8039, 0.374719),
-    (2.9184, 0.338027),
-    (3.0426, 0.303294),
-    (3.1778, 0.270517),
-    (3.3256, 0.239692),
-    (3.4878, 0.210816),
-    (3.6667, 0.183883),
-)
-
-
-class CurveDomainError(ValueError):
-    """Curve evaluated outside the r0 range where it is defined."""
 
 
 class RegionFlagError(RuntimeError):
@@ -110,34 +83,6 @@ class RegionLabel(enum.Enum):
     G = "G"
     H = "H"
     BOUNDARY = "boundary"
-
-
-# ----------------------------------------------------------------------
-# curves
-
-
-def p_sn(r0: float, base: BaseParams) -> float:
-    """Saddle-node value A^2/(4m); constant, r0 accepted for uniformity."""
-    return base.A * base.A / (4.0 * base.m)
-
-
-def p_t(r0: float, base: BaseParams) -> float:
-    """Transcritical curve (A^2/m)(r0-1)/r0^2, defined for r0 > 1."""
-    if r0 <= 1.0:
-        raise CurveDomainError(f"p_t needs r0 > 1, got {r0}")
-    return (base.A * base.A / base.m) * (r0 - 1.0) / (r0 * r0)
-
-
-def p_h(r0: float, base: BaseParams) -> float:
-    """Hopf curve A^2/(m r0^2), defined for r0 >= 2."""
-    if r0 < 2.0:
-        raise CurveDomainError(f"p_h needs r0 >= 2.0, got {r0}")
-    return base.A * base.A / (base.m * r0 * r0)
-
-
-def p_bt2(r0: float, base: BaseParams) -> float:
-    """Upper node/focus transition of E2 (beta substituted from r0)."""
-    return belyakov_roots(r0, base)[1]
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,10 @@ def cmd_atlas(ns) -> int:
     ends = (("--r0-min", ns.r0_min), ("--r0-max", ns.r0_max))
     for flag, r0 in ends:
         check_beta(flag, r0, base)
+    # the curves' scale A^2/(m r0^2) is largest at the window's left end
+    if base.m * ns.r0_min * ns.r0_min == 0.0:
+        raise ValueError(f"--r0-min {ns.r0_min!r} is too small for --m "
+                         f"{base.m!r}: m r0^2 underflows to 0")
     het = fit_reference_curve()
     config = config_for(ns, "atlas", {
         "base": base.to_dict(),

@@ -21,6 +21,7 @@ from .model import (
     TOL_RANGE,
     BaseParams,
     ModelParams,
+    invariant_region_bound,
     reduced_to_params,
 )
 
@@ -130,10 +131,12 @@ def resolve_base(ns) -> BaseParams:
     return base
 
 
-def check_beta(flag: str, value: float, base: BaseParams) -> None:
+def check_beta(flag: str, value: float, base: BaseParams, *,
+               integrates: bool = False) -> None:
     """Refuse the beta that ``flag value`` sets (an r0 flag through r0
     (sigma+g)/A) when R0 or a term of E2's closed form leaves the double
-    range for some p in [0, 1]."""
+    range for some p in [0, 1], or, if the run ``integrates``, when the
+    integrator's first step estimate would overflow."""
     beta = value if flag == "--beta" else base.beta_at(value)
     # E2 is S2 = u/beta, I2 = (-p m beta^2 + A u beta - u^2)/(beta^2 u) with
     # u = sigma+g, and beta*I2 is an entry of its Jacobian.  Each bound below
@@ -141,28 +144,36 @@ def check_beta(flag: str, value: float, base: BaseParams) -> None:
     # S2 is below u for beta >= 1, else below u/beta^2, a term of |I2|.
     u = base.removal
     divisor = beta * beta * u
+    flaw = ("out of range: beta^2 (sigma+g), R0 or a term of E2's closed "
+            f"form at sigma+g = {u!r} underflows or overflows")
     if sys.float_info.min <= divisor < math.inf:
         # |I2| at most, from the terms of its numerator at p = 1
         i2 = (base.m * beta * beta + base.A * u * beta + u * u) / divisor
         if max(i2, beta * i2, base.A * beta / u) < math.inf:
-            return
+            # the field is at most F = (beta A + u + A) h + m where S <= A,
+            # S + I <= h, and the estimate sums squares of 2F / TOL_RANGE[0]
+            h = invariant_region_bound(base)
+            f = ((beta * base.A + u + base.A) * h + base.m) / TOL_RANGE[0]
+            if not integrates or 8.0 * f * f < math.inf:
+                return
+            flaw = (f"too large to integrate: (beta A + sigma+g + A) h + m at "
+                    f"sigma+g = {u!r}, h = {h!r} overflows the step estimate")
     what = ("is" if flag == "--beta"
             else f"puts beta = r0 (sigma+g)/A = {beta!r}")
-    raise ValueError(f"{flag} {value!r} {what} out of range: "
-                     "beta^2 (sigma+g), R0 or a term of E2's closed form "
-                     f"at sigma+g = {u!r} underflows or overflows")
+    raise ValueError(f"{flag} {value!r} {what} {flaw}")
 
 
 def resolve_params(ns) -> ModelParams:
     base = resolve_base(ns)
+    integrates = hasattr(ns, "tol")      # new_subparser's integrates
     if ns.beta is not None:
         params = ModelParams(A=ns.A, beta=ns.beta, m=ns.m, mu=ns.mu, d=ns.d,
                              g=ns.g, p=ns.p)
-        check_beta("--beta", ns.beta, base)
+        check_beta("--beta", ns.beta, base, integrates=integrates)
         return params
     if ns.r0 is not None:
         params = reduced_to_params(ns.r0, ns.p, base)
-        check_beta("--r0", ns.r0, base)
+        check_beta("--r0", ns.r0, base, integrates=integrates)
         return params
     raise ValueError("give either --beta or --r0 to fix the transmission rate")
 

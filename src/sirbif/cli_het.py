@@ -15,7 +15,7 @@ from .cli_common import (
     new_subparser,
     resolve_base,
 )
-from .model import REFERENCE_BASE
+from .model import REFERENCE_BASE, REFERENCE_HET_POINTS
 
 
 def add_parser(sub, name: str, help_line: str) -> None:
@@ -68,7 +68,7 @@ def _shoot(abscissae, base, tol: float, what: str) -> list:
         if not r0 > 2.0:
             raise ValueError(f"{what} {r0!r} is not above 2: "
                              "the connection needs r0 > 2")
-        check_beta(what, r0, base)
+        check_beta(what, r0, base, integrates=True)
     return build_het_table(abscissae, base, tol=tol)
 
 
@@ -81,8 +81,6 @@ def _shoot_tol(ns) -> float | None:
 
 
 def cmd_het_table(ns) -> int:
-    from .atlas import REFERENCE_HET_POINTS
-
     base = resolve_base(ns)
     if ns.r0_list is not None and not ns.shoot:
         raise ValueError("--r0-list only makes sense with --shoot; "
@@ -152,7 +150,7 @@ def _read_points_csv(path: Path) -> list:
 
 
 def cmd_het_fit(ns) -> int:
-    from .atlas import REFERENCE_HET_POINTS, power_fit
+    from .atlas import power_fit
 
     base = resolve_base(ns)
     if ns.table == "":

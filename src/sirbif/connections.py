@@ -5,9 +5,9 @@ are saddles; the axis segment between them is always a connection, and the
 interior connection W^u(E1) -> W^s(E0) exists only on a curve p = p_het(r0),
 located here by shooting both manifolds onto the section S = S2 and
 solving for the zero of the signed gap between them by Brent's method on
-a bracket found walking down from the Hopf value. The bundled 13-row
-table of this curve and its power fit live in ``atlas``, whose runs need
-them without the integrator.
+a bracket walked down from the Hopf value or, in a table, from the p the
+rows already solved predict. The bundled 13-row table of this curve lives
+in ``model`` and its power fit in ``atlas``, which this module never loads.
 
 Between the heteroclinic and Hopf values of p the broken cycle leaves an
 unstable periodic orbit around the (still stable) focus E2;
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 from .model import BaseParams, ModelParams, _Record, invariant_region_bound, reduced_to_params
-from . import atlas
 from . import equilibria as eqmod
 from .equilibria import StabilityClass
 from .integrate import (
@@ -104,9 +103,9 @@ def splitting(r0: float, p: float, base: BaseParams, *,
     """
     if r0 <= 2.0:
         raise ValueError(f"splitting needs r0 > 2, got {r0}")
-    if not 0.0 < p < atlas.p_t(r0, base):
+    if not 0.0 < p < eqmod.p_t(r0, base):
         raise ValueError(f"splitting needs 0 < p < p_t(r0) = "
-                         f"{atlas.p_t(r0, base):.6g}, got {p}")
+                         f"{eqmod.p_t(r0, base):.6g}, got {p}")
     params = reduced_to_params(r0, p, base)
     e0, e1 = _saddle_pair(params)
     e2 = eqmod.endemic(params)
@@ -122,7 +121,7 @@ def splitting(r0: float, p: float, base: BaseParams, *,
             why = "" if e2.stability is not StabilityClass.SOURCE_NODE else (
                 "; E2 is an unstable node, which it can enter without "
                 "crossing S = S2 (the splitting is defined below "
-                f"p_bt2(r0) = {atlas.p_bt2(r0, base):.6g})")
+                f"p_bt2(r0) = {eqmod.p_bt2(r0, base):.6g})")
             raise NoCrossingError(
                 f"{name} missed the section at (r0, p) = ({r0}, {p}): "
                 f"{shot.terminal.kind} ({shot.terminal.detail}){why}")
@@ -189,8 +188,8 @@ def _brent(f, a: float, b: float, fa: float, fb: float, tol: float,
         iterations += 1
 
 
-def find_het_p(r0: float, base: BaseParams, *,
-               tol: float = _SHOOT_TOL) -> HetResult:
+def find_het_p(r0: float, base: BaseParams, *, tol: float = _SHOOT_TOL,
+               prediction: dict | None = None) -> HetResult:
     """Locate the heteroclinic p at this r0 by Brent's method on the
     splitting.
 
@@ -201,42 +200,79 @@ def find_het_p(r0: float, base: BaseParams, *,
     below 0.5*hi is the only one that costs the far 0.05*hi shot. If no
     rung changes sign, the connection lies outside (0.05*hi, hi) (for
     instance above p = 1) and SameSignBracketError is raised; a
-    NoCrossingError at any rung propagates.
+    NoCrossingError at any rung propagates. ``prediction`` maps the r0 of a
+    table's rows solved so far to (q, slope) and gets this row's; once it
+    holds one, the bracket is walked from what they predict (``_walk``).
 
     The solver stops once the root is bracketed to 1e-7. ``p_het`` is its
     best iterate, ``splitting_residual`` the absolute splitting there and
-    ``iterations`` Brent's evaluations, after the ladder's shots.
+    ``iterations`` Brent's evaluations, after the bracketing shots.
     """
-    def split(p: float) -> float:
-        return splitting(r0, p, base, tol=tol)
+    shots = []
 
-    top = min(atlas.p_h(r0, base), 1.0)
-    hi, s_hi = top, split(top)
-    for fraction in _LADDER:
-        lo = fraction * top
-        s_lo = split(lo)
-        if s_lo * s_hi <= 0.0:
-            break
-        hi, s_hi = lo, s_lo
-    else:
-        raise SameSignBracketError(
-            f"splitting keeps sign {math.copysign(1, s_lo):+.0f} on "
-            f"({lo:.6g}, {top:.6g}) at r0 = {r0}")
-    p_het, s_het, iterations = _brent(split, lo, hi, s_lo, s_hi, _SOLVE_TOL)
+    def split(p: float) -> float:
+        shots.append((p, splitting(r0, p, base, tol=tol)))
+        return shots[-1][1]
+
+    top = min(eqmod.p_h(r0, base), 1.0)
+    bracket = prediction and _walk(split, *_predict(prediction, r0, base), top)
+    if not bracket:
+        hi, s_hi = top, split(top)
+        for fraction in _LADDER:
+            lo = fraction * top
+            s_lo = split(lo)
+            if s_lo * s_hi <= 0.0:
+                break
+            hi, s_hi = lo, s_lo
+        else:
+            raise SameSignBracketError(
+                f"splitting keeps sign {math.copysign(1, s_lo):+.0f} on "
+                f"({lo:.6g}, {top:.6g}) at r0 = {r0}")
+        bracket = lo, hi, s_lo, s_hi
+    p_het, s_het, iterations = _brent(split, *bracket, _SOLVE_TOL)
+    (p1, s1), (p2, s2) = shots[-2:]
+    if prediction is not None and p2 != p1:
+        prediction[r0] = ((eqmod.p_h(r0, base) - p_het) / (r0 - 2.0),
+                          (s2 - s1) / (p2 - p1))
     return HetResult(r0, p_het, abs(s_het), iterations)
+
+
+def _predict(solved: dict, r0: float, base: BaseParams) -> tuple:
+    """A continuation's predictor (Allgower & Georg, 1990): p at r0 from q =
+    (p_h - p_het)/(r0 - 2), smooth and bounded, through the last three rows
+    ``solved`` (constant through one), and the splitting's slope at the last."""
+    near = list(solved.items())[-3:]
+    q = sum(qk * math.prod((r0 - rj) / (rk - rj) for rj, _ in near if rj != rk)
+            for rk, (qk, _) in near)
+    return eqmod.p_h(r0, base) - (r0 - 2.0) * q, near[-1][1][1]
+
+
+def _walk(split, p: float, slope: float, top: float):
+    """The corrector's bracket (a, b, f(a), f(b)) from a predicted p and
+    slope, or None once a shot leaves (0, top): a Newton step from p, then
+    steps 4 times the last until the sign changes. From there Brent's first
+    step is the secant root, and its shortest, 5e-8, certifies 1e-7."""
+    s_a = None
+    while 0.0 < p < top:
+        s = split(p)
+        if s_a is not None and s * s_a <= 0.0:
+            return a, p, s_a, s
+        step = -s / slope if s_a is None else 4.0 * step
+        a, s_a, p = p, s, p + step
 
 
 def build_het_table(r0_list, base: BaseParams, *,
                     tol: float = _SHOOT_TOL) -> list:
-    """Solve the heteroclinic location for each r0, in order; failures
-    become rows with NaN and an error message rather than aborting the
-    sweep."""
-    rows = []
-    for r0 in map(float, r0_list):
+    """Solve the heteroclinic location for each r0, in ascending order from
+    what the rows already solved predict; rows come back in input order,
+    failures as rows with NaN and an error message, not aborting the sweep."""
+    r0s = [float(r0) for r0 in r0_list]
+    rows, solved = [None] * len(r0s), {}
+    for k in sorted(range(len(r0s)), key=r0s.__getitem__):
         try:
-            rows.append(find_het_p(r0, base, tol=tol))
+            rows[k] = find_het_p(r0s[k], base, tol=tol, prediction=solved)
         except (NoCrossingError, ValueError) as exc:
-            rows.append(HetResult(r0, math.nan, math.nan, 0, error=str(exc)))
+            rows[k] = HetResult(r0s[k], math.nan, math.nan, 0, error=str(exc))
     return rows
 
 

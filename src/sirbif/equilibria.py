@@ -14,6 +14,8 @@ never from an iterative solver, and in one place, _eigenvalues: on the I = 0
 axis its diagonal, elsewhere the quadratic formula. Classification treats a
 real (or imaginary) part as zero when it is within
 RELATIVE_EIG_TOL*(1 + |lambda|).
+
+Their closed-form bifurcation curves p_sn, p_t, p_h and p_bt2 live here too.
 """
 from __future__ import annotations
 
@@ -34,6 +36,11 @@ __all__ = [
     "belyakov_roots",
     "belyakov_r0_zero_p",
     "BelyakovDomainError",
+    "CurveDomainError",
+    "p_sn",
+    "p_t",
+    "p_h",
+    "p_bt2",
 ]
 
 #: relative tolerance deciding "zero real part" / "zero imaginary part"
@@ -85,6 +92,10 @@ class Equilibrium(_Record):
 
 class BelyakovDomainError(ValueError):
     """beta < 2 - r0: the node/focus transition has no real root in p."""
+
+
+class CurveDomainError(ValueError):
+    """Curve evaluated outside the r0 range where it is defined."""
 
 
 def _jacobian_entries(S: float, I: float, A: float, b: float, u: float) -> tuple:
@@ -229,6 +240,30 @@ def belyakov_roots(r0: float, base: BaseParams) -> tuple:
     root = 2.0 * math.sqrt(arg)
     scale = A * A / (base.m * r0 * r0)
     return ((-2.0 * b + 1.0 - root) * scale, (-2.0 * b + 1.0 + root) * scale)
+
+
+def p_sn(r0: float, base: BaseParams) -> float:
+    """Saddle-node value A^2/(4m); constant, r0 accepted for uniformity."""
+    return base.A * base.A / (4.0 * base.m)
+
+
+def p_t(r0: float, base: BaseParams) -> float:
+    """Transcritical curve (A^2/m)(r0-1)/r0^2, defined for r0 > 1."""
+    if r0 <= 1.0:
+        raise CurveDomainError(f"p_t needs r0 > 1, got {r0}")
+    return (base.A * base.A / base.m) * (r0 - 1.0) / (r0 * r0)
+
+
+def p_h(r0: float, base: BaseParams) -> float:
+    """Hopf curve A^2/(m r0^2), defined for r0 >= 2."""
+    if r0 < 2.0:
+        raise CurveDomainError(f"p_h needs r0 >= 2.0, got {r0}")
+    return base.A * base.A / (base.m * r0 * r0)
+
+
+def p_bt2(r0: float, base: BaseParams) -> float:
+    """Upper node/focus transition of E2 (beta substituted from r0)."""
+    return belyakov_roots(r0, base)[1]
 
 
 def belyakov_r0_zero_p(base: BaseParams) -> float:

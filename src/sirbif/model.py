@@ -32,6 +32,7 @@ __all__ = [
     "ModelParams",
     "BaseParams",
     "REFERENCE_BASE",
+    "REFERENCE_HET_POINTS",
     "vector_field",
     "r0_of",
     "reduced_to_params",
@@ -168,6 +169,26 @@ class BaseParams(_Rates, _Record):
 #: Base used by the bundled reference data and the CLI defaults:
 #: A=1.1, m=0.35, sigma=0.35 (split evenly between mu and d), g=0.35.
 REFERENCE_BASE = BaseParams(A=1.1, m=0.35, mu=0.175, d=0.175, g=0.35)
+
+#: Bundled (r0, p) table for the reference base A=1.1, m=0.35,
+#: mu=d=0.175, g=0.35, kept as the golden of the power fit. It is not the
+#: model's connection locus: the shot connection lies 0.02 % (r0 = 2.0725)
+#: to 11.9 % (r0 = 3.6667) below it, the gap growing with r0.
+REFERENCE_HET_POINTS = (
+    (2.0725, 0.793486),
+    (2.2000, 0.686625),
+    (2.2698, 0.636156),
+    (2.4237, 0.541135),
+    (2.6000, 0.453994),
+    (2.6981, 0.413374),
+    (2.8039, 0.374719),
+    (2.9184, 0.338027),
+    (3.0426, 0.303294),
+    (3.1778, 0.270517),
+    (3.3256, 0.239692),
+    (3.4878, 0.210816),
+    (3.6667, 0.183883),
+)
 
 #: the closed range of integration tolerances integrate accepts; public as
 #: a name of ``sirbif.integrate``, declared here so that the CLI's flag

@@ -135,7 +135,10 @@ def test_validation_errors_exit_two(tmp_path, capsys):
             (["portraits", "--r0", "1e300", "--p", "0.3"],
              "--r0 1e+300 puts beta"),
             (["simulate", "--beta", "1e300", "--p", "0.3", "--S0", "0.5",
-              "--I0", "0.1"], "--beta 1e+300 is out of range")):
+              "--I0", "0.1"], "--beta 1e+300 is out of range"),
+            # E2's terms are finite, but the first step's estimate is not
+            (["portraits", "--beta", "1e154", "--p", "0.3"],
+             "--beta 1e+154 is too large to integrate")):
         assert run([*command, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -218,6 +221,38 @@ def test_overflowing_endemic_terms_are_refused(tmp_path, capsys, argv, flag):
     assert run([*argv, "--out", str(tmp_path)]) == 2
     assert (f"sirbif: {flag} is out of range: beta^2 (sigma+g), R0 or a term "
             "of E2's closed form" in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["portraits", "--r0", "1e154", "--p", "0.3"], "--r0 1e+154 puts beta"),
+    # sigma+g alone: the field's I-decay term overflows the estimate
+    (["portraits", "--d", "1e154", "--beta", "3", "--p", "0.3"],
+     "--beta 3.0 is"),
+    (["simulate", "--beta", "1e154", "--p", "0.3", "--S0", "0.5", "--I0",
+      "0.1"], "--beta 1e+154 is"),
+    (["het-table", "--shoot", "--r0-list", "2.6,1e150"],
+     "--r0-list entry 1e+150 puts beta"),
+], ids=["portraits-r0", "portraits-sigma", "simulate", "het-table"])
+def test_fields_too_large_to_integrate_are_refused(tmp_path, capsys, argv,
+                                                   flag):
+    # E2's closed form is finite, but the integrator's first step estimate
+    # squares the field over the tolerance: refused before any file
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"sirbif: {flag}" in err and "too large to integrate" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_atlas_window_whose_curve_scale_underflows_is_refused(tmp_path,
+                                                              capsys):
+    # m r0^2 underflows to 0 at the left end, where check_beta passes
+    argv = ["atlas", "--A", "3", "--m", "3.925e-253", "--d", "5.376e-149",
+            "--g", "8.497e62", "--grid", "3", "--samples", "3",
+            "--r0-min", "3.327e-59", "--r0-max", "3.459e-38"]
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    assert ("sirbif: --r0-min 3.327e-59 is too small for --m 3.925e-253: "
+            "m r0^2" in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
 
 
@@ -1162,7 +1197,7 @@ def test_version_and_flag_errors_load_no_layer(argv, code, command):
      {"sirbif.integrate"}, {"sirbif.atlas", "sirbif.connections"}),
     (["cycle", "--format", "json"], {"sirbif.connections"}, set()),
     (["het-table", "--shoot", "--r0-list", "2.6"], {"sirbif.integrate"},
-     {"sirbif.svgplot"}),
+     {"sirbif.svgplot", "sirbif.atlas"}),
     (["het-fit"], {"sirbif.atlas"},
      {"sirbif.integrate", "sirbif.connections", "sirbif.svgplot"}),
 ], ids=["equilibria", "dz", "atlas", "portraits", "simulate", "cycle",

@@ -348,11 +348,64 @@ def test_find_het_connection_above_one(monkeypatch):
 
 
 def test_het_table_rows_match_single_solves(base, het26):
+    # a row predicted from its solved neighbour is certified on its own
+    # 1e-7 bracket, so it agrees with the cold single solve to that bracket
     rows = build_het_table([2.2, 2.6], base)
     assert [r.r0 for r in rows] == [2.2, 2.6]
     assert all(r.error == "" for r in rows)
-    assert rows[1].p_het == pytest.approx(het26.p_het, abs=1e-9)
+    assert rows[1].p_het == pytest.approx(het26.p_het, abs=1e-7)
+    assert splitting(2.6, rows[1].p_het - 1e-7, base) < 0.0
+    assert splitting(2.6, rows[1].p_het + 1e-7, base) > 0.0
     assert rows[0].p_het == pytest.approx(0.685397, abs=1e-3)
+
+
+_EMBEDDED_R0 = [r0 for r0, _ in REFERENCE_HET_POINTS]
+
+
+@pytest.fixture(scope="module")
+def embedded_table(base):
+    return build_het_table(_EMBEDDED_R0, base)
+
+
+def test_het_table_rows_start_from_their_neighbours(base, embedded_table,
+                                                    monkeypatch):
+    # the cold ladder and Brent take 98 splittings for these 13 rows; rows
+    # predicted from the rows solved before them take at most 62
+    calls, _ = _count_splitting(monkeypatch)
+    rows = build_het_table(_EMBEDDED_R0, base)
+    assert rows == embedded_table
+    assert len(calls) <= 62
+    for row in rows:
+        assert row.error == "" and row.splitting_residual <= 1e-6
+        assert splitting(row.r0, row.p_het - 1e-7, base) < 0.0
+        assert splitting(row.r0, row.p_het + 1e-7, base) > 0.0
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_het_table_rows_do_not_depend_on_the_order(base, embedded_table,
+                                                   order, monkeypatch):
+    # the rows are solved in ascending r0 whatever the input order, and
+    # come back in input order
+    calls, _ = _count_splitting(monkeypatch)
+    build_het_table(_EMBEDDED_R0, base)
+    ascending = len(calls)
+    del calls[:]
+    perm = list(range(len(_EMBEDDED_R0)))
+    if order == "reversed":
+        perm.reverse()
+    else:
+        np.random.default_rng(39).shuffle(perm)
+    rows = build_het_table([_EMBEDDED_R0[k] for k in perm], base)
+    assert rows == [embedded_table[k] for k in perm]
+    assert len(calls) == ascending
+
+
+def test_het_table_failed_row_leaves_the_others_alone():
+    # at A = 1.3 the connection at r0 = 2.15 lies above p = 1: its row
+    # fails, and the rows around it are those of the table without it
+    rows = build_het_table([2.19, 2.15, 2.6, 2.7], BASE_A13)
+    assert "keeps sign" in rows[1].error and math.isnan(rows[1].p_het)
+    assert rows[:1] + rows[2:] == build_het_table([2.19, 2.6, 2.7], BASE_A13)
 
 
 def test_het_table_failures_become_rows(base):
