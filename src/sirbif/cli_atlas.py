@@ -44,7 +44,7 @@ def _axis(lo: float, hi: float, n: int) -> list:
 def _region_label_anchors(base: BaseParams, het) -> list:
     """(label, r0, p) anchors for the open regions, computed from the curves
     so they stay inside their bands under any base."""
-    from .atlas import p_bt2, p_h, p_sn, p_t
+    from .equilibria import p_bt2, p_h, p_sn, p_t
 
     def mid(lo, hi):
         return 0.5 * (lo + hi)
@@ -63,7 +63,7 @@ def _region_label_anchors(base: BaseParams, het) -> list:
 
 def _atlas_svg(base: BaseParams, curves: dict, het, config: dict,
                window) -> Canvas:
-    from .atlas import p_sn
+    from .equilibria import p_sn
     from .svgplot import PALETTE, Canvas
 
     r0_min, r0_max, p_min, p_max = window
@@ -92,8 +92,8 @@ def _atlas_svg(base: BaseParams, curves: dict, het, config: dict,
 
 
 def cmd_atlas(ns) -> int:
-    from .atlas import (classify_column, curve_values_at, fit_reference_curve,
-                        p_sn)
+    from .atlas import classify_column, curve_values_at, fit_reference_curve
+    from .equilibria import p_sn
 
     base = resolve_base(ns)
     if not (0.0 < ns.r0_min < ns.r0_max < math.inf

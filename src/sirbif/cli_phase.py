@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 from .cli_common import (
+    check_beta,
     compact,
     config_for,
     csv_text,
@@ -349,6 +350,7 @@ def cmd_cycle(ns) -> int:
     from .svgplot import PALETTE
 
     base = resolve_base(ns)
+    check_beta("--r0", ns.r0, base, integrates=True)
     tol = effective_tol(ns, 1e-10)
     config = config_for(ns, "cycle", {"base": base.to_dict(), "r0": ns.r0,
                                       "p": ns.p}, tol)

@@ -43,8 +43,7 @@ def _eig_text(eq) -> str:
 
 
 def cmd_equilibria(ns) -> int:
-    from .atlas import p_sn
-    from .equilibria import StabilityClass, disease_free, endemic
+    from .equilibria import StabilityClass, disease_free, endemic, p_sn
 
     params = resolve_params(ns)
     config = config_for(ns, "equilibria", {"params": params.to_dict()})

@@ -28,6 +28,7 @@ from . import equilibria as eqmod
 from .equilibria import StabilityClass
 from .integrate import (
     SectionEvent,
+    _brent,
     integrate,
     manifold_shoot,
 )
@@ -135,57 +136,6 @@ class HetResult(_Record):
     splitting_residual: float
     iterations: int
     error: str = ""
-
-
-def _brent(f, a: float, b: float, fa: float, fb: float, tol: float,
-           stop=None) -> tuple:
-    """Brent's zeroin on a bracket with fa*fb < 0 (Brent 1973, ch. 4).
-
-    Each step takes inverse quadratic interpolation through the last three
-    iterates (a secant when only two differ) and falls back to bisection
-    when that step would leave the bracket or shrink it too slowly, so the
-    bracket always holds the root and convergence is superlinear on a
-    smooth f. Stops once the root is bracketed to ``tol`` (the relative
-    term of Brent's stopping test is below 1e-15 for arguments of order 1
-    and is left out), or earlier once ``stop(b, fb, c, fc)`` is true of the
-    bracket [b, c]; returns the best iterate b, f(b) and the number of
-    evaluations of f.
-    """
-    tol1 = 0.5 * tol
-    c, fc = b, fb
-    d = e = b - a
-    iterations = 0
-    while True:
-        if fb * fc > 0.0:              # keep the root between b and c
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):          # b is the best iterate so far
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0 or (stop and stop(b, fb, c, fc)):
-            return b, fb, iterations
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-        iterations += 1
 
 
 def find_het_p(r0: float, base: BaseParams, *, tol: float = _SHOOT_TOL,

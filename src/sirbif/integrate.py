@@ -22,7 +22,7 @@ the step's four control ordinates cannot be crossed in the step and is
 skipped after two comparisons; the few steps whose hull straddles a section
 are cut at the cubic's turning points into pieces monotone in S, and the
 earliest piece whose end values change sign in the section's direction is
-bisected (see _bracket_roots).
+solved by _brent, the solver of the heteroclinic rows and the cycle.
 
 Two model-specific behaviours live here:
 
@@ -228,15 +228,21 @@ def _hermite(theta, h, x0, f0, x1, f1):
     return h00 * x0 + h10 * h * f0 + h01 * x1 + h11 * h * f1
 
 
+def _rms(a, b):
+    """sqrt((a^2 + b^2)/2), by hypot where a ** 2 could overflow."""
+    if max(abs(a), abs(b)) < 1e150:
+        return math.sqrt((a ** 2 + b ** 2) / 2.0)
+    return math.hypot(a, b) / math.sqrt(2.0)
+
+
 def _initial_step(f, x0, f0, t_span, atol, rtol):
     w0 = (atol + rtol * abs(x0[0]), atol + rtol * abs(x0[1]))
-    d0 = math.sqrt(((x0[0] / w0[0]) ** 2 + (x0[1] / w0[1]) ** 2) / 2.0)
-    d1 = math.sqrt(((f0[0] / w0[0]) ** 2 + (f0[1] / w0[1]) ** 2) / 2.0)
+    d0 = _rms(x0[0] / w0[0], x0[1] / w0[1])
+    d1 = _rms(f0[0] / w0[0], f0[1] / w0[1])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     x1 = (x0[0] + h0 * f0[0], x0[1] + h0 * f0[1])
     f1 = f(x1)
-    d2 = math.sqrt((((f1[0] - f0[0]) / w0[0]) ** 2
-                    + ((f1[1] - f0[1]) / w0[1]) ** 2) / 2.0) / h0
+    d2 = _rms((f1[0] - f0[0]) / w0[0], (f1[1] - f0[1]) / w0[1]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -530,10 +536,10 @@ def _bracket_roots(t, x, fx, x_new, f_new, h, c1, c2, sec):
     the section, and in which direction: the scan is exact, with no cap. A
     grazing pair of crossings, both step ends on one side, straddles the
     turning point between them, so each crossing falls on its own piece. The
-    earliest piece whose end values change sign in sec.direction is bisected
-    to |residual| <= 1e-12 (well inside the 1e-10 contract). A start exactly
-    on the section is no crossing, and a root exactly at a cut belongs to
-    the earlier piece.
+    earliest piece whose end values change sign in sec.direction goes to
+    _brent, which stops at |residual| <= 1e-12 (well inside the 1e-10
+    contract) or a bracket 1e-15 wide. A start exactly on the section is no
+    crossing, and a root exactly at a cut belongs to the earlier piece.
     """
     value, direction = sec.value, sec.direction
     S0, S1 = x[0], x_new[0]
@@ -550,20 +556,62 @@ def _bracket_roots(t, x, fx, x_new, f_new, h, c1, c2, sec):
                 or (-1 if glo > ghi else 1) != direction):
             lo, glo = hi, ghi
             continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if abs(gm) <= 1e-12:
-                lo = mid
-                break
-            if glo * gm <= 0.0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-        theta_hit = 0.5 * (lo + hi) if abs(g(lo)) > 1e-12 else lo
+        theta_hit, g_hit, _ = _brent(g, lo, hi, glo, ghi, 1e-15,
+                                     stop=lambda b, fb, *_: abs(fb) <= 1e-12)
         I_hit = _hermite(theta_hit, h, x[1], fx[1], x_new[1], f_new[1])
-        return (t + theta_hit * h, (g(theta_hit) + value, I_hit), sec)
+        return (t + theta_hit * h, (g_hit + value, I_hit), sec)
     return None
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float, tol: float,
+           stop=None) -> tuple:
+    """Brent's zeroin on a bracket with fa*fb < 0 (Brent 1973, ch. 4).
+
+    Each step takes inverse quadratic interpolation through the last three
+    iterates (a secant when only two differ) and falls back to bisection
+    when that step would leave the bracket or shrink it too slowly, so the
+    bracket always holds the root and convergence is superlinear on a
+    smooth f. Stops once the root is bracketed to ``tol`` (the relative
+    term of Brent's stopping test is below 1e-15 for arguments of order 1
+    and is left out), or earlier once ``stop(b, fb, c, fc)`` is true of the
+    bracket [b, c]; returns the best iterate b, f(b) and the number of
+    evaluations of f.
+    """
+    tol1 = 0.5 * tol
+    c, fc = b, fb
+    d = e = b - a
+    iterations = 0
+    while True:
+        if fb * fc > 0.0:              # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):          # b is the best iterate so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0 or (stop and stop(b, fb, c, fc)):
+            return b, fb, iterations
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+        iterations += 1
 
 # ----------------------------------------------------------------------
 # omega-limit estimation

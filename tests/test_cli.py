@@ -244,6 +244,17 @@ def test_fields_too_large_to_integrate_are_refused(tmp_path, capsys, argv,
     assert not list(tmp_path.iterdir())
 
 
+def test_cycle_checks_its_rate_before_any_work(tmp_path, capsys):
+    # E2's divisor beta^2 (sigma+g) underflows to 0: refused as every other
+    # command refuses it, not a bare division error
+    assert run(["cycle", "--r0", "2.6", "--p", "0.48", "--g", "1e-300",
+                "--mu", "1e-300", "--d", "1e-300", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("sirbif: --r0 2.6 puts beta = r0 (sigma+g)/A" in err
+            and "out of range: beta^2 (sigma+g)" in err)
+    assert not list(tmp_path.iterdir())
+
+
 def test_atlas_window_whose_curve_scale_underflows_is_refused(tmp_path,
                                                               capsys):
     # m r0^2 underflows to 0 at the left end, where check_beta passes
@@ -536,6 +547,20 @@ def test_simulate_far_start_draws_no_huge_coordinate(tmp_path, capsys):
         numbers = re.findall(r"[-+]?[0-9][0-9.e+-]*", svg)
         longest = max(numbers, key=len, default="")
         assert numbers and len(longest) <= 10, (I0, longest)
+
+
+@pytest.mark.parametrize("beta, start", [("1e139", "100"), ("1.5e140", "140")])
+def test_simulate_start_far_outside_the_region_ends_at_once(tmp_path, capsys,
+                                                            beta, start):
+    # inside the domain bound, but the first step estimate's squared field
+    # norm overflows (to inf, or raising at 1.5e140): the run ends with a
+    # step-size underflow at t = 0, not a division by zero
+    assert run(["simulate", "--beta", beta, "--p", "0.3", "--S0", start,
+                "--I0", start, "--tol", "1e-13", "--t-end", "5", "--format",
+                "json", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    terminal = json.loads((tmp_path / "trajectory.json").read_text())["terminal"]
+    assert terminal["kind"] == "step-failure" and terminal["t"] == 0.0
 
 
 def test_polyline_is_clipped_ten_canvas_sides_out():
@@ -1187,7 +1212,7 @@ def test_version_and_flag_errors_load_no_layer(argv, code, command):
 
 @pytest.mark.parametrize("argv, present, absent", [
     (["equilibria", "--r0", "2.6", "--p", "0.3"], {"sirbif.equilibria"},
-     {"sirbif.integrate", "sirbif.svgplot"}),
+     {"sirbif.integrate", "sirbif.svgplot", "sirbif.atlas"}),
     (["dz"], {"sirbif.atlas"}, {"sirbif.integrate", "sirbif.svgplot"}),
     (["atlas", "--grid", "3", "--samples", "3"], {"sirbif.svgplot"},
      {"sirbif.integrate", "sirbif.connections"}),
@@ -1195,7 +1220,7 @@ def test_version_and_flag_errors_load_no_layer(argv, code, command):
      {"sirbif.atlas", "sirbif.integrate"}, {"sirbif.connections"}),
     (["simulate", "--r0", "2.6", "--p", "0.3", "--S0", "0.5", "--I0", "0.1"],
      {"sirbif.integrate"}, {"sirbif.atlas", "sirbif.connections"}),
-    (["cycle", "--format", "json"], {"sirbif.connections"}, set()),
+    (["cycle", "--format", "json"], {"sirbif.connections"}, {"sirbif.atlas"}),
     (["het-table", "--shoot", "--r0-list", "2.6"], {"sirbif.integrate"},
      {"sirbif.svgplot", "sirbif.atlas"}),
     (["het-fit"], {"sirbif.atlas"},

@@ -207,21 +207,6 @@ def test_find_het_low_connection(A, m, g, r0, want):
     assert 0.0 < res.p_het < p_h(r0, low_base) < p_t(r0, low_base)
 
 
-@pytest.mark.parametrize("f, root", [
-    (lambda x: x ** 3 - 2.0, 2.0 ** (1.0 / 3.0)),
-    (lambda x: math.tanh(50.0 * (x - 0.7)), 0.7),
-    (lambda x: -1.0 if x < 0.3 else 1.0, 0.3),     # forces bisection steps
-])
-def test_brent_brackets_root_to_tolerance(f, root):
-    # the connection's tolerance and the cycle's
-    for tol in (connections._SOLVE_TOL, connections._RETURN_TOL):
-        b, fb, iterations = connections._brent(f, 0.0, 2.0, f(0.0), f(2.0),
-                                               tol)
-        assert abs(b - root) <= tol
-        assert fb == f(b)
-        assert 0 < iterations < 60
-
-
 def _count_splitting(monkeypatch):
     """The p of every splitting evaluation, in order, and its value."""
     calls, values = [], []

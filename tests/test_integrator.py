@@ -1,6 +1,7 @@
 """Adaptive integration: accuracy, events, wall handoff, limit-set
 estimation, manifold shooting, and the recovered-class reconstruction."""
 
+import importlib
 import math
 
 import numpy as np
@@ -29,15 +30,18 @@ from sirbif import (
     recover_recovered,
     region_fan,
     reduced_to_params,
+    splitting,
     vector_field,
 )
 from sirbif.cli_phase import _builtin_packs
+from sirbif.connections import _RETURN_TOL, _SOLVE_TOL
 from sirbif.integrate import (
     IntegrationStats,
     _SERIES_CAP,
     _SERIES_ORDER,
     _SINKS,
     _bracket_roots,
+    _brent,
     _hermite,
     _hull,
     _in_trap,
@@ -348,6 +352,49 @@ def test_event_scan_matches_dense_reference(S0, m0, S1, m1, h, value, direction)
     else:
         assert hit, f"missed the root at theta = {ref}"
         assert abs(hit[0] - (t + ref * h)) <= 1e-10
+        # Brent's stop: the crossing's S lies within 1e-12 of the section
+        assert abs(hit[1][0] - value) <= 1e-12
+
+
+@pytest.mark.parametrize("f, root", [
+    (lambda x: x ** 3 - 2.0, 2.0 ** (1.0 / 3.0)),
+    (lambda x: math.tanh(50.0 * (x - 0.7)), 0.7),
+    (lambda x: -1.0 if x < 0.3 else 1.0, 0.3),     # forces bisection steps
+])
+def test_brent_brackets_root_to_tolerance(f, root):
+    # the connection's tolerance, the cycle's and the event scan's
+    for tol in (_SOLVE_TOL, _RETURN_TOL, 1e-15):
+        b, fb, iterations = _brent(f, 0.0, 2.0, f(0.0), f(2.0), tol)
+        assert abs(b - root) <= tol
+        assert fb == f(b)
+        assert 0 < iterations < 60
+
+
+def test_event_scan_solves_a_crossing_in_few_evaluations(monkeypatch):
+    # Brent takes about 7 evaluations of the step's Hermite cubic per
+    # crossing, the cuts and the crossing's I included; bisection to the
+    # same residual took about 36
+    integ = importlib.import_module("sirbif.integrate")
+    hermite, bracket_roots = integ._hermite, integ._bracket_roots
+    count = {"evaluations": 0, "crossings": 0}
+
+    def counted_hermite(*args):
+        count["evaluations"] += 1
+        return hermite(*args)
+
+    def counted_bracket_roots(*args):
+        hit = bracket_roots(*args)
+        count["crossings"] += hit is not None
+        return hit
+
+    monkeypatch.setattr(integ, "_hermite", counted_hermite)
+    monkeypatch.setattr(integ, "_bracket_roots", counted_bracket_roots)
+    # one recorded splitting shot: both manifolds onto S = S2
+    splitting(2.6, 0.45, REFERENCE_BASE)
+    # and a run onto the wall
+    integrate((0.05, 0.5), reduced_to_params(2.6, 0.9, REFERENCE_BASE), 400.0)
+    assert count["crossings"] == 3
+    assert count["evaluations"] <= 10 * count["crossings"]
 
 
 def test_left_domain_terminal():
